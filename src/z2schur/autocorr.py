@@ -16,12 +16,14 @@ import random
 import numpy as np
 
 from .errors import LengthMismatch, ScaleExceeded
-from .sequences import BinarySequence, rotate_bits, units
-from .orbits import (
-    _perm_decimate,
-    _perm_reverse,
+from .sequences import (
+    BinarySequence,
+    decimation_perm,
     permute_bits_array,
+    reversal_perm,
+    rotate_bits,
     rotate_bits_array,
+    units,
 )
 
 VERIFY_MAX_N = 16
@@ -159,13 +161,13 @@ def verify_identities(n: int, max_violations: int = 10) -> dict:
 
     transforms = [
         ("rotation", rotate_bits_array(x, n, 1), lambda k: k),
-        ("reversal", permute_bits_array(x, n, _perm_reverse(n)), lambda k: k),
+        ("reversal", permute_bits_array(x, n, reversal_perm(n)), lambda k: k),
         ("negation", x ^ np.uint64((1 << n) - 1), lambda k: k),
     ]
     for r in units(n):
         if r != 1:
             transforms.append(
-                ("decimation", permute_bits_array(x, n, _perm_decimate(n, r)),
+                ("decimation", permute_bits_array(x, n, decimation_perm(n, r)),
                  lambda k, r=r: (r * k) % n)
             )
     for name, tx, shift in transforms:

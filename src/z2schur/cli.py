@@ -5,10 +5,12 @@ Subcommand tree mirrors the library: `ring verify`, `ssets complete`,
 plus `reproduce-paper`, which runs the bundled acceptance suite and writes
 one JSON report per module.
 
-Every subcommand accepts --workers, --seed, --format and --out after its
-name.  SCHUR_WORKERS sets the default worker count.  Exit codes: 0 on
-success, 1 when a verification fails (non-Hadamard input, failed suite
-criteria, ring violations), 2 on usage or domain errors.
+Every subcommand accepts --out after its name, and every one except
+`hadamard paley` and `reproduce-paper` accepts --format.  Only
+`hadamard search-circulant` and `reproduce-paper` take --workers (default
+from SCHUR_WORKERS), and only `reproduce-paper` takes --seed.  Exit codes:
+0 on success, 1 when a verification fails (non-Hadamard input, failed
+suite criteria, ring violations), 2 on usage or domain errors.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import autocorr as ac
@@ -34,25 +35,6 @@ from .sequences import make_sequence
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    workers: int
-    seed: int
-    format: str
-    out: str | None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            command=args.command,
-            workers=args.workers,
-            seed=args.seed,
-            format=args.format,
-            out=args.out,
-        )
-
-
 def _default_workers() -> int:
     env = os.environ.get("SCHUR_WORKERS", "")
     try:
@@ -61,16 +43,25 @@ def _default_workers() -> int:
         return 1
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=_default_workers())
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=FORMATS, default="json")
+def _options(
+    parser: argparse.ArgumentParser,
+    *,
+    fmt: bool = True,
+    workers: bool = False,
+    seed: bool = False,
+) -> None:
+    if workers:
+        parser.add_argument("--workers", type=int, default=_default_workers())
+    if seed:
+        parser.add_argument("--seed", type=int, default=0)
+    if fmt:
+        parser.add_argument("--format", choices=FORMATS, default="json")
     parser.add_argument("--out", default=None)
 
 
-def _deliver(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n")
+def _deliver(text: str, args) -> None:
+    if args.out:
+        Path(args.out).write_text(text + "\n")
     else:
         print(text)
 
@@ -106,15 +97,20 @@ def _csv_rows(header: list[str], rows: list[list]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _no_csv(cfg: RunConfig) -> int:
-    print(f"error: --format csv is not available for '{cfg.command}'",
-          file=sys.stderr)
-    return 2
+def _emit(payload, args) -> int:
+    """Deliver a payload as JSON or text; 2 when CSV was asked for, since
+    only tabular subcommands have a CSV form."""
+    if args.format == "csv":
+        print(f"error: --format csv is not available for '{args.command}'",
+              file=sys.stderr)
+        return 2
+    _deliver(_json(payload) if args.format == "json" else _text(payload), args)
+    return 0
 
 
 # ----------------------------------------------------------- subcommands
 
-def cmd_ring_verify(args, cfg: RunConfig) -> int:
+def cmd_ring_verify(args) -> int:
     rep = wr.verify_ring(args.n)
     payload = {
         "n": args.n,
@@ -122,32 +118,28 @@ def cmd_ring_verify(args, cfg: RunConfig) -> int:
         "lambda_ok": rep["lambda_ok"],
         "counterexamples": rep["counterexamples"],
     }
-    if cfg.format == "csv":
-        return _no_csv(cfg)
-    _deliver(_json(payload) if cfg.format == "json" else _text(payload), cfg)
-    return 0 if rep["product_ok"] and rep["lambda_ok"] else 1
+    return _emit(payload, args) or (0 if rep["product_ok"] and rep["lambda_ok"] else 1)
 
 
-def cmd_ssets_complete(args, cfg: RunConfig) -> int:
+def cmd_ssets_complete(args) -> int:
     targets = [args.a] if args.a is not None else list(range(args.n + 1))
     found = []
     for a in targets:
         found += [s.as_dict() for s in ss.find_complete_ssets(args.n, a)]
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = [[s["a"], s["parity"], s["order"],
                  " ".join(map(str, s["members"]))] for s in found]
-        _deliver(_csv_rows(["a", "parity", "order", "members"], rows), cfg)
-    else:
-        _deliver(_json(found) if cfg.format == "json" else _text(found), cfg)
-    return 0
+        _deliver(_csv_rows(["a", "parity", "order", "members"], rows), args)
+        return 0
+    return _emit(found, args)
 
 
-def cmd_orbits_census(args, cfg: RunConfig) -> int:
+def cmd_orbits_census(args) -> int:
     rep = ob.census(args.n, args.group)
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = [[r["period"], r["count"], r["sym"], r["asym"]]
                 for r in rep["rows"]]
-        _deliver(_csv_rows(["period", "count", "sym", "asym"], rows), cfg)
+        _deliver(_csv_rows(["period", "count", "sym", "asym"], rows), args)
         return 0
     payload = {
         "n": rep["n"],
@@ -159,11 +151,10 @@ def cmd_orbits_census(args, cfg: RunConfig) -> int:
         "nonsym": rep["nonsym"],
         "delta_invariant": rep["delta_invariant"],
     }
-    _deliver(_json(payload) if cfg.format == "json" else _text(payload), cfg)
-    return 0
+    return _emit(payload, args)
 
 
-def cmd_autocorr(args, cfg: RunConfig) -> int:
+def cmd_autocorr(args) -> int:
     x = make_sequence(args.seq)
     vec = ac.theta(x)
     payload = {
@@ -174,10 +165,7 @@ def cmd_autocorr(args, cfg: RunConfig) -> int:
         "sum_check": "(2a-n)^2",
         "sum_ok": ac.sum_identity(x)["ok"],
     }
-    if cfg.format == "csv":
-        return _no_csv(cfg)
-    _deliver(_json(payload) if cfg.format == "json" else _text(payload), cfg)
-    return 0
+    return _emit(payload, args)
 
 
 def _orthogonality_witness(mat) -> dict | None:
@@ -189,7 +177,7 @@ def _orthogonality_witness(mat) -> dict | None:
     return None
 
 
-def cmd_hadamard_check(args, cfg: RunConfig) -> int:
+def cmd_hadamard_check(args) -> int:
     if args.builtin:
         mat = hd.BUILTIN_H12
     else:
@@ -198,39 +186,28 @@ def cmd_hadamard_check(args, cfg: RunConfig) -> int:
     payload = {"m": mat.m, "hadamard": ok}
     if not ok:
         payload["witness"] = _orthogonality_witness(mat)
-    if cfg.format == "csv":
-        return _no_csv(cfg)
-    _deliver(_json(payload) if cfg.format == "json" else _text(payload), cfg)
-    return 0 if ok else 1
+    return _emit(payload, args) or (0 if ok else 1)
 
 
-def cmd_hadamard_search(args, cfg: RunConfig) -> int:
-    res = hd.search_circulant_hadamard(args.order, workers=cfg.workers)
-    payload = res.as_dict()
-    if cfg.format == "csv":
-        return _no_csv(cfg)
-    _deliver(_json(payload) if cfg.format == "json" else _text(payload), cfg)
-    return 0
+def cmd_hadamard_search(args) -> int:
+    res = hd.search_circulant_hadamard(args.order, workers=args.workers)
+    return _emit(res.as_dict(), args)
 
 
-def cmd_hadamard_paley(args, cfg: RunConfig) -> int:
+def cmd_hadamard_paley(args) -> int:
     mat = hd.border_core(hd.paley_core(args.p))
-    _deliver(mat.render(), cfg)
+    _deliver(mat.render(), args)
     return 0
 
 
-def cmd_hadamard_verdict(args, cfg: RunConfig) -> int:
+def cmd_hadamard_verdict(args) -> int:
     v = hd.partition_parity_verdict(args.n, args.r, args.a, args.kind)
-    payload = v.as_dict()
-    if cfg.format == "csv":
-        return _no_csv(cfg)
-    _deliver(_json(payload) if cfg.format == "json" else _text(payload), cfg)
-    return 0
+    return _emit(v.as_dict(), args)
 
 
-def cmd_reproduce(args, cfg: RunConfig) -> int:
-    outcome = rp.run_all(max_n=args.max_n, seed=cfg.seed, workers=cfg.workers)
-    out_dir = cfg.out or "z2schur-reports"
+def cmd_reproduce(args) -> int:
+    outcome = rp.run_all(max_n=args.max_n, seed=args.seed, workers=args.workers)
+    out_dir = args.out or "z2schur-reports"
     written = rp.write_reports(outcome, out_dir)
     for line in rp.format_lines(outcome):
         print(line)
@@ -252,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     ring_sub = ring.add_subparsers(dest="subcommand", required=True)
     p = ring_sub.add_parser("verify", help="compare closed forms with oracles")
     p.add_argument("--n", type=int, required=True)
-    _common(p)
+    _options(p)
     p.set_defaults(fn=cmd_ring_verify, command="ring verify")
 
     ssets_p = sub.add_parser("ssets", help="complete S-set discovery")
@@ -260,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ssets_sub.add_parser("complete", help="maximal complete S-sets")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, default=None)
-    _common(p)
+    _options(p)
     p.set_defaults(fn=cmd_ssets_complete, command="ssets complete")
 
     orbits_p = sub.add_parser("orbits", help="orbit enumeration")
@@ -268,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = orbits_sub.add_parser("census", help="orbit census under a group")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", choices=ob.GROUPS, required=True)
-    _common(p)
+    _options(p)
     p.set_defaults(fn=cmd_orbits_census, command="orbits census")
 
     p = sub.add_parser("autocorr", help="periodic autocorrelation of a literal")
     p.add_argument("--seq", required=True)
-    _common(p)
+    _options(p)
     p.set_defaults(fn=cmd_autocorr, command="autocorr")
 
     had = sub.add_parser("hadamard", help="Hadamard verification and search")
@@ -283,18 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--file")
     src.add_argument("--builtin", choices=["h12"])
-    _common(p)
+    _options(p)
     p.set_defaults(fn=cmd_hadamard_check, command="hadamard check")
 
     p = had_sub.add_parser("search-circulant",
                            help="exhaustive circulant search at one order")
     p.add_argument("--order", type=int, required=True)
-    _common(p)
+    _options(p, workers=True)
     p.set_defaults(fn=cmd_hadamard_search, command="hadamard search-circulant")
 
     p = had_sub.add_parser("paley", help="bordered quadratic-residue matrix")
     p.add_argument("--p", type=int, required=True)
-    _common(p)
+    _options(p, fmt=False)
     p.set_defaults(fn=cmd_hadamard_paley, command="hadamard paley")
 
     p = had_sub.add_parser("verdict",
@@ -303,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--kind", choices=hd.PARTITION_KINDS, required=True)
-    _common(p)
+    _options(p)
     p.set_defaults(fn=cmd_hadamard_verdict, command="hadamard verdict")
 
     p = sub.add_parser("reproduce-paper",
                        help="run the acceptance suite, write module reports")
     p.add_argument("--max-n", type=int, default=16, dest="max_n")
-    _common(p)
+    _options(p, fmt=False, workers=True, seed=True)
     p.set_defaults(fn=cmd_reproduce, command="reproduce-paper")
 
     return parser
@@ -318,16 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig.from_args(args)
     try:
-        return args.fn(args, cfg)
-    except Z2SchurError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.fn(args)
+    except (Z2SchurError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

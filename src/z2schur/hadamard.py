@@ -37,13 +37,13 @@ from .errors import (
 )
 from .sequences import (
     BinarySequence,
+    concat_bits,
     make_sequence,
     reverse_bits,
     rotate_bits,
-    units,
 )
 from .ssets import CompleteSSet, complete_maximal
-from .weight_ring import class_members_bits
+from .weight_ring import class_members_bits, gosper_next
 
 NORMALIZE_MAX_M = 24
 BRUTEFORCE_MAX_N = 16
@@ -294,12 +294,6 @@ class SearchResult:
         return [classify(make_sequence(s)) for s in self.found]
 
 
-def _gosper_next(v: int) -> int:
-    c = v & -v
-    r = v + c
-    return r | (((v ^ r) >> 2) // c)
-
-
 def _unrank_colex(rank: int, k: int) -> int:
     """The rank-th smallest integer with k bits set (rank 0 first)."""
     bits = 0
@@ -330,7 +324,7 @@ def _scan_shard(args: tuple[int, int, int, int]) -> tuple[int, list[int]]:
         if ok:
             hits.append(min(rotate_bits(v, n, i) for i in range(n)))
         if pc:
-            v = _gosper_next(v)
+            v = gosper_next(v)
     return count, hits
 
 
@@ -523,13 +517,6 @@ def core_partition_verdict(n: int, r: int) -> StructureVerdict:
 
 # ---------------------------------------------- exhaustive confirmations
 
-def _concat_blocks(blocks: tuple[int, ...], width: int) -> int:
-    bits = 0
-    for b in blocks:
-        bits = (bits << width) | b
-    return bits
-
-
 def exhaustive_structured_search(n: int, r: int, a: int, kind: str) -> dict:
     """Enumerate every structured candidate at desk scale and test it
     outright, confirming (or refuting) the corresponding verdict."""
@@ -550,7 +537,7 @@ def exhaustive_structured_search(n: int, r: int, a: int, kind: str) -> dict:
         for tup in product(members, repeat=2 * r):
             if kind == "alt":
                 tup = tuple(b if i % 2 == 0 else b ^ mask for i, b in enumerate(tup))
-            bits = _concat_blocks(tup, block)
+            bits = concat_bits(tup, block)
             candidates += 1
             if flat_offpeak(BinarySequence(order, bits)):
                 hits.append(str(BinarySequence(order, bits)))
@@ -559,7 +546,7 @@ def exhaustive_structured_search(n: int, r: int, a: int, kind: str) -> dict:
             rb = reverse_bits(b, block)
             if kind == "asym":
                 rb ^= mask
-            bits = _concat_blocks((b, rb), block)
+            bits = concat_bits((b, rb), block)
             candidates += 1
             if flat_offpeak(BinarySequence(order, bits)):
                 hits.append(str(BinarySequence(order, bits)))
@@ -590,7 +577,7 @@ def exhaustive_core_partition_search(n: int, r: int) -> dict:
     for a in range(n + 1):
         members = list(class_members_bits(n, a))
         for tup in product(members, repeat=r):
-            bits = _concat_blocks(tup, n)
+            bits = concat_bits(tup, n)
             candidates += 1
             core = BinarySequence(p, bits)
             if core.weight == need and flat_offpeak(core, -1):
@@ -649,22 +636,3 @@ def border_core(core: BinarySequence) -> SignMatrix:
         rows.append(rotate_bits(core.bits, p, (p - (i - 1)) % p))
     return SignMatrix(p + 1, tuple(rows))
 
-
-def delta_invariance_of_core(core: BinarySequence) -> tuple[int, ...]:
-    """All multipliers r for which some rotation of the core is fixed by
-    the decimation by r.  For quadratic-residue cores this contains every
-    nonzero square mod p, since those decimations fix the core outright."""
-    p = core.n
-    rots = [rotate_bits(core.bits, p, i) for i in range(p)]
-    out = []
-    for r in units(p):
-        perm = [(r * j) % p for j in range(p)]
-        for t in rots:
-            img = 0
-            for j in range(p):
-                if (t >> (p - 1 - perm[j])) & 1:
-                    img |= 1 << (p - 1 - j)
-            if img == t:
-                out.append(r)
-                break
-    return tuple(out)

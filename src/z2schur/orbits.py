@@ -30,9 +30,16 @@ from .errors import ScaleExceeded, TheoremViolation
 from .sequences import (
     BinarySequence,
     decimate_bits,
+    decimation_perm,
     divisors,
+    perm_cycles,
+    permute_bits,
+    permute_bits_array,
+    reversal_perm,
     reverse_bits,
     rotate_bits,
+    rotate_bits_array,
+    shift_perm,
     units,
 )
 
@@ -44,18 +51,6 @@ GROUPS = ("C", "D", "H", "DC", "HC", "HDC")
 
 # ---------------------------------------------------------------- perms
 
-def _perm_cycle(n: int) -> tuple[int, ...]:
-    return tuple((j + 1) % n for j in range(n))
-
-
-def _perm_reverse(n: int) -> tuple[int, ...]:
-    return tuple(n - 1 - j for j in range(n))
-
-
-def _perm_decimate(n: int, r: int) -> tuple[int, ...]:
-    return tuple((r * j) % n for j in range(n))
-
-
 @lru_cache(maxsize=None)
 def group_permutations(n: int, group: str = "C") -> tuple[tuple[int, ...], ...]:
     """All position permutations of the named group, closed from its
@@ -64,11 +59,11 @@ def group_permutations(n: int, group: str = "C") -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"unknown group {group!r}, expected one of {GROUPS}")
     gens: list[tuple[int, ...]] = []
     if "C" in group:
-        gens.append(_perm_cycle(n))
+        gens.append(shift_perm(n))
     if "H" in group:
-        gens.append(_perm_reverse(n))
+        gens.append(reversal_perm(n))
     if "D" in group:
-        gens.extend(_perm_decimate(n, r) for r in units(n) if r != 1)
+        gens.extend(decimation_perm(n, r) for r in units(n) if r != 1)
     ident = tuple(range(n))
     seen = {ident}
     frontier = [ident]
@@ -82,34 +77,6 @@ def group_permutations(n: int, group: str = "C") -> tuple[tuple[int, ...], ...]:
                     nxt.append(q)
         frontier = nxt
     return tuple(sorted(seen))
-
-
-def permute_bits(bits: int, n: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for j in range(n):
-        if (bits >> (n - 1 - perm[j])) & 1:
-            out |= 1 << (n - 1 - j)
-    return out
-
-
-def permute_bits_array(arr: np.ndarray, n: int, perm: tuple[int, ...]) -> np.ndarray:
-    """Apply one position permutation to a whole array of packed sequences."""
-    a = arr.astype(np.uint64, copy=False)
-    out = np.zeros(a.shape, dtype=np.uint64)
-    for j in range(n):
-        src = n - 1 - perm[j]
-        dst = n - 1 - j
-        out |= ((a >> np.uint64(src)) & np.uint64(1)) << np.uint64(dst)
-    return out
-
-
-def rotate_bits_array(arr: np.ndarray, n: int, i: int) -> np.ndarray:
-    i %= n
-    a = arr.astype(np.uint64, copy=False)
-    if i == 0:
-        return a.copy()
-    mask = np.uint64((1 << n) - 1)
-    return ((a << np.uint64(i)) | (a >> np.uint64(n - i))) & mask
 
 
 # ------------------------------------------------------- canonical forms
@@ -158,6 +125,19 @@ def cyclic_period(x: BinarySequence) -> int:
         if rotate_bits(x.bits, x.n, d) == x.bits:
             return d
     raise AssertionError("unreachable: period n always matches")
+
+
+def periods_array(arr: np.ndarray, n: int) -> np.ndarray:
+    """Least rotation period of every packed sequence in arr.
+
+    rotate(X, d) = X exactly when the period divides d, so walking the
+    proper divisors downwards and overwriting leaves the least one.
+    """
+    a = arr.astype(np.uint64, copy=False)
+    period = np.full(a.shape, n, dtype=np.min_scalar_type(n))
+    for d in reversed(divisors(n)[:-1]):
+        period[rotate_bits_array(a, n, d) == a] = d
+    return period
 
 
 @dataclass(frozen=True)
@@ -214,17 +194,12 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
     members = [m.bits for m in orbit_members(x, group)]
     memberset = set(members)
     mask = (1 << n) - 1
-    rots = set()
-    b = x.bits
-    for _ in range(n):
-        rots.add(b)
-        b = rotate_bits(b, n, 1)
     return Orbit(
         n=n,
         rep=members[0],
         group=group,
         size=len(members),
-        period=len(rots),
+        period=cyclic_period(x),
         symmetric=any(reverse_bits(t, n) == t for t in memberset),
         antisymmetric=any(reverse_bits(t, n) == t ^ mask for t in memberset),
         reversal_closed=all(reverse_bits(t, n) in memberset for t in memberset),
@@ -275,19 +250,10 @@ def antipalindrome_bits(n: int) -> list[int]:
 def delta_fixed_bits(n: int, r: int) -> np.ndarray:
     """All packed sequences fixed by d_r, built by constant assignment on
     the cycles of the position permutation."""
-    perm = _perm_decimate(n, r)
-    seen = [False] * n
-    masks = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        mask = 0
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            mask |= 1 << (n - 1 - j)
-            j = perm[j]
-        masks.append(mask)
+    masks = [
+        sum(1 << (n - 1 - j) for j in cycle)
+        for cycle in perm_cycles(decimation_perm(n, r))
+    ]
     if len(masks) > 22:
         raise ScaleExceeded(f"d_{r} on n={n} has {len(masks)} cycles")
     out = [0]
@@ -297,14 +263,6 @@ def delta_fixed_bits(n: int, r: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------- the table
-
-def _periods_array(reps: np.ndarray, n: int) -> np.ndarray:
-    period = np.full(reps.shape, n, dtype=np.int64)
-    for d in divisors(n)[:-1]:
-        hit = (rotate_bits_array(reps, n, d) == reps.astype(np.uint64)) & (period == n)
-        period[hit] = d
-    return period
-
 
 def _orbit_table(n: int, group: str) -> dict:
     canon = canonical_array(n, group)
@@ -317,17 +275,25 @@ def _orbit_table(n: int, group: str) -> dict:
         if anti_src
         else np.empty(0, dtype=np.uint32)
     )
-    rev = permute_bits_array(reps64, n, _perm_reverse(n))
+    rev = permute_bits_array(reps64, n, reversal_perm(n))
+    rev_closed = canon[rev.astype(np.int64)] == reps
+    if group == "D":
+        # Reversal normalises every other group, so there the reversal of
+        # the rep decides for the whole orbit; under decimations alone,
+        # d_r R = R d_r C^(r-1), it does not, and every member is checked.
+        x = np.arange(1 << n, dtype=np.uint64)
+        strays = canon[permute_bits_array(x, n, reversal_perm(n)).astype(np.int64)] != canon
+        rev_closed &= ~np.isin(reps, canon[strays])
     return {
         "n": n,
         "group": group,
         "canon": canon,
         "reps": reps,
         "sizes": sizes.astype(np.int64),
-        "periods": _periods_array(reps64, n),
+        "periods": periods_array(reps64, n),
         "sym": np.isin(reps, pal),
         "asym": np.isin(reps, anti),
-        "rev_closed": canon[rev.astype(np.int64)] == reps,
+        "rev_closed": rev_closed,
     }
 
 
@@ -337,11 +303,13 @@ def enumerate_orbits(n: int, group: str = "C"):
     Flags come from the vectorized table; the per-multiplier
     delta_invariant flag is expensive at scale, so it is filled only here
     in the streaming path (lazily via classify would cost the same).
+    d_1 fixes every sequence, so 1 joins every orbit without a table.
     """
     t = _orbit_table(n, group)
     fixed_reps = {
         r: set(np.unique(t["canon"][delta_fixed_bits(n, r).astype(np.int64)]).tolist())
         for r in units(n)
+        if r != 1
     }
     for i, rep in enumerate(t["reps"].tolist()):
         yield Orbit(
@@ -354,7 +322,7 @@ def enumerate_orbits(n: int, group: str = "C"):
             antisymmetric=bool(t["asym"][i]),
             reversal_closed=bool(t["rev_closed"][i]),
             delta_invariant=tuple(
-                r for r in units(n) if rep in fixed_reps[r]
+                r for r in units(n) if r == 1 or rep in fixed_reps[r]
             ),
             delta_closed=(),
         )
@@ -371,24 +339,10 @@ def necklace_count(n: int) -> int:
     return sum(_totient(d) * (1 << (n // d)) for d in divisors(n)) // n
 
 
-def _cycle_count(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return cycles
-
-
 def burnside_count(n: int, group: str = "C") -> int:
     """Orbit count as the average number of fixed sequences per group element."""
     perms = group_permutations(n, group)
-    total = sum(1 << _cycle_count(p) for p in perms)
+    total = sum(1 << len(perm_cycles(p)) for p in perms)
     assert total % len(perms) == 0
     return total // len(perms)
 
@@ -406,11 +360,7 @@ def fd_partition(n: int) -> dict[int, int]:
     size = 1 << n
     for start in range(0, size, _CHUNK):
         stop = min(start + _CHUNK, size)
-        block = np.arange(start, stop, dtype=np.uint64)
-        period = np.full(block.shape, n, dtype=np.int64)
-        for d in divisors(n)[:-1]:
-            hit = (rotate_bits_array(block, n, d) == block) & (period == n)
-            period[hit] = d
+        period = periods_array(np.arange(start, stop, dtype=np.uint64), n)
         for d in divisors(n):
             counts[d] += int(np.count_nonzero(period == d))
     assert all(counts[d] % d == 0 for d in divisors(n))
@@ -503,8 +453,9 @@ def invariance_check(n: int, strict: bool = False) -> dict:
     """Exhaustively verify that every decimation preserves the period,
     both symmetry flags, and reversal closure of every rotation orbit.
 
-    With strict=True a violation raises TheoremViolation instead of
-    being returned in the report.
+    The report keeps at most ten witnesses per multiplier and flag, and
+    `violation_count` counts them all.  With strict=True a violation
+    raises TheoremViolation instead of being returned in the report.
     """
     t = _orbit_table(n, "C")
     reps = t["reps"]
@@ -515,13 +466,15 @@ def invariance_check(n: int, strict: bool = False) -> dict:
         "rev_closed": t["rev_closed"],
     }
     violations = []
+    violation_count = 0
     multipliers = [r for r in units(n) if r != 1]
     for r in multipliers:
-        mapped = permute_bits_array(reps.astype(np.uint64), n, _perm_decimate(n, r))
+        mapped = permute_bits_array(reps.astype(np.uint64), n, decimation_perm(n, r))
         mapped_canon = t["canon"][mapped.astype(np.int64)]
         j = np.searchsorted(reps, mapped_canon)
         for name, arr in flags.items():
             bad = np.nonzero(arr != arr[j])[0]
+            violation_count += int(bad.size)
             for i in bad[:10]:
                 violations.append(
                     {
@@ -541,6 +494,7 @@ def invariance_check(n: int, strict: bool = False) -> dict:
         "orbits": int(reps.size),
         "multipliers": multipliers,
         "violations": violations,
+        "violation_count": violation_count,
         "ok": not violations,
     }
 
@@ -553,29 +507,25 @@ def square_freeness_check(n: int, strict: bool = False) -> dict:
     powers, but false in general: at n=15 six free orbits produce
     period-3 or period-5 squares (first witness x="++++++--+---+--",
     a=3).  The scan is exhaustive; the report keeps at most ten witness
-    pairs per offset.  Even n: the product at a = n/2 is fixed by
-    C^{n/2}, so every free X yields a non-free, non-identity member of
-    its orbit square; the check verifies that witness for every free X.
+    pairs per offset, and `violation_count` counts every failing pair.
+    Even n: the product at a = n/2 is fixed by C^{n/2}, so every free X
+    yields a non-free, non-identity member of its orbit square; the check
+    verifies that witness for every free X.
     """
     if n > MAX_ENUM_N:
         raise ScaleExceeded(
             f"full orbit enumeration capped at n <= {MAX_ENUM_N}, got {n}"
         )
-    size = 1 << n
-    x = np.arange(size, dtype=np.uint64)
-    period = np.full(size, n, dtype=np.int64)
-    for d in divisors(n)[:-1]:
-        hit = (rotate_bits_array(x, n, d) == x) & (period == n)
-        period[hit] = d
-    free_bits = x[period == n]
+    x = np.arange(1 << n, dtype=np.uint64)
+    free_bits = x[periods_array(x, n) == n]
     violations = []
+    violation_count = 0
     if n % 2:
         for a in range(1, n):
             y = free_bits ^ rotate_bits_array(free_bits, n, a)
-            yfree = np.ones(y.shape, dtype=bool)
-            for d in divisors(n)[:-1]:
-                yfree &= rotate_bits_array(y, n, d) != y
-            for i in np.nonzero(~yfree)[0][:10]:
+            bad = np.nonzero(periods_array(y, n) != n)[0]
+            violation_count += int(bad.size)
+            for i in bad[:10]:
                 violations.append(
                     {"x": str(BinarySequence(n, int(free_bits[i]))), "a": a}
                 )
@@ -585,7 +535,9 @@ def square_freeness_check(n: int, strict: bool = False) -> dict:
         y = free_bits ^ rotate_bits_array(free_bits, n, half)
         stuck = rotate_bits_array(y, n, half) == y
         nontrivial = y != 0  # a free X never equals its half-shift, but verify
-        for i in np.nonzero(~(stuck & nontrivial))[0][:10]:
+        bad = np.nonzero(~(stuck & nontrivial))[0]
+        violation_count = int(bad.size)
+        for i in bad[:10]:
             violations.append(
                 {"x": str(BinarySequence(n, int(free_bits[i]))), "a": half}
             )
@@ -599,6 +551,7 @@ def square_freeness_check(n: int, strict: bool = False) -> dict:
         "free_sequences": int(free_bits.size),
         "checked": checked,
         "violations": violations,
+        "violation_count": violation_count,
         "ok": not violations,
     }
 
@@ -632,7 +585,7 @@ def asym_square_check(n: int) -> dict:
             "subset_reversal_closed": True,
         }
     prods = np.unique((asym_members[:, None] ^ asym_members[None, :]).ravel())
-    rev = permute_bits_array(prods.astype(np.uint64), n, _perm_reverse(n))
+    rev = permute_bits_array(prods.astype(np.uint64), n, reversal_perm(n))
     return {
         "n": n,
         "asym_nonempty": True,

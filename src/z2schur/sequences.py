@@ -14,13 +14,21 @@ The automorphisms used throughout:
     reverse(X)     (x_{n-1}, ..., x_1, x_0)
     decimate(X, r) position i of the result is x_{ri mod n}, gcd(r, n) = 1
     negate(X)      every sign flipped
+
+Rotation, reversal and decimation are also given as position
+permutations, applied by `permute_bits` to one packed word and by
+`permute_bits_array` to a numpy array of them; the orbit, autocorrelation
+and Hadamard modules build on these rather than on copies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import InvalidLength, LengthMismatch, NotCoprime
 
@@ -50,12 +58,76 @@ def reverse_bits(bits: int, n: int) -> int:
     return int(format(bits, f"0{n}b")[::-1], 2)
 
 
-def decimate_bits(bits: int, n: int, r: int) -> int:
+# Position permutations: position j of the image reads position perm[j].
+
+def shift_perm(n: int) -> tuple[int, ...]:
+    """The generator C of the rotations, rotate(X, 1)."""
+    return tuple((j + 1) % n for j in range(n))
+
+
+def reversal_perm(n: int) -> tuple[int, ...]:
+    return tuple(n - 1 - j for j in range(n))
+
+
+@lru_cache(maxsize=1024)  # decimate_bits asks for it once per sequence
+def decimation_perm(n: int, r: int) -> tuple[int, ...]:
+    return tuple((r * j) % n for j in range(n))
+
+
+def perm_cycles(perm: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of a position permutation, each listed from its least position."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        cycle = []
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = perm[j]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def permute_bits(bits: int, n: int, perm: tuple[int, ...]) -> int:
     out = 0
-    for i in range(n):
-        src = r * i % n
-        out |= ((bits >> (n - 1 - src)) & 1) << (n - 1 - i)
+    for j in range(n):
+        if (bits >> (n - 1 - perm[j])) & 1:
+            out |= 1 << (n - 1 - j)
     return out
+
+
+def decimate_bits(bits: int, n: int, r: int) -> int:
+    return permute_bits(bits, n, decimation_perm(n, r))
+
+
+def permute_bits_array(arr: np.ndarray, n: int, perm: tuple[int, ...]) -> np.ndarray:
+    """Apply one position permutation to a whole array of packed sequences."""
+    a = arr.astype(np.uint64, copy=False)
+    out = np.zeros(a.shape, dtype=np.uint64)
+    for j in range(n):
+        src = n - 1 - perm[j]
+        dst = n - 1 - j
+        out |= ((a >> np.uint64(src)) & np.uint64(1)) << np.uint64(dst)
+    return out
+
+
+def rotate_bits_array(arr: np.ndarray, n: int, i: int) -> np.ndarray:
+    i %= n
+    a = arr.astype(np.uint64, copy=False)
+    if i == 0:
+        return a.copy()
+    mask = np.uint64((1 << n) - 1)
+    return ((a << np.uint64(i)) | (a >> np.uint64(n - i))) & mask
+
+
+def concat_bits(blocks: Iterable[int], width: int) -> int:
+    """Packed concatenation of width-bit blocks, the first block leftmost."""
+    bits = 0
+    for block in blocks:
+        bits = (bits << width) | block
+    return bits
 
 
 @dataclass(frozen=True, order=True)
@@ -163,12 +235,10 @@ def concat_blocks(blocks: Iterable[BinarySequence]) -> BinarySequence:
     if not blocks:
         raise InvalidLength("no blocks to concatenate")
     d = blocks[0].n
-    bits = 0
     for block in blocks:
         if block.n != d:
             raise LengthMismatch(f"block lengths differ: {d} vs {block.n}")
-        bits = (bits << d) | block.bits
-    return BinarySequence(d * len(blocks), bits)
+    return BinarySequence(d * len(blocks), concat_bits((b.bits for b in blocks), d))
 
 
 def units(n: int) -> tuple[int, ...]:

@@ -42,6 +42,13 @@ def class_size(n: int, k: int) -> int:
     return 0 if k == -1 else comb(n, k)
 
 
+def gosper_next(v: int) -> int:
+    """The next larger integer with the same popcount as v > 0 (Gosper's hack)."""
+    low = v & -v
+    ripple = v + low
+    return ripple | (((v ^ ripple) >> 2) // low)
+
+
 def class_members_bits(n: int, k: int) -> Iterator[int]:
     """Packed members of G_n(k) in ascending integer order (Gosper's hack).
 
@@ -58,9 +65,7 @@ def class_members_bits(n: int, k: int) -> Iterator[int]:
     limit = 1 << n
     while v < limit:
         yield v
-        low = v & -v
-        ripple = v + low
-        v = ripple | (((v ^ ripple) >> 2) // low)
+        v = gosper_next(v)
 
 
 def class_members(n: int, k: int) -> Iterator[BinarySequence]:
@@ -95,25 +100,6 @@ def class_members_array(n: int, k: int) -> np.ndarray:
         return np.empty(0, dtype=np.uint64)
     x = np.arange(1 << n, dtype=np.uint64)
     return x[_popcount(x) == n - k]
-
-
-@dataclass(frozen=True)
-class WeightClass:
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        _check_weight(self.n, self.k)
-
-    @property
-    def size(self) -> int:
-        return class_size(self.n, self.k)
-
-    def members(self) -> Iterator[BinarySequence]:
-        return class_members(self.n, self.k)
-
-    def __contains__(self, x: BinarySequence) -> bool:
-        return x.n == self.n and x.weight == self.k
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,0 +1,49 @@
+"""Modules of the package reach each other only through public names."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "z2schur"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _crossings(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()  # local names bound to sibling modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            internal = node.level > 0 or (node.module or "").startswith("z2schur")
+            if not internal:
+                continue
+            for alias in node.names:
+                if node.module in (None, "z2schur"):
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("z2schur."):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reaches_into_another_private_name():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert len(files) >= 9
+    assert [c for f in files for c in _crossings(f)] == []
+
+
+def test_scan_flags_a_private_crossing(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from .orbits import _hidden, public\n"
+                   "from . import orbits as ob\n"
+                   "x = ob._other\n")
+    assert _crossings(bad) == ["bad.py:1 imports _hidden", "bad.py:3 reads ob._other"]

@@ -12,6 +12,7 @@ from z2schur.errors import (
     NotHadamard,
     ScaleExceeded,
 )
+from z2schur.orbits import classify
 from z2schur.sequences import make_sequence
 
 BORDER7 = """\
@@ -306,6 +307,6 @@ def test_border_core_rejects_non_core():
 
 def test_core_decimation_multipliers():
     for p, want in CORE_DELTA_MULTIPLIERS.items():
-        got = hd.delta_invariance_of_core(hd.paley_core(p))
+        got = classify(hd.paley_core(p)).delta_invariant
         assert got == want
         assert QUADRATIC_RESIDUES[p] <= set(got)

@@ -1,8 +1,12 @@
+from collections import Counter
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from z2schur import orbits as ob
 from z2schur.errors import ScaleExceeded, TheoremViolation
 from z2schur.orbits import (
     GROUPS,
@@ -26,7 +30,7 @@ from z2schur.orbits import (
     square_freeness_check,
     sym_decomposition,
 )
-from z2schur.sequences import make_sequence, units
+from z2schur.sequences import BinarySequence, make_sequence, units
 from helpers import cyclic_orbit, str_decimate, str_period, str_reverse, str_rotate
 
 signs = st.text(alphabet="+-", min_size=1, max_size=14)
@@ -195,14 +199,65 @@ def test_enumerate_orbits_consistency():
         direct = classify(o.representative)
         assert direct.symmetric == o.symmetric
         assert direct.antisymmetric == o.antisymmetric
-        assert tuple(r for r in direct.delta_invariant if r != 1) == \
-            tuple(r for r in o.delta_invariant if r != 1)
+        assert direct.delta_invariant == o.delta_invariant
+
+
+def test_enumerate_orbits_needs_no_identity_table(monkeypatch):
+    # d_1 has n cycles, past the 22-cycle cap of delta_fixed_bits at n = 23
+    # and 24, so enumerate_orbits must fill r = 1 without a table.
+    requested = []
+
+    def spy(n, r):
+        requested.append(r)
+        return delta_fixed_bits(n, r)
+
+    monkeypatch.setattr(ob, "delta_fixed_bits", spy)
+    for n, group in ((7, "C"), (8, "HDC"), (9, "D")):
+        orbits = list(enumerate_orbits(n, group))
+        assert all(o.delta_invariant[0] == 1 for o in orbits)
+    assert requested and 1 not in requested
+
+
+@lru_cache(maxsize=None)
+def _canon(n, group):
+    return canonical_array(n, group)
+
+
+@lru_cache(maxsize=None)
+def _records(n, group):
+    return {o.rep: o for o in enumerate_orbits(n, group)}
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))),
+    st.sampled_from(GROUPS))
+def test_scalar_engine_matches_vector_engine(n_bits, group):
+    n, bits = n_bits
+    x = BinarySequence(n, bits)
+    rep = canonical_rep(x, group)
+    assert rep.bits == int(_canon(n, group)[bits])
+    direct, record = classify(x, group), _records(n, group)[rep.bits]
+    for field in ("size", "period", "symmetric", "antisymmetric",
+                  "reversal_closed", "delta_invariant"):
+        assert getattr(direct, field) == getattr(record, field), field
 
 
 def test_invariance_check_clean_small():
     for n in range(2, 11):
         rep = invariance_check(n)
         assert rep["ok"], rep["violations"][:3]
+
+
+def test_invariance_check_counts_past_the_witness_cap(monkeypatch):
+    # Swapping two positions is no group move, so it breaks the flags of
+    # many orbits: more than the ten witnesses kept per multiplier and flag.
+    monkeypatch.setattr(ob, "decimation_perm",
+                        lambda n, r: (1, 0) + tuple(range(2, n)))
+    rep = invariance_check(12)
+    assert not rep["ok"]
+    kept = Counter((v["r"], v["flag"]) for v in rep["violations"])
+    assert max(kept.values()) == 10
+    assert rep["violation_count"] > len(rep["violations"])
 
 
 def test_square_freeness_even_witness():
@@ -228,6 +283,17 @@ def test_square_freeness_breaks_at_fifteen():
     assert cyclic_period(x * x.rotate(3)) == 5
     with pytest.raises(TheoremViolation):
         square_freeness_check(15, strict=True)
+
+
+def test_square_freeness_counts_past_the_witness_cap():
+    # 90 failing free x at each offset a in {3, 5, 6, 9, 10, 12}; the
+    # report keeps ten per offset.
+    rep = square_freeness_check(15)
+    assert rep["violation_count"] == 540
+    assert Counter(v["a"] for v in rep["violations"]) == \
+        {a: 10 for a in (3, 5, 6, 9, 10, 12)}
+    assert square_freeness_check(13)["violation_count"] == 0
+    assert square_freeness_check(12)["violation_count"] == 0
 
 
 def test_asym_square_products():
