@@ -6,7 +6,8 @@ plus `reproduce-paper`, which runs the bundled acceptance suite and writes
 one JSON report per module.
 
 Every subcommand accepts --out after its name, and every one except
-`hadamard paley` and `reproduce-paper` accepts --format.  Only
+`hadamard paley` and `reproduce-paper` accepts --format; csv is refused,
+before any work, except on `ssets complete` and `orbits census`.  Only
 `hadamard search-circulant` and `reproduce-paper` take --workers (default
 from SCHUR_WORKERS), and only `reproduce-paper` takes --seed.  Exit codes:
 0 on success, 1 when a verification fails (non-Hadamard input, failed
@@ -33,6 +34,8 @@ from .errors import Z2SchurError
 from .sequences import make_sequence
 
 FORMATS = ("json", "csv", "text")
+# Subcommands whose output is a table; the others have no CSV form.
+CSV_COMMANDS = ("ssets complete", "orbits census")
 
 
 def _default_workers() -> int:
@@ -98,12 +101,7 @@ def _csv_rows(header: list[str], rows: list[list]) -> str:
 
 
 def _emit(payload, args) -> int:
-    """Deliver a payload as JSON or text; 2 when CSV was asked for, since
-    only tabular subcommands have a CSV form."""
-    if args.format == "csv":
-        print(f"error: --format csv is not available for '{args.command}'",
-              file=sys.stderr)
-        return 2
+    """Deliver a payload as JSON or text."""
     _deliver(_json(payload) if args.format == "json" else _text(payload), args)
     return 0
 
@@ -118,7 +116,8 @@ def cmd_ring_verify(args) -> int:
         "lambda_ok": rep["lambda_ok"],
         "counterexamples": rep["counterexamples"],
     }
-    return _emit(payload, args) or (0 if rep["product_ok"] and rep["lambda_ok"] else 1)
+    _emit(payload, args)
+    return 0 if rep["product_ok"] and rep["lambda_ok"] else 1
 
 
 def cmd_ssets_complete(args) -> int:
@@ -186,7 +185,8 @@ def cmd_hadamard_check(args) -> int:
     payload = {"m": mat.m, "hadamard": ok}
     if not ok:
         payload["witness"] = _orthogonality_witness(mat)
-    return _emit(payload, args) or (0 if ok else 1)
+    _emit(payload, args)
+    return 0 if ok else 1
 
 
 def cmd_hadamard_search(args) -> int:
@@ -295,6 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "format", None) == "csv" and args.command not in CSV_COMMANDS:
+        print(f"error: --format csv is not available for '{args.command}'",
+              file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (Z2SchurError, ValueError, OSError) as exc:

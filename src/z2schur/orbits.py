@@ -11,12 +11,20 @@ most 2 n phi(n).  Group codes name the generating sets: "C" rotations,
 "D" decimations alone, "H" reversal alone, and the joins "DC", "HC"
 (the dihedral group), "HDC" (everything).
 
+The first two relations make the rotations C a normal subgroup of every
+group that contains them: reversal and decimation permute the rotation
+orbits as whole blocks, which is why circulant S-sets are invariant
+under decimation.
+
 Orbit enumeration runs two independent engines.  The scalar engine walks
-one orbit at a time (`classify`, `orbit_members`); the vectorized engine
-canonicalizes every packed sequence at once by taking the minimum image
-over the whole group (`canonical_array`), which is what the census and
-the invariance sweeps use.  Burnside and necklace counts give
-third-party totals to check both engines against.
+one orbit at a time over every group element (`classify`,
+`orbit_members`).  The vectorized engine (`canonical_array`), which the
+census and the invariance sweeps use, canonicalizes every packed
+sequence at once by coset decomposition: the rotation canon first, by
+word rotations, then one table lookup per coset representative of C, a
+decimation possibly times a reflection, applied to the rotation orbits'
+least members.  Burnside and necklace counts give third-party totals to
+check both engines against.
 """
 
 from __future__ import annotations
@@ -81,26 +89,71 @@ def group_permutations(n: int, group: str = "C") -> tuple[tuple[int, ...], ...]:
 
 # ------------------------------------------------------- canonical forms
 
+def _rotation_canon(n: int) -> np.ndarray:
+    """canon_C[x] = min over i of rotate(x, i), for every packed x.
+
+    One three-operation word rotation per step; uint32 holds every word
+    up to MAX_ENUM_N.
+    """
+    size = 1 << n
+    canon = np.empty(size, dtype=np.uint32)
+    for start in range(0, size, _CHUNK):
+        cur = np.arange(start, min(start + _CHUNK, size), dtype=np.uint32)
+        best = canon[start:start + _CHUNK]
+        best[:] = cur
+        for _ in range(n - 1):
+            cur = ((cur << 1) | (cur >> (n - 1))) & (size - 1)
+            np.minimum(best, cur, out=best)
+    return canon
+
+
 def canonical_array(n: int, group: str = "C") -> np.ndarray:
     """canon[x] = min of the orbit of x, for every packed x in [0, 2^n).
 
-    Chunked so peak memory stays at a few uint64 blocks regardless of n;
-    refuses n beyond MAX_ENUM_N instead of thrashing.
+    Built on the factorisation G = C K, where K is the stabiliser of
+    position 0 in G: the decimations, times the reflection j -> -j for
+    the "H" groups.  The rotations C act regularly on positions, so when
+    they lie in G every element is uniquely c k, and the orbit of x is the
+    union of the rotation orbits of the k x.  C is normal in G
+    (R C = C^-1 R, C^i d_r = d_r C^{ir}), so each k carries whole rotation
+    orbits onto rotation orbits and
+
+        canon[x] = min over k in K of canon_C[k x]
+
+    is exact and constant on rotation orbits.  canon_C comes from word
+    rotations; the |K| - 1 = |G|/n - 1 non-identity members of K are then
+    applied bit by bit to the least member of each rotation orbit only,
+    each followed by one lookup in canon_C.  For "D" and "H" there are no
+    rotations: canon_C is the identity, K is the whole group, and every
+    word is its own rotation orbit.
+
+    The word scans are chunked, so besides the uint32 tables peak memory
+    stays at a few uint64 blocks; refuses n beyond MAX_ENUM_N instead of
+    thrashing.
     """
     if n > MAX_ENUM_N:
         raise ScaleExceeded(
             f"full orbit enumeration capped at n <= {MAX_ENUM_N}, got {n}"
         )
-    perms = group_permutations(n, group)
-    size = 1 << n
-    canon = np.empty(size, dtype=np.uint32)
-    for start in range(0, size, _CHUNK):
-        stop = min(start + _CHUNK, size)
-        block = np.arange(start, stop, dtype=np.uint64)
-        best = block.copy()
-        for perm in perms:
-            np.minimum(best, permute_bits_array(block, n, perm), out=best)
-        canon[start:stop] = best.astype(np.uint32)
+    rotations = "C" in group
+    canon = _rotation_canon(n) if rotations else np.arange(1 << n, dtype=np.uint32)
+    coset_reps = [p for p in group_permutations(n, group)
+                  if p != tuple(range(n)) and (p[0] == 0 or not rotations)]
+    if not coset_reps:
+        return canon
+    # out holds the fold at each rotation-orbit representative, which every
+    # word then looks up through its own representative.
+    out = np.empty_like(canon)
+    for start in range(0, canon.size, _CHUNK):
+        words = np.arange(start, min(start + _CHUNK, canon.size), dtype=np.uint64)
+        block = words[canon[start:start + _CHUNK] == words]
+        best = block.astype(np.uint32)
+        for perm in coset_reps:
+            np.minimum(best, canon[permute_bits_array(block, n, perm)], out=best)
+        out[block] = best
+    for start in range(0, canon.size, _CHUNK):
+        chunk = canon[start:start + _CHUNK]
+        chunk[:] = out[chunk]
     return canon
 
 
@@ -508,6 +561,9 @@ def square_freeness_check(n: int, strict: bool = False) -> dict:
     period-3 or period-5 squares (first witness x="++++++--+---+--",
     a=3).  The scan is exhaustive; the report keeps at most ten witness
     pairs per offset, and `violation_count` counts every failing pair.
+    Only offsets a <= (n-1)/2 are scanned: X * C^{n-a} X =
+    C^{n-a}(X * C^a X) is a rotation of the offset-a product, so it has
+    the same period, and the failing X at n - a are those at a.
     Even n: the product at a = n/2 is fixed by C^{n/2}, so every free X
     yields a non-free, non-identity member of its orbit square; the check
     verifies that witness for every free X.
@@ -518,12 +574,15 @@ def square_freeness_check(n: int, strict: bool = False) -> dict:
         )
     x = np.arange(1 << n, dtype=np.uint64)
     free_bits = x[periods_array(x, n) == n]
+    del x  # the offset scans below hold several arrays of this size
     violations = []
     violation_count = 0
     if n % 2:
+        products = (free_bits ^ rotate_bits_array(free_bits, n, a)
+                    for a in range(1, (n + 1) // 2))
+        bad_at = [np.nonzero(periods_array(y, n) != n)[0] for y in products]
         for a in range(1, n):
-            y = free_bits ^ rotate_bits_array(free_bits, n, a)
-            bad = np.nonzero(periods_array(y, n) != n)[0]
+            bad = bad_at[min(a, n - a) - 1]
             violation_count += int(bad.size)
             for i in bad[:10]:
                 violations.append(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from z2schur import cli, hadamard as hd
+from z2schur import cli, hadamard as hd, weight_ring as wr
 
 
 def run(capsys, *argv):
@@ -180,3 +180,17 @@ def test_workers_env_default(capsys, monkeypatch):
 def test_invalid_sequence_exits_two(capsys):
     code, _, err = run(capsys, "autocorr", "--seq", "+x-")
     assert code == 2 and err.startswith("error:")
+
+
+def test_csv_refused_before_the_work(capsys, monkeypatch):
+    calls = []
+    real = wr.verify_ring
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(wr, "verify_ring", spy)
+    code, out, err = run(capsys, "ring", "verify", "--n", "12", "--format", "csv")
+    assert code == 2 and out == "" and "csv" in err.lower()
+    assert calls == []

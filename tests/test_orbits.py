@@ -228,7 +228,7 @@ def _records(n, group):
     return {o.rep: o for o in enumerate_orbits(n, group)}
 
 
-@given(st.integers(1, 12).flatmap(
+@given(st.integers(1, 16).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))),
     st.sampled_from(GROUPS))
 def test_scalar_engine_matches_vector_engine(n_bits, group):
@@ -240,6 +240,41 @@ def test_scalar_engine_matches_vector_engine(n_bits, group):
     for field in ("size", "period", "symmetric", "antisymmetric",
                   "reversal_closed", "delta_invariant"):
         assert getattr(direct, field) == getattr(record, field), field
+
+
+def _brute_canonical_array(n, group):
+    # Every group element applied bit by bit, sharing no array helper.
+    x = np.arange(1 << n, dtype=np.uint64)
+    best = x.copy()
+    for perm in group_permutations(n, group):
+        image = np.zeros_like(x)
+        for j, src in enumerate(perm):
+            image |= ((x >> np.uint64(n - 1 - src)) & np.uint64(1)) << np.uint64(n - 1 - j)
+        np.minimum(best, image, out=best)
+    return best.astype(np.uint32)
+
+
+def test_canonical_array_matches_whole_group_brute_force():
+    for n in range(1, 15):
+        for group in GROUPS:
+            want = _brute_canonical_array(n, group)
+            got = canonical_array(n, group)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, group)
+
+
+def test_canonical_array_sampled_at_twenty():
+    rng = np.random.default_rng(20)
+    xs = rng.integers(0, 1 << 20, size=50).tolist()
+    for group in ("C", "HC", "HDC"):
+        canon = canonical_array(20, group)
+        for bits in xs:
+            assert canonical_rep(BinarySequence(20, bits), group).bits == canon[bits]
+
+
+def test_census_at_twenty_two():
+    totals = {group: census(22, group)["total"] for group in ("C", "HC")}
+    assert totals == {group: burnside_count(22, group) for group in totals}
+    assert totals["C"] == necklace_count(22)
 
 
 def test_invariance_check_clean_small():
