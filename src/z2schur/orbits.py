@@ -16,15 +16,18 @@ group that contains them: reversal and decimation permute the rotation
 orbits as whole blocks, which is why circulant S-sets are invariant
 under decimation.
 
-Orbit enumeration runs two independent engines.  The scalar engine walks
-one orbit at a time over every group element (`classify`,
-`orbit_members`).  The vectorized engine (`canonical_array`), which the
-census and the invariance sweeps use, canonicalizes every packed
-sequence at once by coset decomposition: the rotation canon first, by
-word rotations, then one table lookup per coset representative of C, a
-decimation possibly times a reflection, applied to the rotation orbits'
-least members.  Burnside and necklace counts give third-party totals to
-check both engines against.
+Orbit enumeration runs two independent engines.  The scalar engine
+handles one orbit at a time: `orbit_members` applies every group
+element, and `classify` builds the members as rotations of the images of
+x under the position-0 stabiliser, then decides each fixed-point flag on
+x alone against the conjugates of the fixing permutation.  The
+vectorized engine (`canonical_array`), which the census and the
+invariance sweeps use, canonicalizes every packed sequence at once by
+coset decomposition: the rotation canon first, by word rotations, then
+one table lookup per coset representative of C, a decimation possibly
+times a reflection, applied to the rotation orbits' least members.
+Burnside and necklace counts give third-party totals to check both
+engines against.
 """
 
 from __future__ import annotations
@@ -107,6 +110,27 @@ def _rotation_canon(n: int) -> np.ndarray:
     return canon
 
 
+@lru_cache(maxsize=None)
+def _coset_reps(n: int, group: str) -> tuple[tuple[int, ...], ...]:
+    """K, the stabiliser of position 0 in the group when it holds the
+    rotations (then G = C K, each element uniquely c k), else the whole
+    group (then C K reads as K alone)."""
+    return tuple(p for p in group_permutations(n, group)
+                 if p[0] == 0 or "C" not in group)
+
+
+@lru_cache(maxsize=None)
+def _conjugates(n: int, group: str, h: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct g h g^-1 over g in the group, h any position permutation."""
+    out = set()
+    for g in group_permutations(n, group):
+        inv = [0] * n
+        for j, gj in enumerate(g):
+            inv[gj] = j
+        out.add(tuple(g[h[inv[j]]] for j in range(n)))
+    return tuple(sorted(out))
+
+
 def canonical_array(n: int, group: str = "C") -> np.ndarray:
     """canon[x] = min of the orbit of x, for every packed x in [0, 2^n).
 
@@ -135,10 +159,8 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
         raise ScaleExceeded(
             f"full orbit enumeration capped at n <= {MAX_ENUM_N}, got {n}"
         )
-    rotations = "C" in group
-    canon = _rotation_canon(n) if rotations else np.arange(1 << n, dtype=np.uint32)
-    coset_reps = [p for p in group_permutations(n, group)
-                  if p != tuple(range(n)) and (p[0] == 0 or not rotations)]
+    canon = _rotation_canon(n) if "C" in group else np.arange(1 << n, dtype=np.uint32)
+    coset_reps = [p for p in _coset_reps(n, group) if p != tuple(range(n))]
     if not coset_reps:
         return canon
     # out holds the fold at each rotation-orbit representative, which every
@@ -242,27 +264,40 @@ class Orbit:
 
 
 def classify(x: BinarySequence, group: str = "C") -> Orbit:
-    """Classify the orbit of x by direct scalar walk."""
-    n = x.n
-    members = [m.bits for m in orbit_members(x, group)]
-    memberset = set(members)
+    """Classify the orbit of x, deciding each fixed-point flag on x alone.
+
+    The members are the rotations of the images k x, k in the stabiliser K
+    of position 0 (G = C K; K is all of G for "D" and "H").  A member g x
+    is fixed by h exactly when x is fixed by g^-1 h g, so `symmetric`,
+    `antisymmetric` and `delta_invariant` test x against the G-conjugates
+    of R and of each d_r, a handful of permutations cached per group.
+    `reversal_closed` checks every member: R normalises every group with
+    rotations or the reversal, but not "D" (d_r R = R d_r C^(r-1)).
+    """
+    n, bits = x.n, x.bits
     mask = (1 << n) - 1
+    turns = range(n) if "C" in group else (0,)
+    images = {permute_bits(bits, n, k) for k in _coset_reps(n, group)}
+    members = {rotate_bits(t, n, i) for t in images for i in turns}
+    reversed_x = {permute_bits(bits, n, c)
+                  for c in _conjugates(n, group, reversal_perm(n))}
+
     return Orbit(
         n=n,
-        rep=members[0],
+        rep=min(members),
         group=group,
         size=len(members),
         period=cyclic_period(x),
-        symmetric=any(reverse_bits(t, n) == t for t in memberset),
-        antisymmetric=any(reverse_bits(t, n) == t ^ mask for t in memberset),
-        reversal_closed=all(reverse_bits(t, n) in memberset for t in memberset),
+        symmetric=bits in reversed_x,
+        antisymmetric=(bits ^ mask) in reversed_x,
+        reversal_closed=all(reverse_bits(t, n) in members for t in members),
         delta_invariant=tuple(
-            r
-            for r in units(n)
-            if any(decimate_bits(t, n, r) == t for t in memberset)
+            r for r in units(n)
+            if any(permute_bits(bits, n, c) == bits
+                   for c in _conjugates(n, group, decimation_perm(n, r)))
         ),
         delta_closed=tuple(
-            r for r in units(n) if decimate_bits(x.bits, n, r) in memberset
+            r for r in units(n) if decimate_bits(bits, n, r) in members
         ),
     )
 
@@ -334,9 +369,13 @@ def _orbit_table(n: int, group: str) -> dict:
         # Reversal normalises every other group, so there the reversal of
         # the rep decides for the whole orbit; under decimations alone,
         # d_r R = R d_r C^(r-1), it does not, and every member is checked.
-        x = np.arange(1 << n, dtype=np.uint64)
-        strays = canon[permute_bits_array(x, n, reversal_perm(n)).astype(np.int64)] != canon
-        rev_closed &= ~np.isin(reps, canon[strays])
+        stray = np.zeros(canon.size, dtype=bool)  # indexed by orbit rep
+        for start in range(0, canon.size, _CHUNK):
+            own = canon[start:start + _CHUNK]
+            words = np.arange(start, start + own.size, dtype=np.uint64)
+            mirrored = canon[permute_bits_array(words, n, reversal_perm(n)).astype(np.int64)]
+            stray[own[mirrored != own]] = True
+        rev_closed &= ~stray[reps]
     return {
         "n": n,
         "group": group,
@@ -354,9 +393,10 @@ def enumerate_orbits(n: int, group: str = "C"):
     """Yield every orbit once, representatives ascending.
 
     Flags come from the vectorized table; the per-multiplier
-    delta_invariant flag is expensive at scale, so it is filled only here
-    in the streaming path (lazily via classify would cost the same).
-    d_1 fixes every sequence, so 1 joins every orbit without a table.
+    delta_invariant flag is filled only here in the streaming path, from
+    one canon lookup per d_r-fixed word, far fewer calls than one classify
+    per orbit.  d_1 fixes every sequence, so 1 joins every orbit without a
+    table.
     """
     t = _orbit_table(n, group)
     fixed_reps = {
@@ -552,6 +592,37 @@ def invariance_check(n: int, strict: bool = False) -> dict:
     }
 
 
+def _lyndon_words(n: int) -> np.ndarray:
+    """Packed words strictly below each of their n - 1 nontrivial
+    rotations, ascending: the least member of every free rotation orbit.
+
+    Each chunk keeps only the survivors after each rotation, so the work
+    shrinks towards the 2^n / n words that are left.
+    """
+    size = 1 << n
+    found = []
+    for start in range(0, size, _CHUNK):
+        words = np.arange(start, min(start + _CHUNK, size), dtype=np.uint32)
+        turned = words
+        for _ in range(n - 1):
+            turned = ((turned << 1) | (turned >> (n - 1))) & (size - 1)
+            keep = words < turned
+            words, turned = words[keep], turned[keep]
+        found.append(words)
+    return np.concatenate(found).astype(np.uint64)
+
+
+def _below_full_period(arr: np.ndarray, n: int) -> np.ndarray:
+    """period < n for every packed word in arr: the period divides n, so
+    it is short exactly when it divides some maximal proper divisor n/p."""
+    proper = divisors(n)[:-1]
+    short = np.zeros(arr.shape, dtype=bool)
+    for d in proper:
+        if not any(e % d == 0 for e in proper if e > d):
+            short |= rotate_bits_array(arr, n, d) == arr
+    return short
+
+
 def square_freeness_check(n: int, strict: bool = False) -> dict:
     """Check how freeness behaves under the products X * C^a X.
 
@@ -561,53 +632,51 @@ def square_freeness_check(n: int, strict: bool = False) -> dict:
     period-3 or period-5 squares (first witness x="++++++--+---+--",
     a=3).  The scan is exhaustive; the report keeps at most ten witness
     pairs per offset, and `violation_count` counts every failing pair.
-    Only offsets a <= (n-1)/2 are scanned: X * C^{n-a} X =
-    C^{n-a}(X * C^a X) is a rotation of the offset-a product, so it has
-    the same period, and the failing X at n - a are those at a.
     Even n: the product at a = n/2 is fixed by C^{n/2}, so every free X
     yields a non-free, non-identity member of its orbit square; the check
     verifies that witness for every free X.
+
+    Pass or fail is constant on a rotation orbit: for X' = C^b X,
+    X' * C^a X' = C^b(X * C^a X), which has the same period.  So only
+    the least member of each free rotation orbit (a Lyndon word) is
+    scanned, and each failing one stands for its n distinct rotations:
+    counts are n times the failing representatives, and the witnesses
+    per offset are the least ten of their rotations, the same list a scan
+    of every free word gives.  Likewise X * C^{n-a} X = C^{n-a}(X * C^a X),
+    so odd n computes offsets a <= (n-1)/2 only and reuses them for n - a.
     """
     if n > MAX_ENUM_N:
         raise ScaleExceeded(
             f"full orbit enumeration capped at n <= {MAX_ENUM_N}, got {n}"
         )
-    x = np.arange(1 << n, dtype=np.uint64)
-    free_bits = x[periods_array(x, n) == n]
-    del x  # the offset scans below hold several arrays of this size
-    violations = []
-    violation_count = 0
+    lyndon = _lyndon_words(n)
+    free_count = n * int(lyndon.size)
     if n % 2:
-        products = (free_bits ^ rotate_bits_array(free_bits, n, a)
-                    for a in range(1, (n + 1) // 2))
-        bad_at = [np.nonzero(periods_array(y, n) != n)[0] for y in products]
-        for a in range(1, n):
-            bad = bad_at[min(a, n - a) - 1]
-            violation_count += int(bad.size)
-            for i in bad[:10]:
-                violations.append(
-                    {"x": str(BinarySequence(n, int(free_bits[i]))), "a": a}
-                )
-        checked = int(free_bits.size) * (n - 1)
+        failing = [lyndon[_below_full_period(lyndon ^ rotate_bits_array(lyndon, n, a), n)]
+                   for a in range(1, (n + 1) // 2)]
+        scan = [(a, failing[min(a, n - a) - 1]) for a in range(1, n)]
+        checked = free_count * (n - 1)
     else:
         half = n // 2
-        y = free_bits ^ rotate_bits_array(free_bits, n, half)
-        stuck = rotate_bits_array(y, n, half) == y
-        nontrivial = y != 0  # a free X never equals its half-shift, but verify
-        bad = np.nonzero(~(stuck & nontrivial))[0]
-        violation_count = int(bad.size)
-        for i in bad[:10]:
-            violations.append(
-                {"x": str(BinarySequence(n, int(free_bits[i]))), "a": half}
-            )
-        checked = int(free_bits.size)
+        y = lyndon ^ rotate_bits_array(lyndon, n, half)
+        # a free X never equals its half-shift, so y != 0; verified all the same
+        witnessed = (rotate_bits_array(y, n, half) == y) & (y != 0)
+        scan = [(half, lyndon[~witnessed])]
+        checked = free_count
+    violations = []
+    violation_count = 0
+    for a, reps in scan:
+        violation_count += n * int(reps.size)
+        rotations = np.concatenate([rotate_bits_array(reps, n, i) for i in range(n)])
+        for bits in np.unique(rotations)[:10].tolist():
+            violations.append({"x": str(BinarySequence(n, bits)), "a": a})
     if strict and violations:
         raise TheoremViolation(
             f"freeness behaviour broken at n={n}: {violations[0]}"
         )
     return {
         "n": n,
-        "free_sequences": int(free_bits.size),
+        "free_sequences": free_count,
         "checked": checked,
         "violations": violations,
         "violation_count": violation_count,

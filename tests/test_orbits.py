@@ -10,6 +10,7 @@ from z2schur import orbits as ob
 from z2schur.errors import ScaleExceeded, TheoremViolation
 from z2schur.orbits import (
     GROUPS,
+    Orbit,
     asym_square_check,
     burnside_count,
     canonical_array,
@@ -30,7 +31,14 @@ from z2schur.orbits import (
     square_freeness_check,
     sym_decomposition,
 )
-from z2schur.sequences import BinarySequence, make_sequence, units
+from z2schur.sequences import (
+    BinarySequence,
+    decimate_bits,
+    make_sequence,
+    permute_bits,
+    reverse_bits,
+    units,
+)
 from helpers import cyclic_orbit, str_decimate, str_period, str_reverse, str_rotate
 
 signs = st.text(alphabet="+-", min_size=1, max_size=14)
@@ -106,6 +114,41 @@ def test_classify_flags_match_string_oracle(s):
         r for r in units(n) if r != 1 and any(str_decimate(m, r) == m for m in orbit)
     )
     assert tuple(r for r in o.delta_invariant if r != 1) == expect_fixed
+
+
+def _walk_every_member(x, group):
+    # Every member built from every group element, every flag tested on
+    # every member.
+    n = x.n
+    members = sorted({permute_bits(x.bits, n, p) for p in group_permutations(n, group)})
+    memberset = set(members)
+    mask = (1 << n) - 1
+    return Orbit(
+        n=n,
+        rep=members[0],
+        group=group,
+        size=len(members),
+        period=cyclic_period(x),
+        symmetric=any(reverse_bits(t, n) == t for t in memberset),
+        antisymmetric=any(reverse_bits(t, n) == t ^ mask for t in memberset),
+        reversal_closed=all(reverse_bits(t, n) in memberset for t in memberset),
+        delta_invariant=tuple(
+            r for r in units(n) if any(decimate_bits(t, n, r) == t for t in memberset)
+        ),
+        delta_closed=tuple(
+            r for r in units(n) if decimate_bits(x.bits, n, r) in memberset
+        ),
+    )
+
+
+def test_classify_matches_member_walk():
+    rng = np.random.default_rng(14)
+    for group in GROUPS:
+        words = [BinarySequence(n, bits) for n in range(1, 10) for bits in range(1 << n)]
+        for n in rng.integers(10, 15, size=200).tolist():
+            words.append(BinarySequence(n, int(rng.integers(0, 1 << n))))
+        for x in words:
+            assert classify(x, group) == _walk_every_member(x, group), (str(x), group)
 
 
 def test_classify_worked_examples():
@@ -277,6 +320,21 @@ def test_census_at_twenty_two():
     assert totals["C"] == necklace_count(22)
 
 
+def test_chunked_scans_match_one_block(monkeypatch):
+    # Every whole-space scan walks the words in _CHUNK blocks; blocks far
+    # smaller than the space must give what one block gives.
+    def results(n):
+        return ([list(enumerate_orbits(n, group)) for group in GROUPS],
+                [canonical_array(n, group).tolist() for group in GROUPS],
+                square_freeness_check(n), fd_partition(n))
+
+    for n in (9, 10):
+        whole = results(n)
+        with monkeypatch.context() as m:
+            m.setattr(ob, "_CHUNK", 1 << 4)
+            assert results(n) == whole, n
+
+
 def test_invariance_check_clean_small():
     for n in range(2, 11):
         rep = invariance_check(n)
@@ -329,6 +387,67 @@ def test_square_freeness_counts_past_the_witness_cap():
         {a: 10 for a in (3, 5, 6, 9, 10, 12)}
     assert square_freeness_check(13)["violation_count"] == 0
     assert square_freeness_check(12)["violation_count"] == 0
+
+
+def _exact_periods(words, n):
+    mask = np.uint64((1 << n) - 1)
+    period = np.full(words.shape, n)
+    for d in range(n - 1, 0, -1):
+        if n % d == 0:
+            turned = ((words << np.uint64(d)) | (words >> np.uint64(n - d))) & mask
+            period[turned == words] = d
+    return period
+
+
+def _scan_every_free_word(n):
+    # Every free word against every offset, by exact period.
+    mask = np.uint64((1 << n) - 1)
+
+    def rot(words, a):
+        return ((words << np.uint64(a)) | (words >> np.uint64(n - a))) & mask
+
+    def signs(bits):
+        return format(bits, f"0{n}b").translate(str.maketrans("01", "+-"))
+
+    words = np.arange(1 << n, dtype=np.uint64)
+    free = words[_exact_periods(words, n) == n]
+    if n % 2:
+        failing = [(a, free[_exact_periods(free ^ rot(free, a), n) != n])
+                   for a in range(1, n)]
+        checked = free.size * (n - 1)
+    else:
+        y = free ^ rot(free, n // 2)
+        failing = [(n // 2, free[~((rot(y, n // 2) == y) & (y != 0))])]
+        checked = free.size
+    violations = [{"x": signs(bits), "a": a}
+                  for a, bad in failing for bits in bad[:10].tolist()]
+    return {
+        "n": n,
+        "free_sequences": free.size,
+        "checked": checked,
+        "violations": violations,
+        "violation_count": sum(bad.size for _, bad in failing),
+        "ok": not violations,
+    }
+
+
+def test_square_freeness_matches_per_word_scan():
+    for n in range(1, 18):
+        assert square_freeness_check(n) == _scan_every_free_word(n), n
+
+
+def _free_word_count(n):
+    # The Moebius sum, as free(n) = 2^n minus free(d) over proper divisors d.
+    return (1 << n) - sum(_free_word_count(d) for d in range(1, n) if n % d == 0)
+
+
+def test_square_freeness_at_twenty_two_and_twenty_three():
+    rep = square_freeness_check(23)  # prime, so clean
+    assert rep["ok"] and rep["violation_count"] == 0
+    assert rep["free_sequences"] == _free_word_count(23)
+    assert rep["checked"] == _free_word_count(23) * 22
+    rep = square_freeness_check(22)
+    assert rep["ok"] and rep["checked"] == rep["free_sequences"] == _free_word_count(22)
 
 
 def test_asym_square_products():
