@@ -78,23 +78,26 @@ def cross_theta(x: BinarySequence, y: BinarySequence) -> tuple[int, ...]:
     return tuple(periodic_correlation(x, y, k) for k in range(x.n))
 
 
-def flat_offpeak(x: BinarySequence, level: int = 0) -> bool:
-    """True iff P_X(k) = level for every k != 0.
+def flat_offpeak_bits(bits: int, n: int, level: int = 0) -> bool:
+    """True iff the packed length-n sequence has P(k) = level for every k != 0.
 
     P(k) = level needs popcount(X xor rotate(X,k)) = (n - level)/2, so a
-    parity or range miss rules the whole question out immediately; the
-    symmetry P(k) = P(n-k) halves the scan.
+    parity miss rules the whole question out and a range miss fails the
+    first shift; the symmetry P(k) = P(n-k) halves the scan.  At n = 1
+    there is no off-peak shift, so the test holds at every level.
     """
-    n = x.n
-    if (n - level) % 2:
+    if n > 1 and (n - level) % 2:
         return False
     target = (n - level) // 2
-    if not 0 <= target <= n:
-        return False
     for k in range(1, n // 2 + 1):
-        if (x.bits ^ rotate_bits(x.bits, n, k)).bit_count() != target:
+        if (bits ^ rotate_bits(bits, n, k)).bit_count() != target:
             return False
     return True
+
+
+def flat_offpeak(x: BinarySequence, level: int = 0) -> bool:
+    """True iff P_X(k) = level for every k != 0."""
+    return flat_offpeak_bits(x.bits, x.n, level)
 
 
 def sum_identity(x: BinarySequence) -> dict:

@@ -8,10 +8,9 @@ one JSON report per module.
 Every subcommand accepts --out after its name, and every one except
 `hadamard paley` and `reproduce-paper` accepts --format; csv is refused,
 before any work, except on `ssets complete` and `orbits census`.  Only
-`hadamard search-circulant` and `reproduce-paper` take --workers (default
-from SCHUR_WORKERS), and only `reproduce-paper` takes --seed.  Exit codes:
-0 on success, 1 when a verification fails (non-Hadamard input, failed
-suite criteria, ring violations), 2 on usage or domain errors.
+`reproduce-paper` takes --seed.  Exit codes: 0 on success, 1 when a
+verification fails (non-Hadamard input, failed suite criteria, ring
+violations), 2 on usage or domain errors.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -38,23 +36,12 @@ FORMATS = ("json", "csv", "text")
 CSV_COMMANDS = ("ssets complete", "orbits census")
 
 
-def _default_workers() -> int:
-    env = os.environ.get("SCHUR_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _options(
     parser: argparse.ArgumentParser,
     *,
     fmt: bool = True,
-    workers: bool = False,
     seed: bool = False,
 ) -> None:
-    if workers:
-        parser.add_argument("--workers", type=int, default=_default_workers())
     if seed:
         parser.add_argument("--seed", type=int, default=0)
     if fmt:
@@ -190,7 +177,7 @@ def cmd_hadamard_check(args) -> int:
 
 
 def cmd_hadamard_search(args) -> int:
-    res = hd.search_circulant_hadamard(args.order, workers=args.workers)
+    res = hd.search_circulant_hadamard(args.order)
     return _emit(res.as_dict(), args)
 
 
@@ -206,7 +193,7 @@ def cmd_hadamard_verdict(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    outcome = rp.run_all(max_n=args.max_n, seed=args.seed, workers=args.workers)
+    outcome = rp.run_all(max_n=args.max_n, seed=args.seed)
     out_dir = args.out or "z2schur-reports"
     written = rp.write_reports(outcome, out_dir)
     for line in rp.format_lines(outcome):
@@ -266,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = had_sub.add_parser("search-circulant",
                            help="exhaustive circulant search at one order")
     p.add_argument("--order", type=int, required=True)
-    _options(p, workers=True)
+    _options(p)
     p.set_defaults(fn=cmd_hadamard_search, command="hadamard search-circulant")
 
     p = had_sub.add_parser("paley", help="bordered quadratic-residue matrix")
@@ -286,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-paper",
                        help="run the acceptance suite, write module reports")
     p.add_argument("--max-n", type=int, default=16, dest="max_n")
-    _options(p, fmt=False, workers=True, seed=True)
+    _options(p, fmt=False, seed=True)
     p.set_defaults(fn=cmd_reproduce, command="reproduce-paper")
 
     return parser

@@ -18,14 +18,13 @@ search that confirms the verdict by enumeration.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import comb
 
 import numpy as np
 
-from .autocorr import flat_offpeak
+from .autocorr import flat_offpeak, flat_offpeak_bits
 from .errors import (
     InvalidCore,
     InvalidCoreOrder,
@@ -43,11 +42,12 @@ from .sequences import (
     rotate_bits,
 )
 from .ssets import CompleteSSet, complete_maximal
-from .weight_ring import class_members_bits, gosper_next
+from .weight_ring import class_members_bits
 
 NORMALIZE_MAX_M = 24
 BRUTEFORCE_MAX_N = 16
 ENUM_MAX_CANDIDATES = 10**7
+SEARCH_MAX_CANDIDATES = 10**8
 
 VERDICT_EXCLUDED = "excluded-by-parity"
 VERDICT_OPEN = "not-excluded"
@@ -276,7 +276,6 @@ class SearchResult:
     found: tuple[str, ...]
     candidates_tested: int
     runtime_ms: int
-    workers: int
 
     def as_dict(self) -> dict:
         return {
@@ -285,7 +284,8 @@ class SearchResult:
             "found": list(self.found),
             "candidates_tested": self.candidates_tested,
             "runtime_ms": self.runtime_ms,
-            "workers": self.workers,
+            # Kept until ROADMAP item 5 regenerates perfbench/frozen/.
+            "workers": 1,
         }
 
     def found_orbits(self):
@@ -294,82 +294,35 @@ class SearchResult:
         return [classify(make_sequence(s)) for s in self.found]
 
 
-def _unrank_colex(rank: int, k: int) -> int:
-    """The rank-th smallest integer with k bits set (rank 0 first)."""
-    bits = 0
-    for i in range(k, 0, -1):
-        b = i - 1
-        while comb(b + 1, i) <= rank:
-            b += 1
-        bits |= 1 << b
-        rank -= comb(b, i)
-    return bits
-
-
-def _scan_shard(args: tuple[int, int, int, int]) -> tuple[int, list[int]]:
-    """Test candidates of one popcount in colex rank range [lo, hi)."""
-    n, pc, lo, hi = args
-    mask = (1 << n) - 1
-    half = n // 2
-    hits: list[int] = []
-    count = hi - lo
-    v = _unrank_colex(lo, pc) if pc else 0
-    for _ in range(count):
-        ok = True
-        for k in range(1, half + 1):
-            rot = ((v << k) | (v >> (n - k))) & mask
-            if 2 * (v ^ rot).bit_count() != n:
-                ok = False
-                break
-        if ok:
-            hits.append(min(rotate_bits(v, n, i) for i in range(n)))
-        if pc:
-            v = gosper_next(v)
-    return count, hits
-
-
-def search_circulant_hadamard(
-    n: int, workers: int = 1, max_candidates: int = 10**8
-) -> SearchResult:
+def search_circulant_hadamard(n: int) -> SearchResult:
     """Exhaust all candidate first rows of circulant Hadamard matrices of
     one order, returning the orbit representatives found.
 
-    Only the feasible weights are enumerated, with an early-exit
-    autocorrelation test per candidate; the candidate stream of each
-    weight is split into contiguous colex rank ranges across workers, so
-    the outcome is identical for any worker count.
+    Only the feasible weights are enumerated, each in ascending packed
+    order, with an early-exit flat off-peak test per candidate.
     """
     if n < 1 or (n > 2 and n % 4):
         raise InvalidLength(f"circulant Hadamard order must be 1, 2, or 4k, got {n}")
     t0 = time.perf_counter()
-    workers = max(1, workers or 1)
     feasible = circulant_feasible_weights(n)
-    total = sum(comb(n, n - a) for a in feasible)
-    if total > max_candidates:
+    total = sum(comb(n, a) for a in feasible)
+    if total > SEARCH_MAX_CANDIDATES:
         raise ScaleExceeded(
-            f"{total} candidates at order {n} exceed the cap {max_candidates}"
+            f"{total} candidates at order {n} exceed the cap {SEARCH_MAX_CANDIDATES}"
         )
-    jobs = []
+    tested = 0
+    found = set()
     for a in feasible:
-        pc = n - a
-        cnt = comb(n, pc)
-        shards = min(workers, cnt)
-        cuts = [cnt * s // shards for s in range(shards + 1)]
-        jobs += [(n, pc, cuts[s], cuts[s + 1]) for s in range(shards)]
-    if workers == 1:
-        results = [_scan_shard(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_shard, jobs))
-    tested = sum(c for c, _ in results)
-    found = sorted({b for _, hs in results for b in hs})
+        for v in class_members_bits(n, a):
+            tested += 1
+            if flat_offpeak_bits(v, n):
+                found.add(min(rotate_bits(v, n, i) for i in range(n)))
     return SearchResult(
         order=n,
         feasible_weights=feasible,
-        found=tuple(str(BinarySequence(n, b)) for b in found),
+        found=tuple(str(BinarySequence(n, b)) for b in sorted(found)),
         candidates_tested=tested,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
-        workers=workers,
     )
 
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ScaleExceeded, TheoremViolation
+from .errors import ScaleExceeded
 from .sequences import (
     BinarySequence,
     decimate_bits,
@@ -222,7 +222,7 @@ class Orbit:
     `symmetric` / `antisymmetric` report a reversal-fixed (resp.
     reversal-negated) member; `delta_invariant` lists the multipliers r
     for which some member is fixed outright by d_r; `delta_closed` lists
-    the weaker property that d_r maps the rotation orbit onto itself.
+    the weaker property that d_r maps the orbit onto itself.
     """
 
     n: int
@@ -272,7 +272,9 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
     `antisymmetric` and `delta_invariant` test x against the G-conjugates
     of R and of each d_r, a handful of permutations cached per group.
     `reversal_closed` checks every member: R normalises every group with
-    rotations or the reversal, but not "D" (d_r R = R d_r C^(r-1)).
+    rotations or the reversal, but not "D" (d_r R = R d_r C^(r-1)).  By
+    the same relation each d_r normalises every group but "H", so
+    `delta_closed` tests d_r x alone there and both members under "H".
     """
     n, bits = x.n, x.bits
     mask = (1 << n) - 1
@@ -297,7 +299,9 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
                    for c in _conjugates(n, group, decimation_perm(n, r)))
         ),
         delta_closed=tuple(
-            r for r in units(n) if decimate_bits(bits, n, r) in members
+            r for r in units(n)
+            if all(decimate_bits(t, n, r) in members
+                   for t in (members if group == "H" else (bits,)))
         ),
     )
 
@@ -392,32 +396,46 @@ def _orbit_table(n: int, group: str) -> dict:
 def enumerate_orbits(n: int, group: str = "C"):
     """Yield every orbit once, representatives ascending.
 
-    Flags come from the vectorized table; the per-multiplier
-    delta_invariant flag is filled only here in the streaming path, from
-    one canon lookup per d_r-fixed word, far fewer calls than one classify
-    per orbit.  d_1 fixes every sequence, so 1 joins every orbit without a
-    table.
+    Flags come from the vectorized table; the per-multiplier flags are
+    filled only here in the streaming path, far fewer calls than one
+    classify per orbit: delta_invariant from one canon lookup per
+    d_r-fixed word, delta_closed from one canon lookup per decimated rep
+    (and per decimated reversed rep under "H", the one group d_r does not
+    normalise).  d_1 fixes every sequence, so 1 joins both flags of every
+    orbit without a table.
     """
     t = _orbit_table(n, group)
+    canon, reps = t["canon"], t["reps"]
+    members = [reps.astype(np.uint64)]
+    if group == "H":
+        members.append(permute_bits_array(members[0], n, reversal_perm(n)))
+    mults = units(n)
     fixed_reps = {
-        r: set(np.unique(t["canon"][delta_fixed_bits(n, r).astype(np.int64)]).tolist())
-        for r in units(n)
-        if r != 1
+        r: set(np.unique(canon[delta_fixed_bits(n, r).astype(np.int64)]).tolist())
+        for r in mults[1:]
     }
-    for i, rep in enumerate(t["reps"].tolist()):
+    closed = {}
+    for r in mults[1:]:
+        hit = np.ones(reps.size, dtype=bool)
+        for m in members:
+            hit &= canon[permute_bits_array(m, n, decimation_perm(n, r)).astype(np.int64)] == reps
+        closed[r] = hit.tolist()
+    columns = zip(reps.tolist(), t["sizes"].tolist(), t["periods"].tolist(),
+                  t["sym"].tolist(), t["asym"].tolist(), t["rev_closed"].tolist())
+    for i, (rep, size, period, sym, asym, rev_closed) in enumerate(columns):
         yield Orbit(
             n=n,
             rep=rep,
             group=group,
-            size=int(t["sizes"][i]),
-            period=int(t["periods"][i]),
-            symmetric=bool(t["sym"][i]),
-            antisymmetric=bool(t["asym"][i]),
-            reversal_closed=bool(t["rev_closed"][i]),
+            size=size,
+            period=period,
+            symmetric=sym,
+            antisymmetric=asym,
+            reversal_closed=rev_closed,
             delta_invariant=tuple(
-                r for r in units(n) if r == 1 or rep in fixed_reps[r]
+                r for r in mults if r == 1 or rep in fixed_reps[r]
             ),
-            delta_closed=(),
+            delta_closed=tuple(r for r in mults if r == 1 or closed[r][i]),
         )
 
 
@@ -542,13 +560,12 @@ def sym_decomposition(n: int) -> dict:
 
 # ------------------------------------------------------ invariance sweeps
 
-def invariance_check(n: int, strict: bool = False) -> dict:
+def invariance_check(n: int) -> dict:
     """Exhaustively verify that every decimation preserves the period,
     both symmetry flags, and reversal closure of every rotation orbit.
 
     The report keeps at most ten witnesses per multiplier and flag, and
-    `violation_count` counts them all.  With strict=True a violation
-    raises TheoremViolation instead of being returned in the report.
+    `violation_count` counts them all.
     """
     t = _orbit_table(n, "C")
     reps = t["reps"]
@@ -578,10 +595,6 @@ def invariance_check(n: int, strict: bool = False) -> dict:
                         "mapped_value": arr[j[i]].item(),
                     }
                 )
-    if strict and violations:
-        raise TheoremViolation(
-            f"decimation broke orbit flags at n={n}: {violations[0]}"
-        )
     return {
         "n": n,
         "orbits": int(reps.size),
@@ -593,7 +606,7 @@ def invariance_check(n: int, strict: bool = False) -> dict:
 
 
 def _lyndon_words(n: int) -> np.ndarray:
-    """Packed words strictly below each of their n - 1 nontrivial
+    """Packed words less than each of their n - 1 nontrivial
     rotations, ascending: the least member of every free rotation orbit.
 
     Each chunk keeps only the survivors after each rotation, so the work
@@ -623,7 +636,7 @@ def _below_full_period(arr: np.ndarray, n: int) -> np.ndarray:
     return short
 
 
-def square_freeness_check(n: int, strict: bool = False) -> dict:
+def square_freeness_check(n: int) -> dict:
     """Check how freeness behaves under the products X * C^a X.
 
     Odd n: tests the claim that if X has full period then every
@@ -670,10 +683,6 @@ def square_freeness_check(n: int, strict: bool = False) -> dict:
         rotations = np.concatenate([rotate_bits_array(reps, n, i) for i in range(n)])
         for bits in np.unique(rotations)[:10].tolist():
             violations.append({"x": str(BinarySequence(n, bits)), "a": a})
-    if strict and violations:
-        raise TheoremViolation(
-            f"freeness behaviour broken at n={n}: {violations[0]}"
-        )
     return {
         "n": n,
         "free_sequences": free_count,

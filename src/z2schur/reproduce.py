@@ -202,19 +202,19 @@ def criterion_autocorr(max_n: int | None = None, seed: int = 0):
                             "randomized": random_reports}
 
 
-def criterion_circulant_search(workers: int = 1):
+def criterion_circulant_search():
     budget_s = 1.0
     results = {}
     ok = True
-    s4 = hadamard.search_circulant_hadamard(4, workers=workers)
+    s4 = hadamard.search_circulant_hadamard(4)
     results[4] = s4.as_dict()
     ok &= s4.found == ("+++-", "+---") and s4.feasible_weights == (1, 3)
     for n in (8, 12, 20, 24, 28, 32):
-        s = hadamard.search_circulant_hadamard(n, workers=workers)
+        s = hadamard.search_circulant_hadamard(n)
         results[n] = s.as_dict()
         ok &= s.found == () and s.candidates_tested == 0
     t0 = time.perf_counter()
-    s16 = hadamard.search_circulant_hadamard(16, workers=workers)
+    s16 = hadamard.search_circulant_hadamard(16)
     elapsed = time.perf_counter() - t0
     results[16] = s16.as_dict()
     ok &= s16.found == () and s16.candidates_tested == 16016 and elapsed < budget_s
@@ -222,7 +222,7 @@ def criterion_circulant_search(workers: int = 1):
     cross = {}
     for n in (1, 2, 4, 8, 12):
         brute = hadamard.search_circulant_bruteforce(n)
-        pruned = hadamard.search_circulant_hadamard(n, workers=workers).found
+        pruned = hadamard.search_circulant_hadamard(n).found
         cross[n] = {"bruteforce": list(brute), "pruned": list(pruned)}
         ok &= brute == pruned
     results["bruteforce_crosscheck"] = cross
@@ -340,7 +340,7 @@ MODULE_CRITERIA = {
 }
 
 
-def run_all(max_n: int | None = None, seed: int = 0, workers: int = 1) -> dict:
+def run_all(max_n: int | None = None, seed: int = 0) -> dict:
     results = [
         _run(1, "class products match the enumeration oracle",
              criterion_class_products, max_n),
@@ -357,7 +357,7 @@ def run_all(max_n: int | None = None, seed: int = 0, workers: int = 1) -> dict:
         _run(7, "autocorrelation identities, exhaustive and randomized",
              criterion_autocorr, max_n, seed),
         _run(8, "circulant Hadamard search at small orders",
-             criterion_circulant_search, workers),
+             criterion_circulant_search),
         _run(9, "quadratic-residue cores border and normalize cleanly",
              criterion_paley_pipeline),
         _run(10, "built-in order-12 matrix lands in the even member set",

@@ -134,8 +134,7 @@ def concat_bits(blocks: Iterable[int], width: int) -> int:
 class BinarySequence:
     """An element of Z_2^n in the packed sign encoding.
 
-    Immutable; every operation returns a fresh value, so instances are safe
-    to share between worker processes without synchronization.
+    Immutable; every operation returns a fresh value.
     """
 
     n: int

@@ -85,6 +85,9 @@ def test_flat_offpeak():
     assert not flat_offpeak(make_sequence("++--"))
     assert flat_offpeak(make_sequence("-++-+--"), level=-1)
     assert not flat_offpeak(make_sequence("+++-"), level=1)  # parity guard
+    for s in ("+", "-"):  # no off-peak shift at n = 1: vacuously flat
+        assert flat_offpeak(make_sequence(s))
+        assert flat_offpeak(make_sequence(s), level=-1)
 
 
 @given(signs)

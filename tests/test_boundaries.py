@@ -1,6 +1,10 @@
-"""Modules of the package reach each other only through public names."""
+"""Package boundaries: modules reach each other only through public names,
+and importing the package loads no process machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "z2schur"
@@ -47,3 +51,14 @@ def test_scan_flags_a_private_crossing(tmp_path):
                    "from . import orbits as ob\n"
                    "x = ob._other\n")
     assert _crossings(bad) == ["bad.py:1 imports _hidden", "bad.py:3 reads ob._other"]
+
+
+def test_import_starts_no_process_machinery():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    code = ("import sys, z2schur; print(sorted(m for m in "
+            "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -114,10 +114,10 @@ def test_hadamard_search_deterministic(capsys):
                          "--order", "16")
     assert code == 0
     code, two = run_json(capsys, "hadamard", "search-circulant",
-                         "--order", "16", "--workers", "2")
+                         "--order", "16")
     assert code == 0
     for d in (one, two):
-        del d["runtime_ms"], d["workers"]
+        del d["runtime_ms"]
     assert one == two
     assert one["candidates_tested"] == 16016 and one["found"] == []
 
@@ -168,13 +168,6 @@ def test_reproduce_small_depth(capsys, tmp_path):
     assert (reports / "hadamard.json").exists()
     payload = json.loads((reports / "weight_ring.json").read_text())
     assert all(c["passed"] for c in payload["criteria"])
-
-
-def test_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("SCHUR_WORKERS", "2")
-    code, payload = run_json(capsys, "hadamard", "search-circulant",
-                             "--order", "4")
-    assert code == 0 and payload["workers"] == 2
 
 
 def test_invalid_sequence_exits_two(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from z2schur import orbits as ob
-from z2schur.errors import ScaleExceeded, TheoremViolation
+from z2schur.errors import ScaleExceeded
 from z2schur.orbits import (
     GROUPS,
     Orbit,
@@ -123,6 +123,7 @@ def _walk_every_member(x, group):
     members = sorted({permute_bits(x.bits, n, p) for p in group_permutations(n, group)})
     memberset = set(members)
     mask = (1 << n) - 1
+    decimated = {r: [(t, decimate_bits(t, n, r)) for t in members] for r in units(n)}
     return Orbit(
         n=n,
         rep=members[0],
@@ -133,10 +134,10 @@ def _walk_every_member(x, group):
         antisymmetric=any(reverse_bits(t, n) == t ^ mask for t in memberset),
         reversal_closed=all(reverse_bits(t, n) in memberset for t in memberset),
         delta_invariant=tuple(
-            r for r in units(n) if any(decimate_bits(t, n, r) == t for t in memberset)
+            r for r in units(n) if any(d == t for t, d in decimated[r])
         ),
         delta_closed=tuple(
-            r for r in units(n) if decimate_bits(x.bits, n, r) in memberset
+            r for r in units(n) if all(d in memberset for _, d in decimated[r])
         ),
     )
 
@@ -281,8 +282,18 @@ def test_scalar_engine_matches_vector_engine(n_bits, group):
     assert rep.bits == int(_canon(n, group)[bits])
     direct, record = classify(x, group), _records(n, group)[rep.bits]
     for field in ("size", "period", "symmetric", "antisymmetric",
-                  "reversal_closed", "delta_invariant"):
+                  "reversal_closed", "delta_invariant", "delta_closed"):
         assert getattr(direct, field) == getattr(record, field), field
+
+
+def test_vector_engine_matches_classify_at_ceiling_sizes():
+    # The hypothesis test above stops at n = 16; sample whole records here.
+    rng = np.random.default_rng(20)
+    for n, group in ((20, "HDC"), (21, "HC"), (22, "DC")):
+        orbits = list(enumerate_orbits(n, group))
+        for i in rng.choice(len(orbits), size=40, replace=False).tolist():
+            o = orbits[i]
+            assert classify(BinarySequence(n, o.rep), group) == o, (n, group, o.rep)
 
 
 def _brute_canonical_array(n, group):
@@ -374,8 +385,6 @@ def test_square_freeness_breaks_at_fifteen():
     x = make_sequence("++++++--+---+--")
     assert cyclic_period(x) == 15
     assert cyclic_period(x * x.rotate(3)) == 5
-    with pytest.raises(TheoremViolation):
-        square_freeness_check(15, strict=True)
 
 
 def test_square_freeness_counts_past_the_witness_cap():
