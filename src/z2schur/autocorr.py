@@ -15,14 +15,16 @@ import random
 
 import numpy as np
 
-from .errors import LengthMismatch, ScaleExceeded
+from .errors import InvalidLength, LengthMismatch, ScaleExceeded
 from .sequences import (
+    MAX_N,
     BinarySequence,
     decimation_perm,
     permute_bits_array,
     reversal_perm,
     rotate_bits,
     rotate_bits_array,
+    sign_rows,
     units,
 )
 
@@ -181,29 +183,91 @@ def verify_identities(n: int, max_violations: int = 10) -> dict:
             "ok": not violations}
 
 
+def correlation_rows(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """P_{X,Y}(k) = sum_j X_j Y_{j+k} at every shift k for each row pair of
+    two equal-shape sign matrices; y defaults to x, giving the
+    autocorrelation table.
+
+    Computed as irfft(conj(rfft X) rfft Y) and rounded.  Each exact value
+    is an integer, so the rounding is checked rather than assumed: a
+    residual of 1/4 or more raises FloatingPointError.  numpy.fft is
+    reached here, on first use, so importing the package does not load it.
+    """
+    fx = np.fft.rfft(x)
+    fy = fx if y is None else np.fft.rfft(y)
+    raw = np.fft.irfft(np.conj(fx) * fy, x.shape[-1])
+    table = np.rint(raw)
+    residual = np.abs(raw - table).max(initial=0.0)
+    if residual >= 0.25:
+        raise FloatingPointError(
+            f"correlation residual {residual:.3g} is not near an integer")
+    return table.astype(np.int64)
+
+
 def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
     """Seeded random spot checks of the same identities at lengths too
-    large to sweep."""
+    large to sweep, for 2 <= n <= MAX_N.
+
+    Each trial draws, from random.Random(seed) and in this order, X =
+    getrandbits(n), Y = getrandbits(n), a shift k = randrange(1, n) and a
+    multiplier r = choice(units(n)).  All trials are then evaluated at
+    once on a trials x n sign matrix: one `correlation_rows` call gives the
+    autocorrelation tables of X, its rotation, reversal, negation and d_r X,
+    and another the cross table of X with Y.  Checked per trial: the peak,
+    the symmetry P(k) = P(n-k) and, for even n only, the mod-4 congruence
+    at every shift; the sum and cross-sum identities; rotation, reversal
+    and negation invariance at k; and P_{d_r X}(i) = P_X(ri) at every i.
+    Violations are listed by trial and, within a trial, in that order,
+    keyed by the shift k or the multiplier r they concern.
+    """
+    if not 2 <= n <= MAX_N:
+        raise InvalidLength(
+            f"randomized trials need a nonzero shift, so 2 <= n <= {MAX_N}; got {n}"
+        )
     rng = random.Random(seed)
     mults = units(n)
-    violations = []
-    for t in range(trials):
-        x = BinarySequence(n, rng.getrandbits(n))
-        y = BinarySequence(n, rng.getrandbits(n))
-        vec = theta(x)  # peak, symmetry, and even-n mod 4 enforced here
-        if sum(vec.values) != (2 * x.weight - n) ** 2:
-            violations.append({"kind": "sum", "trial": t})
-        if not cross_sum_identity(x, y)["ok"]:
-            violations.append({"kind": "cross_sum", "trial": t})
-        k = rng.randrange(1, n)
-        if periodic_autocorrelation(x.rotate(1), k) != vec[k]:
-            violations.append({"kind": "rotation", "trial": t, "k": k})
-        if periodic_autocorrelation(x.reverse(), k) != vec[k]:
-            violations.append({"kind": "reversal", "trial": t, "k": k})
-        if periodic_autocorrelation(-x, k) != vec[k]:
-            violations.append({"kind": "negation", "trial": t, "k": k})
-        r = rng.choice(mults)
-        if not decimation_permutes(x, r):
-            violations.append({"kind": "decimation", "trial": t, "r": r})
+    xs, ys, ks, rs = [], [], [], []
+    for _ in range(trials):
+        xs.append(rng.getrandbits(n))
+        ys.append(rng.getrandbits(n))
+        ks.append(rng.randrange(1, n))
+        rs.append(rng.choice(mults))
+    signs = sign_rows(xs + ys, n)
+    x, y = signs[:trials], signs[trials:]
+    t = np.arange(trials)
+    k = np.array(ks, dtype=np.int64)
+    dec = (np.array(rs, dtype=np.int64)[:, None] * np.arange(n)) % n
+    images = [np.roll(x, -1, axis=1), x[:, ::-1], -x, x[t[:, None], dec]]
+    table, rot, rev, neg, dtab = np.split(
+        correlation_rows(np.concatenate([x] + images)), 5)
+    cross = correlation_rows(x, y)
+    off = table[:, 1:]
+    total = x.sum(axis=1)
+
+    def at_k(img):
+        return (img[t, k] != table[t, k])[:, None]
+
+    checks = [  # (kind, trials x keys failure mask, the keys of one failure)
+        ("peak", (table[:, 0] != n)[:, None], lambda i, c: {}),
+        ("symmetry", off != off[:, ::-1], lambda i, c: {"k": c + 1}),
+        ("mod4", ((n - off) % 4 != 0) & (n % 2 == 0), lambda i, c: {"k": c + 1}),
+        ("sum", (table.sum(axis=1) != total ** 2)[:, None], lambda i, c: {}),
+        ("cross_sum", (cross.sum(axis=1) != total * y.sum(axis=1))[:, None],
+         lambda i, c: {}),
+        ("rotation", at_k(rot), lambda i, c: {"k": ks[i]}),
+        ("reversal", at_k(rev), lambda i, c: {"k": ks[i]}),
+        ("negation", at_k(neg), lambda i, c: {"k": ks[i]}),
+        ("decimation", (dtab != table[t[:, None], dec]).any(axis=1)[:, None],
+         lambda i, c: {"r": rs[i]}),
+    ]
+    failing = np.zeros(trials, dtype=bool)
+    for _, mask, _ in checks:
+        failing |= mask.any(axis=1)
+    violations = [
+        {"kind": kind, "trial": i, **keys(i, c)}
+        for i in np.flatnonzero(failing).tolist()
+        for kind, mask, keys in checks
+        for c in np.flatnonzero(mask[i]).tolist()
+    ]
     return {"n": n, "trials": trials, "seed": seed, "violations": violations,
             "ok": not violations}

@@ -206,9 +206,7 @@ class ContainmentReport:
         }
 
 
-def normalize_into_complete(
-    mat: SignMatrix, chunk: int = 1 << 18
-) -> tuple[SignMatrix, ContainmentReport]:
+def normalize_into_complete(mat: SignMatrix) -> tuple[SignMatrix, ContainmentReport]:
     """Negate a column subset so that every row weight lands inside one
     maximal complete S-set.
 
@@ -218,6 +216,11 @@ def normalize_into_complete(
     the result is deterministic and the identity vector is preferred when
     the matrix is already contained.  Exhausting both passes raises
     TheoremViolation.
+
+    Each pass scans in chunks of 64, 128, 256, ... sign vectors, doubling
+    up to 2^18, so an early hit builds only a small block of weights (the
+    order-20 and order-24 Paley borders hit at the 64th vector).  The
+    schedule is fixed; there is no chunk argument.
     """
     m = mat.m
     if not is_hadamard(mat):
@@ -233,8 +236,11 @@ def normalize_into_complete(
         tab = np.zeros(m + 1, dtype=bool)
         for w in flavour.members:
             tab[w] = True
-        for start in range(0, 1 << m, chunk):
+        start, chunk = 0, 1 << 6
+        while start < 1 << m:
             ts = np.arange(start, min(start + chunk, 1 << m), dtype=np.uint64)
+            start += ts.size
+            chunk = min(2 * chunk, 1 << 18)
             weights = m - np.bitwise_count(ts[:, None] ^ rows[None, :]).astype(
                 np.int64
             )
@@ -492,7 +498,7 @@ def exhaustive_structured_search(n: int, r: int, a: int, kind: str) -> dict:
                 tup = tuple(b if i % 2 == 0 else b ^ mask for i, b in enumerate(tup))
             bits = concat_bits(tup, block)
             candidates += 1
-            if flat_offpeak(BinarySequence(order, bits)):
+            if flat_offpeak_bits(bits, order):
                 hits.append(str(BinarySequence(order, bits)))
     else:
         for b in members:
@@ -501,7 +507,7 @@ def exhaustive_structured_search(n: int, r: int, a: int, kind: str) -> dict:
                 rb ^= mask
             bits = concat_bits((b, rb), block)
             candidates += 1
-            if flat_offpeak(BinarySequence(order, bits)):
+            if flat_offpeak_bits(bits, order):
                 hits.append(str(BinarySequence(order, bits)))
     return {
         "n": n,
@@ -524,7 +530,7 @@ def exhaustive_core_partition_search(n: int, r: int) -> dict:
     total = sum(comb(n, a) ** r for a in range(n + 1))
     if total > ENUM_MAX_CANDIDATES:
         raise ScaleExceeded(f"{total} core candidates exceed the cap")
-    need = (p - 1) // 2
+    minus = (p + 1) // 2  # '-' signs of a core of weight (p - 1)/2
     hits = []
     candidates = 0
     for a in range(n + 1):
@@ -532,9 +538,8 @@ def exhaustive_core_partition_search(n: int, r: int) -> dict:
         for tup in product(members, repeat=r):
             bits = concat_bits(tup, n)
             candidates += 1
-            core = BinarySequence(p, bits)
-            if core.weight == need and flat_offpeak(core, -1):
-                hits.append(str(core))
+            if bits.bit_count() == minus and flat_offpeak_bits(bits, p, -1):
+                hits.append(str(BinarySequence(p, bits)))
     return {
         "n": n,
         "r": r,

@@ -271,8 +271,9 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
     is fixed by h exactly when x is fixed by g^-1 h g, so `symmetric`,
     `antisymmetric` and `delta_invariant` test x against the G-conjugates
     of R and of each d_r, a handful of permutations cached per group.
-    `reversal_closed` checks every member: R normalises every group with
-    rotations or the reversal, but not "D" (d_r R = R d_r C^(r-1)).  By
+    R normalises every group with rotations or the reversal, so there
+    `reversal_closed` tests R x alone; it does not normalise "D"
+    (d_r R = R d_r C^(r-1)), so under "D" every member is checked.  By
     the same relation each d_r normalises every group but "H", so
     `delta_closed` tests d_r x alone there and both members under "H".
     """
@@ -292,7 +293,8 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
         period=cyclic_period(x),
         symmetric=bits in reversed_x,
         antisymmetric=(bits ^ mask) in reversed_x,
-        reversal_closed=all(reverse_bits(t, n) in members for t in members),
+        reversal_closed=all(reverse_bits(t, n) in members
+                            for t in (members if group == "D" else (bits,))),
         delta_invariant=tuple(
             r for r in units(n)
             if any(permute_bits(bits, n, c) == bits

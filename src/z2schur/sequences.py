@@ -122,6 +122,15 @@ def rotate_bits_array(arr: np.ndarray, n: int, i: int) -> np.ndarray:
     return ((a << np.uint64(i)) | (a >> np.uint64(n - i))) & mask
 
 
+def sign_rows(words: Iterable[int], n: int) -> np.ndarray:
+    """A float +1/-1 matrix with one row per packed length-n word; column i
+    holds position i, so '+' (bit 0) reads +1 and '-' (bit 1) reads -1."""
+    width = (n + 7) // 8
+    raw = b"".join(w.to_bytes(width, "big") for w in words)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1)
+    return 1.0 - 2.0 * bits[:, 8 * width - n:]
+
+
 def concat_bits(blocks: Iterable[int], width: int) -> int:
     """Packed concatenation of width-bit blocks, the first block leftmost."""
     bits = 0

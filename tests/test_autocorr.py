@@ -1,9 +1,14 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from z2schur import autocorr
 from z2schur.autocorr import (
     AutocorrVector,
+    correlation_rows,
     cross_sum_identity,
     cross_theta,
     decimation_permutes,
@@ -15,8 +20,8 @@ from z2schur.autocorr import (
     theta,
     verify_identities,
 )
-from z2schur.errors import LengthMismatch
-from z2schur.sequences import make_sequence, units
+from z2schur.errors import InvalidLength, LengthMismatch
+from z2schur.sequences import BinarySequence, make_sequence, sign_rows, units
 from helpers import str_autocorr
 
 signs = st.text(alphabet="+-", min_size=1, max_size=16)
@@ -137,3 +142,143 @@ def test_random_trials_seeded():
     assert rep["ok"] and rep["trials"] == 200
     again = random_identity_trials(32, trials=200, seed=1)
     assert again == rep
+
+
+# ------------------------------------------- batched randomized trials
+
+def scalar_trials(n, trials=1000, seed=0, rng=None):
+    """The per-trial loop the batched trials replaced, kept as their oracle."""
+    rng = random.Random(seed) if rng is None else rng
+    mults = units(n)
+    violations = []
+    for t in range(trials):
+        x = BinarySequence(n, rng.getrandbits(n))
+        y = BinarySequence(n, rng.getrandbits(n))
+        vec = theta(x)  # peak, symmetry, and even-n mod 4 enforced here
+        if sum(vec.values) != (2 * x.weight - n) ** 2:
+            violations.append({"kind": "sum", "trial": t})
+        if not cross_sum_identity(x, y)["ok"]:
+            violations.append({"kind": "cross_sum", "trial": t})
+        k = rng.randrange(1, n)
+        if periodic_autocorrelation(x.rotate(1), k) != vec[k]:
+            violations.append({"kind": "rotation", "trial": t, "k": k})
+        if periodic_autocorrelation(x.reverse(), k) != vec[k]:
+            violations.append({"kind": "reversal", "trial": t, "k": k})
+        if periodic_autocorrelation(-x, k) != vec[k]:
+            violations.append({"kind": "negation", "trial": t, "k": k})
+        r = rng.choice(mults)
+        if not decimation_permutes(x, r):
+            violations.append({"kind": "decimation", "trial": t, "r": r})
+    return {"n": n, "trials": trials, "seed": seed, "violations": violations,
+            "ok": not violations}
+
+
+TRIAL_LENGTHS = (2, 3, 5, 8, 15, 32, 64, 65, 128, 256)
+
+
+@pytest.mark.parametrize("n", TRIAL_LENGTHS)
+def test_batched_trials_match_scalar_loop(n):
+    trials = 4000 // n + 16  # the loop costs about n^2 per trial
+    for seed in range(5):
+        assert random_identity_trials(n, trials, seed) == scalar_trials(n, trials, seed)
+
+
+class RecordingRandom(random.Random):
+    """Logs every draw, including the getrandbits calls randrange and
+    choice make internally, so two logs agree only if the same calls were
+    made with the same arguments in the same order."""
+
+    def __init__(self, seed):
+        self.log = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.log.append(("getrandbits", k))
+        return super().getrandbits(k)
+
+    def randrange(self, *args):
+        self.log.append(("randrange", args))
+        return super().randrange(*args)
+
+    def choice(self, seq):
+        self.log.append(("choice", tuple(seq)))
+        return super().choice(seq)
+
+
+@pytest.mark.parametrize("n", (2, 15, 64, 65, 256))
+def test_batched_trials_draw_like_the_loop(monkeypatch, n):
+    made = []
+
+    def recording(seed):
+        made.append(RecordingRandom(seed))
+        return made[-1]
+
+    monkeypatch.setattr(autocorr.random, "Random", recording)
+    random_identity_trials(n, 6, 3)
+    monkeypatch.undo()
+    want = RecordingRandom(3)
+    scalar_trials(n, 6, rng=want)
+    assert len(made) == 1 and made[0].log == want.log
+    assert [call[0] for call in want.log if call[0] != "getrandbits"] == \
+        ["randrange", "choice"] * 6
+
+
+def test_a_corrupted_decimation_index_is_reported(monkeypatch):
+    class OneBadMultiplier(random.Random):
+        picks = 0
+
+        def choice(self, seq):
+            r = super().choice(seq)
+            OneBadMultiplier.picks += 1
+            return 2 if OneBadMultiplier.picks == 4 else r  # trial 3: gcd(2, 8) = 2
+
+    monkeypatch.setattr(autocorr.random, "Random", OneBadMultiplier)
+    rep = random_identity_trials(8, 10, 0)
+    assert rep["violations"] == [{"kind": "decimation", "trial": 3, "r": 2}]
+    assert not rep["ok"]
+
+
+@pytest.mark.parametrize("n", (8, 12, 9, 15))
+def test_a_zeroed_entry_breaks_peak_and_even_mod4_only(monkeypatch, n):
+    """A 0 in X keeps every bilinear identity (sums, invariances,
+    decimation) but moves the peak and, at even n, the congruences."""
+    trial, pos = 2, 1
+    seen = {}
+
+    def zeroed(words, length):
+        rows = sign_rows(words, length)
+        seen["x"] = rows[trial].tolist()
+        rows[trial, pos] = 0
+        return rows
+
+    monkeypatch.setattr(autocorr, "sign_rows", zeroed)
+    rep = random_identity_trials(n, 5, 2)
+    x = seen["x"]
+    x[pos] = 0
+    shifts = [sum(x[j] * x[(j + k) % n] for j in range(n)) for k in range(n)]
+    mod4 = [k for k in range(1, n) if (n - shifts[k]) % 4] if n % 2 == 0 else []
+    assert n % 2 or 1 in mod4  # P(1) = P(n-1), so both ends of the scan count
+    assert rep["violations"] == [{"kind": "peak", "trial": trial}] + [
+        {"kind": "mod4", "trial": trial, "k": k} for k in mod4]
+
+
+def test_random_trials_need_a_nonzero_shift():
+    for n in (1, 0, 257):
+        with pytest.raises(InvalidLength, match="2 <= n <= 256"):
+            random_identity_trials(n, 10)
+
+
+def test_correlation_rows_is_exact_or_raises():
+    rng = random.Random(5)
+    for n in (1, 2, 7, 64, 256):
+        xs = [rng.getrandbits(n) for _ in range(4)]
+        ys = [rng.getrandbits(n) for _ in range(4)]
+        cross = correlation_rows(sign_rows(xs, n), sign_rows(ys, n))
+        auto = correlation_rows(sign_rows(xs, n))
+        assert cross.dtype == np.int64
+        for i, (a, b) in enumerate(zip(xs, ys)):
+            x, y = BinarySequence(n, a), BinarySequence(n, b)
+            assert cross[i].tolist() == list(cross_theta(x, y))
+            assert auto[i].tolist() == list(theta(x).values)
+    with pytest.raises(FloatingPointError):
+        correlation_rows(np.array([[0.5, 0.0, 0.0, 0.0]]))

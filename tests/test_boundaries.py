@@ -1,5 +1,5 @@
 """Package boundaries: modules reach each other only through public names,
-and importing the package loads no process machinery."""
+and importing the package loads no process machinery and no numpy.fft."""
 
 import ast
 import os
@@ -53,12 +53,22 @@ def test_scan_flags_a_private_crossing(tmp_path):
     assert _crossings(bad) == ["bad.py:1 imports _hidden", "bad.py:3 reads ob._other"]
 
 
-def test_import_starts_no_process_machinery():
+def loaded_after_import(modules):
+    """Which of the named modules a fresh interpreter holds after
+    `import z2schur`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    code = ("import sys, z2schur; print(sorted(m for m in "
-            "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+    code = f"import sys, z2schur; print(sorted(m for m in {modules!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_starts_no_process_machinery():
+    assert loaded_after_import(("multiprocessing", "concurrent.futures.process")) == "[]"
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    """autocorr reaches numpy.fft on first use, so set-up does not pay for it."""
+    assert loaded_after_import(("numpy.fft",)) == "[]"

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +16,8 @@ from z2schur.errors import (
     ScaleExceeded,
 )
 from z2schur.orbits import classify
-from z2schur.sequences import make_sequence
+from z2schur.sequences import BinarySequence, make_sequence, permute_bits
+from z2schur.ssets import complete_maximal
 
 BORDER7 = """\
 ++++++++
@@ -135,6 +139,61 @@ def test_normalize_already_contained():
     assert rep.sset_parity == "odd"
     assert rep.sset_members == (1, 3)
     assert normalized == mat
+
+
+def fixed_block_scan(mat, block=4096):
+    """The first working sign vector and its 1-based scan position, found
+    with one block size for every chunk, even flavour first."""
+    m = mat.m
+    rows = np.array(mat.rows, dtype=np.uint64)
+    scanned = 0
+    for flavour in complete_maximal(m):
+        allowed = np.zeros(m + 1, dtype=bool)
+        allowed[list(flavour.members)] = True
+        for start in range(0, 1 << m, block):
+            ts = np.arange(start, min(start + block, 1 << m), dtype=np.uint64)
+            weights = m - np.bitwise_count(ts[:, None] ^ rows[None, :])
+            hits = np.flatnonzero(allowed[weights].all(axis=1))
+            if hits.size:
+                t = int(ts[hits[0]])
+                return str(BinarySequence(m, t)), scanned + int(hits[0]) + 1
+            scanned += ts.size
+    raise AssertionError(f"no containment at order {m}")
+
+
+def shuffled_copy(mat, seed):
+    """mat with its columns permuted and then negated, both seeded."""
+    rng = random.Random(seed)
+    perm = list(range(mat.m))
+    rng.shuffle(perm)
+    flip = rng.getrandbits(mat.m)
+    return hd.SignMatrix(mat.m, tuple(permute_bits(r, mat.m, tuple(perm)) ^ flip
+                                      for r in mat.rows))
+
+
+def normalize_cases():
+    cases = [hd.BUILTIN_H12]
+    cases += [hd.border_core(hd.paley_core(p)) for p in (3, 7, 11, 19, 23)]
+    for border in cases[-2:]:  # orders 20 and 24
+        for seed in range(3):
+            flip = random.Random(seed).getrandbits(border.m)
+            cases.append(hd.SignMatrix(border.m, tuple(r ^ flip for r in border.rows)))
+    # Two copies whose first hit lies in the second chunk.
+    cases += [shuffled_copy(hd.BUILTIN_H12, 264), shuffled_copy(cases[4], 103)]
+    return cases
+
+
+def test_normalize_chunk_schedule_matches_a_fixed_block_scan():
+    scans = []
+    for mat in normalize_cases():
+        _, rep = hd.normalize_into_complete(mat)
+        assert (rep.signs, rep.scanned) == fixed_block_scan(mat)
+        scans.append(rep.scanned)
+    # H12 hits at 14; the order-20 and order-24 borders hit at the last
+    # vector of the first 64-vector chunk; the order-4 border exhausts its
+    # even pass before the odd one hits.
+    assert scans[:6] == [14, 18, 4, 16, 64, 64]
+    assert scans[-2:] == [67, 92]
 
 
 def test_normalize_guards():

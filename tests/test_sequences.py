@@ -10,6 +10,7 @@ from z2schur.sequences import (
     all_sequences,
     divisors,
     make_sequence,
+    sign_rows,
     units,
 )
 from helpers import str_decimate, str_negate, str_product, str_reverse, str_rotate
@@ -142,3 +143,12 @@ def test_all_sequences_is_complete_and_ordered():
     assert len(seqs) == 8
     assert len(set(seqs)) == 8
     assert [x.bits for x in seqs] == list(range(8))
+
+
+@given(st.integers(1, 256), st.data())
+def test_sign_rows_reads_positions_left_to_right(n, data):
+    row = st.text(alphabet="+-", min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, max_size=4))
+    got = sign_rows([make_sequence(t).bits for t in rows], n)
+    assert got.shape == (len(rows), n)
+    assert got.tolist() == [[1.0 if c == "+" else -1.0 for c in t] for t in rows]
