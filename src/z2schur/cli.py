@@ -154,26 +154,18 @@ def cmd_autocorr(args) -> int:
     return _emit(payload, args)
 
 
-def _orthogonality_witness(mat) -> dict | None:
-    for i in range(mat.m):
-        for j in range(i + 1, mat.m):
-            dot = mat.m - 2 * (mat.rows[i] ^ mat.rows[j]).bit_count()
-            if dot:
-                return {"rows": [i, j], "dot": dot}
-    return None
-
-
 def cmd_hadamard_check(args) -> int:
     if args.builtin:
         mat = hd.BUILTIN_H12
     else:
         mat = hd.SignMatrix.from_text(Path(args.file).read_text())
-    ok = hd.is_hadamard(mat)
-    payload = {"m": mat.m, "hadamard": ok}
-    if not ok:
-        payload["witness"] = _orthogonality_witness(mat)
+    witness = hd.orthogonality_witness(mat)
+    payload = {"m": mat.m, "hadamard": witness is None}
+    if witness:
+        i, j, dot = witness
+        payload["witness"] = {"rows": [i, j], "dot": dot}
     _emit(payload, args)
-    return 0 if ok else 1
+    return 0 if witness is None else 1
 
 
 def cmd_hadamard_search(args) -> int:

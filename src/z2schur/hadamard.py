@@ -136,20 +136,26 @@ class SignMatrix:
         return SignMatrix(self.m, tuple(rows))
 
 
+def orthogonality_witness(mat: SignMatrix) -> tuple[int, int, int] | None:
+    """The first row pair i < j with a nonzero dot product, as (i, j, dot),
+    or None when the rows are pairwise orthogonal, which is exactly when
+    `is_hadamard` holds: at odd m > 1 every dot product is odd."""
+    m, rows = mat.m, mat.rows
+    for i in range(m):
+        for j in range(i + 1, m):
+            dot = m - 2 * (rows[i] ^ rows[j]).bit_count()
+            if dot:
+                return i, j, dot
+    return None
+
+
 def is_hadamard(mat: SignMatrix) -> bool:
     """Every pair of rows disagrees in exactly m/2 positions."""
-    m = mat.m
-    if m == 1:
+    if mat.m == 1:
         return True
-    if m % 2:
+    if mat.m % 2:
         return False
-    half = m // 2
-    rows = mat.rows
-    return all(
-        (rows[i] ^ rows[j]).bit_count() == half
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
+    return orthogonality_witness(mat) is None
 
 
 def circulant(x: BinarySequence) -> SignMatrix:

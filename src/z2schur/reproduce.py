@@ -69,8 +69,8 @@ def criterion_class_products(max_n: int | None = None):
     t0 = time.perf_counter()
     counterexamples = []
     for n in range(1, cap + 1):
-        rep = weight_ring.verify_ring(n, check_lambda=False)
-        counterexamples += rep["counterexamples"]
+        rep = weight_ring.verify_ring(n)
+        counterexamples += [c for c in rep["counterexamples"] if c["kind"] == "product"]
     elapsed = time.perf_counter() - t0
     return not counterexamples and elapsed < budget_s, {
         "max_n": cap,
@@ -86,7 +86,7 @@ def criterion_structure_constants(max_n: int | None = None):
     t0 = time.perf_counter()
     counterexamples = []
     for n in range(1, cap + 1):
-        rep = weight_ring.verify_ring(n, check_lambda=True)
+        rep = weight_ring.verify_ring(n)
         if not rep["lambda_ok"] or not rep["product_ok"]:
             counterexamples += rep["counterexamples"]
     elapsed = time.perf_counter() - t0

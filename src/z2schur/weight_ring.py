@@ -4,8 +4,12 @@ The basic sets are the weight classes G_n(k): all sequences with exactly k
 plus signs, of size binomial(n, k).  Their simple-quantity products carry
 integer structure constants with a closed form, and the set-level product
 of two classes is a two-branch interval formula.  Both closed forms are
-paired here with brute-force oracles that recompute them from raw XOR
-enumeration, so every identity in this module is independently checkable.
+paired here with one brute-force oracle: the XOR enumeration of a class
+pair, whose multiplicity table checks the structure constants and whose
+support checks the set-level product.  It runs on the cell-product kernel
+(`group_cells`, `cell_product_range`), which `orbits.spartition_axiom_check`
+shares: per cell of a partition of Z_2^n, the least and greatest
+multiplicity of its words in a product, equal when the S-ring axiom holds.
 
 Index conventions.  The closed structure-constant form is stated in the
 complement indexing T_i = G_n(n - i); the public helpers speak weights and
@@ -95,11 +99,32 @@ def class_members_recursive(n: int, k: int) -> Iterator[BinarySequence]:
 
 
 def class_members_array(n: int, k: int) -> np.ndarray:
+    """Members of G_n(k) ascending, as int64 so XOR products feed bincount."""
     _check_weight(n, k)
     if k == -1:
-        return np.empty(0, dtype=np.uint64)
-    x = np.arange(1 << n, dtype=np.uint64)
+        return np.empty(0, dtype=np.int64)
+    x = np.arange(1 << n, dtype=np.int64)
     return x[_popcount(x) == n - k]
+
+
+def group_cells(cell_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The words of Z_2^n sorted by cell (ascending within a cell), and the
+    offset where each cell starts; cell_of[x] is the cell of word x, and the
+    cells are 0..c-1, none empty."""
+    order = np.argsort(cell_of, kind="stable")
+    starts = np.searchsorted(cell_of[order], np.arange(int(cell_of.max()) + 1))
+    return order, starts
+
+
+def cell_product_range(xs: np.ndarray, ys: np.ndarray, order: np.ndarray,
+                       starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of `group_cells`, the least and greatest multiplicity of its
+    words in the multiset {x XOR y : x in xs, y in ys} of int64 words.
+
+    The cells are never empty, which `reduceat` relies on: an empty cell
+    would repeat a start and read its neighbour's first count."""
+    counts = np.bincount((xs[:, None] ^ ys[None, :]).ravel(), minlength=order.size)[order]
+    return np.minimum.reduceat(counts, starts), np.maximum.reduceat(counts, starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,25 +220,15 @@ def product_multiplicity_table(n: int, a: int, b: int) -> QuantityVector:
         raise ScaleExceeded(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
     xs = class_members_array(n, a)
     ys = class_members_array(n, b)
-    if xs.size == 0 or ys.size == 0:
-        return QuantityVector(n, (0,) * (n + 1))
-    prods = (xs[:, None] ^ ys[None, :]).ravel()
-    counts_by_value = np.bincount(prods.astype(np.int64), minlength=1 << n)
-    all_bits = np.arange(1 << n, dtype=np.uint64)
-    weights = n - _popcount(all_bits)
-    coeffs = [0] * (n + 1)
-    for w in range(n + 1):
-        cell = counts_by_value[weights == w]
-        if cell.size == 0:
-            continue
-        lo, hi = int(cell.min()), int(cell.max())
-        if lo != hi:
-            raise RingAxiomViolation(
-                f"nonuniform multiplicity on G_{n}({w}) in G_{n}({a})*G_{n}({b}):"
-                f" min {lo}, max {hi}"
-            )
-        coeffs[w] = lo
-    return QuantityVector(n, tuple(coeffs))
+    lo, hi = cell_product_range(xs, ys, *group_cells(n - _popcount(np.arange(1 << n))))
+    bad = np.flatnonzero(lo != hi)
+    if bad.size:
+        w = int(bad[0])
+        raise RingAxiomViolation(
+            f"nonuniform multiplicity on G_{n}({w}) in G_{n}({a})*G_{n}({b}):"
+            f" min {lo[w]}, max {hi[w]}"
+        )
+    return QuantityVector(n, tuple(lo.tolist()))
 
 
 def structure_constant_oracle(n: int, i: int, j: int, k: int) -> int:
@@ -246,14 +261,7 @@ def class_product(n: int, a: int, b: int) -> WeightClassSet:
 
 def class_product_oracle(n: int, a: int, b: int) -> WeightClassSet:
     """Weights in G_n(a) * G_n(b) by direct enumeration of all member pairs."""
-    if n > ORACLE_MAX_N:
-        raise ScaleExceeded(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
-    xs = class_members_array(n, a)
-    ys = class_members_array(n, b)
-    if xs.size == 0 or ys.size == 0:
-        return WeightClassSet.of(n, ())
-    w = n - _popcount(xs[:, None] ^ ys[None, :])
-    return WeightClassSet.of(n, np.unique(w).tolist())
+    return product_multiplicity_table(n, a, b).support()
 
 
 def even_odd_unions(n: int) -> tuple[WeightClassSet, WeightClassSet]:
@@ -280,45 +288,38 @@ def is_sgroup(n: int, s: WeightClassSet | frozenset[int] | set[int]) -> bool:
     )
 
 
-def verify_ring(n: int, check_lambda: bool = True) -> dict:
+def verify_ring(n: int) -> dict:
     """Cross-check the closed forms against the oracles at a single n.
 
-    Returns a report dict with product_ok / lambda_ok flags and explicit
-    counterexamples (empty on success).  The lambda sweep is cubic in n on
-    top of the 4^n enumeration, so it can be switched off for large n.
+    One multiplicity table per unordered class pair serves both checks: its
+    support against `class_product`, its entries against
+    `structure_constant_closed`.  Returns a report dict with product_ok /
+    lambda_ok flags and explicit counterexamples (empty on success),
+    products first, then structure constants in (i, j, k) order.
     """
-    counterexamples = []
-    for a in range(n + 1):
-        for b in range(a, n + 1):
-            got = class_product(n, a, b).sorted()
-            want = class_product_oracle(n, a, b).sorted()
-            if got != want:
-                counterexamples.append(
-                    {"kind": "product", "a": a, "b": b,
-                     "closed": list(got), "oracle": list(want)}
-                )
-    product_ok = not counterexamples
-    lambda_ok = None
-    if check_lambda:
-        lambda_ok = True
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                table = product_multiplicity_table(n, n - i, n - j)
-                for k in range(n + 1):
-                    got_l = structure_constant_closed(n, i, j, k)
-                    want_l = table.coeffs[n - k]
-                    if got_l != want_l:
-                        lambda_ok = False
-                        counterexamples.append(
-                            {"kind": "lambda", "i": i, "j": j, "k": k,
-                             "closed": got_l, "oracle": want_l}
-                        )
+    tables = {(a, b): product_multiplicity_table(n, a, b)
+              for a in range(n + 1) for b in range(a, n + 1)}
+    products = []
+    for (a, b), table in tables.items():
+        got, want = class_product(n, a, b), table.support()
+        if got != want:
+            products.append({"kind": "product", "a": a, "b": b,
+                             "closed": list(got), "oracle": list(want)})
+    lambdas = []
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            table = tables[n - j, n - i]
+            for k in range(n + 1):
+                got, want = structure_constant_closed(n, i, j, k), table.coeffs[n - k]
+                if got != want:
+                    lambdas.append({"kind": "lambda", "i": i, "j": j, "k": k,
+                                    "closed": got, "oracle": want})
     evens, odds = even_odd_unions(n)
     report = {
         "n": n,
-        "product_ok": product_ok,
-        "lambda_ok": lambda_ok,
-        "counterexamples": counterexamples,
+        "product_ok": not products,
+        "lambda_ok": not lambdas,
+        "counterexamples": products + lambdas,
         "even_union_sgroup": is_sgroup(n, evens),
         "odd_union_sgroup": is_sgroup(n, odds),
     }

@@ -1,13 +1,16 @@
 """Package boundaries: modules reach each other only through public names,
-and importing the package loads no process machinery and no numpy.fft."""
+importing the package loads no process machinery and no numpy.fft, and
+every function the benchmark tracer wraps still exists."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "z2schur"
+TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 
 
 def _private(name: str) -> bool:
@@ -72,3 +75,23 @@ def test_import_starts_no_process_machinery():
 def test_import_leaves_numpy_fft_unloaded():
     """autocorr reaches numpy.fft on first use, so set-up does not pay for it."""
     assert loaded_after_import(("numpy.fft",)) == "[]"
+
+
+def test_tracer_targets_exist_and_are_restored():
+    """`perfbench/run.py --trace 1` and `--smoke` wrap these functions by
+    name and break when one is renamed or removed."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [(module, attr) for module, attr, *_ in tracing.SPANNED + tracing.COUNTED]
+    missing = [f"{m.__name__}.{a}" for m, a in targets if not hasattr(m, a)]
+    assert missing == []
+    originals = [getattr(m, a) for m, a in targets]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = [getattr(m, a) for m, a in targets]
+    finally:
+        tracer.remove()
+    assert all(w is not o for w, o in zip(wrapped, originals))
+    assert [getattr(m, a) for m, a in targets] == originals

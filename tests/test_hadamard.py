@@ -74,7 +74,24 @@ def test_builtin_h12():
 def test_corrupted_builtin_detected():
     rows = [str(hd.BUILTIN_H12.row(i)) for i in range(12)]
     rows[3] = "-" + rows[3][1:] if rows[3][0] == "+" else "+" + rows[3][1:]
-    assert not hd.is_hadamard(hd.SignMatrix.from_rows(rows))
+    mat = hd.SignMatrix.from_rows(rows)
+    assert not hd.is_hadamard(mat)
+    assert hd.orthogonality_witness(mat) in ((0, 3, 2), (0, 3, -2))
+
+
+def test_orthogonality_witness_is_the_first_nonorthogonal_pair():
+    assert hd.orthogonality_witness(hd.BUILTIN_H12) is None
+    assert hd.orthogonality_witness(hd.SignMatrix.from_rows(["-"])) is None
+    assert hd.orthogonality_witness(hd.SignMatrix.from_rows(["+++"] * 3)) == (0, 1, 3)
+    assert hd.orthogonality_witness(hd.SignMatrix.from_rows(["++", "++"])) == (0, 1, 2)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda m: st.lists(st.text("+-", min_size=m, max_size=m), min_size=m, max_size=m)))
+def test_no_witness_exactly_when_hadamard(rows):
+    """`hadamard check` decides on the witness alone."""
+    mat = hd.SignMatrix.from_rows(rows)
+    assert (hd.orthogonality_witness(mat) is None) == hd.is_hadamard(mat)
 
 
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=6), st.data())

@@ -481,3 +481,65 @@ def test_spartition_axioms_hold():
     for group in ("D", "DC"):
         rep = spartition_axiom_check(8, group)
         assert rep["is_spartition"], rep["violations"][:3]
+
+
+def spartition_loop(n, group):
+    """The cell-by-cell S-partition check: one mask per cell, one pass per
+    target cell."""
+    t = ob._orbit_table(n, group)
+    reps, canon = t["reps"], t["canon"]
+    x = np.arange(1 << n, dtype=np.int64)
+    cell_of = np.searchsorted(reps, canon).astype(np.int64)
+    cells = [x[cell_of == i] for i in range(reps.size)]
+    violations = []
+    if cells[0].size != 1 or cells[0][0] != 0:
+        violations.append({"kind": "identity_cell", "size": int(cells[0].size)})
+    for i in range(len(cells)):
+        for j in range(i, len(cells)):
+            prods = (cells[i][:, None] ^ cells[j][None, :]).ravel()
+            counts = np.bincount(prods, minlength=1 << n)
+            for k in range(len(cells)):
+                vals = counts[cells[k]]
+                if vals.min() != vals.max():
+                    violations.append(
+                        {"kind": "nonuniform", "i": i, "j": j, "k": k,
+                         "min": int(vals.min()), "max": int(vals.max())}
+                    )
+                    if len(violations) > 20:
+                        return {
+                            "n": n, "group": group, "cells": len(cells),
+                            "violations": violations, "is_spartition": False,
+                        }
+    return {
+        "n": n,
+        "group": group,
+        "cells": len(cells),
+        "violations": violations,
+        "is_spartition": not violations,
+    }
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_spartition_check_matches_cell_loop(group):
+    for n in range(1, 9):
+        assert spartition_axiom_check(n, group) == spartition_loop(n, group)
+
+
+@pytest.mark.parametrize("n, group, word, into, count", [
+    (3, "C", 0b010, 0b011, 5),    # one word moved between cells
+    (5, "DC", 0b00001, 0, 21),    # into the identity cell: the early return
+])
+def test_spartition_check_matches_cell_loop_on_broken_partitions(
+        monkeypatch, n, group, word, into, count):
+    real = ob._orbit_table
+
+    def moved(n, group):
+        t = dict(real(n, group))
+        t["canon"] = t["canon"].copy()
+        t["canon"][word] = t["canon"][into]
+        return t
+
+    monkeypatch.setattr(ob, "_orbit_table", moved)
+    rep = spartition_axiom_check(n, group)
+    assert rep == spartition_loop(n, group)
+    assert not rep["is_spartition"] and len(rep["violations"]) == count

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product as iproduct
 from math import comb
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from z2schur.errors import InvalidWeight, ScaleExceeded
+from z2schur import reproduce
+from z2schur import weight_ring as wr
+from z2schur.errors import InvalidWeight, RingAxiomViolation, ScaleExceeded
 from z2schur.weight_ring import (
     class_members,
     class_members_recursive,
@@ -141,6 +144,53 @@ def test_verify_ring_small_lengths():
         rep = verify_ring(n)
         assert rep["product_ok"] and rep["lambda_ok"]
         assert rep["counterexamples"] == []
+
+
+def test_verify_ring_lists_each_counterexample_once_products_first(monkeypatch):
+    real_product, real_lambda = wr.class_product, wr.structure_constant_closed
+
+    def short_product(n, a, b):
+        got = real_product(n, a, b)
+        if (n, a, b) == (5, 1, 2):
+            return wr.WeightClassSet.of(n, got.sorted()[1:])
+        return got
+
+    def off_lambda(n, i, j, k):
+        return real_lambda(n, i, j, k) + ((n, i, j, k) == (5, 1, 3, 2))
+
+    monkeypatch.setattr(wr, "class_product", short_product)
+    monkeypatch.setattr(wr, "structure_constant_closed", off_lambda)
+    full = list(real_product(5, 1, 2))
+    product = {"kind": "product", "a": 1, "b": 2,
+               "closed": full[1:], "oracle": full}
+    want = real_lambda(5, 1, 3, 2)
+    lam = {"kind": "lambda", "i": 1, "j": 3, "k": 2, "closed": want + 1, "oracle": want}
+    rep = verify_ring(5)
+    assert rep["counterexamples"] == [product, lam]
+    assert rep["product_ok"] is False and rep["lambda_ok"] is False
+    passed, details = reproduce.criterion_class_products(6)
+    assert not passed and details["counterexamples"] == [product]
+    passed, details = reproduce.criterion_structure_constants(6)
+    assert not passed and details["counterexamples"] == [product, lam]
+
+
+def test_multiplicity_table_rejects_a_broken_partition(monkeypatch):
+    """A class missing one member covers some weight class unevenly."""
+    real = wr.class_members_array
+    monkeypatch.setattr(wr, "class_members_array",
+                        lambda n, k: real(n, k)[1:] if k == 2 else real(n, k))
+    counts = Counter(
+        x.bits ^ y.bits for x in list(class_members(6, 2))[1:] for y in class_members(6, 3)
+    )
+    by_weight = {}
+    for z in range(1 << 6):
+        by_weight.setdefault(6 - z.bit_count(), []).append(counts[z])
+    w = min(w for w, c in by_weight.items() if min(c) != max(c))
+    lo, hi = min(by_weight[w]), max(by_weight[w])
+    with pytest.raises(RingAxiomViolation) as err:
+        product_multiplicity_table(6, 2, 3)
+    assert str(err.value) == (
+        f"nonuniform multiplicity on G_6({w}) in G_6(2)*G_6(3): min {lo}, max {hi}")
 
 
 def test_scale_and_weight_guards():
