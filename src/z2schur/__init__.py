@@ -18,22 +18,13 @@ from .errors import (
 )
 from .sequences import (
     BinarySequence,
-    all_sequences,
-    concat_blocks,
-    decimate,
     divisors,
     make_sequence,
-    negate,
-    product,
-    reverse,
-    rotate,
     units,
-    weight,
 )
 from .weight_ring import (
     QuantityVector,
     WeightClassSet,
-    class_members,
     class_product,
     class_size,
     even_odd_unions,
@@ -68,7 +59,6 @@ from .orbits import (
     orbit_product_decomposition,
     spartition_axiom_check,
     square_freeness_check,
-    sym_decomposition,
 )
 from .autocorr import (
     AutocorrVector,

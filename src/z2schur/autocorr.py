@@ -66,9 +66,6 @@ class AutocorrVector:
     def __getitem__(self, k: int) -> int:
         return self.values[k % self.n]
 
-    def offpeak(self) -> tuple[int, ...]:
-        return self.values[1:]
-
 
 def theta(x: BinarySequence) -> AutocorrVector:
     return AutocorrVector(
@@ -135,13 +132,14 @@ def autocorrelation_array(n: int, arr: np.ndarray, k: int) -> np.ndarray:
     return n - 2 * np.bitwise_count(a ^ rotate_bits_array(a, n, k)).astype(np.int64)
 
 
-def verify_identities(n: int, max_violations: int = 10) -> dict:
+def verify_identities(n: int) -> dict:
     """Exhaustively check every identity over all 2^n sequences.
 
     Covers: peak value, shift symmetry, the mod-4 congruence of n - P(k)
     (recorded at every n, even and odd alike), the sum identity, the
     bound P(k) = n - 4a + 4 i_k with 0 <= i_k <= a, and invariance under
-    rotation, reversal, negation, and every decimation.
+    rotation, reversal, negation, and every decimation.  Each check
+    keeps at most ten violating sequences.
     """
     if n > VERIFY_MAX_N:
         raise ScaleExceeded(f"exhaustive sweep capped at n <= {VERIFY_MAX_N}")
@@ -151,7 +149,7 @@ def verify_identities(n: int, max_violations: int = 10) -> dict:
     violations: list[dict] = []
 
     def record(kind: str, mask: np.ndarray, **extra):
-        for i in np.nonzero(mask)[0][:max_violations]:
+        for i in np.nonzero(mask)[0][:10]:
             violations.append(
                 {"kind": kind, "x": str(BinarySequence(n, int(x[i]))), **extra}
             )

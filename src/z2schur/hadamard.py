@@ -98,43 +98,6 @@ class SignMatrix:
     def __str__(self) -> str:
         return self.render()
 
-    # Equivalence moves: all preserve the Hadamard property.
-
-    def negate_row(self, i: int) -> "SignMatrix":
-        mask = (1 << self.m) - 1
-        rows = list(self.rows)
-        rows[i] ^= mask
-        return SignMatrix(self.m, tuple(rows))
-
-    def negate_column(self, j: int) -> "SignMatrix":
-        bit = 1 << (self.m - 1 - j)
-        return SignMatrix(self.m, tuple(r ^ bit for r in self.rows))
-
-    def swap_rows(self, i: int, j: int) -> "SignMatrix":
-        rows = list(self.rows)
-        rows[i], rows[j] = rows[j], rows[i]
-        return SignMatrix(self.m, tuple(rows))
-
-    def swap_columns(self, i: int, j: int) -> "SignMatrix":
-        bi, bj = self.m - 1 - i, self.m - 1 - j
-        rows = []
-        for r in self.rows:
-            vi, vj = (r >> bi) & 1, (r >> bj) & 1
-            if vi != vj:
-                r ^= (1 << bi) | (1 << bj)
-            rows.append(r)
-        return SignMatrix(self.m, tuple(rows))
-
-    def transpose(self) -> "SignMatrix":
-        rows = []
-        for j in range(self.m):
-            bits = 0
-            for i in range(self.m):
-                if (self.rows[i] >> (self.m - 1 - j)) & 1:
-                    bits |= 1 << (self.m - 1 - i)
-            rows.append(bits)
-        return SignMatrix(self.m, tuple(rows))
-
 
 def orthogonality_witness(mat: SignMatrix) -> tuple[int, int, int] | None:
     """The first row pair i < j with a nonzero dot product, as (i, j, dot),
@@ -299,11 +262,6 @@ class SearchResult:
             # Kept until ROADMAP item 5 regenerates perfbench/frozen/.
             "workers": 1,
         }
-
-    def found_orbits(self):
-        from .orbits import classify
-
-        return [classify(make_sequence(s)) for s in self.found]
 
 
 def search_circulant_hadamard(n: int) -> SearchResult:

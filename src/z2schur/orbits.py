@@ -26,8 +26,11 @@ invariance sweeps use, canonicalizes every packed sequence at once by
 coset decomposition: the rotation canon first, by word rotations, then
 one table lookup per coset representative of C, a decimation possibly
 times a reflection, applied to the rotation orbits' least members.
-Burnside and necklace counts give third-party totals to check both
-engines against.
+The symmetric, antisymmetric and decimation-invariant orbits are those
+that meet Fix(R), the words R negates, or Fix(d_r); the vectorized engine
+finds them by looking up `sequences.fixed_words` of that permutation in
+the canon.  Burnside and necklace counts give third-party totals to check
+both engines against.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .sequences import (
     decimate_bits,
     decimation_perm,
     divisors,
+    fixed_words,
     perm_cycles,
     permute_bits,
     permute_bits_array,
@@ -243,10 +247,6 @@ class Orbit:
         return self.period == self.n
 
     @property
-    def nonsymmetric(self) -> bool:
-        return not self.symmetric and not self.antisymmetric
-
-    @property
     def representative(self) -> BinarySequence:
         return BinarySequence(self.n, self.rep)
 
@@ -310,68 +310,16 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
     )
 
 
-# ------------------------------------------------------- special members
-
-def palindrome_bits(n: int) -> list[int]:
-    """All packed sequences equal to their own reversal (2^ceil(n/2))."""
-    half = (n + 1) // 2
-    out = set()
-    for h in range(1 << half):
-        bits = 0
-        for i in range(half):
-            if (h >> i) & 1:
-                bits |= 1 << (n - 1 - i)
-                bits |= 1 << i
-        out.add(bits)
-    return sorted(out)
-
-
-def antipalindrome_bits(n: int) -> list[int]:
-    """All packed sequences whose reversal is their negation (even n only)."""
-    if n % 2:
-        return []
-    half = n // 2
-    out = []
-    for h in range(1 << half):
-        bits = 0
-        for i in range(half):
-            if (h >> i) & 1:
-                bits |= 1 << (n - 1 - i)
-            else:
-                bits |= 1 << i
-        out.append(bits)
-    return sorted(out)
-
-
-def delta_fixed_bits(n: int, r: int) -> np.ndarray:
-    """All packed sequences fixed by d_r, built by constant assignment on
-    the cycles of the position permutation."""
-    masks = [
-        sum(1 << (n - 1 - j) for j in cycle)
-        for cycle in perm_cycles(decimation_perm(n, r))
-    ]
-    if len(masks) > 22:
-        raise ScaleExceeded(f"d_{r} on n={n} has {len(masks)} cycles")
-    out = [0]
-    for mask in masks:
-        out += [b | mask for b in out]
-    return np.array(sorted(out), dtype=np.uint64)
-
-
 # ----------------------------------------------------------- the table
 
 def _orbit_table(n: int, group: str) -> dict:
     canon = canonical_array(n, group)
     reps, sizes = np.unique(canon, return_counts=True)
     reps64 = reps.astype(np.uint64)
-    pal = np.unique(canon[np.asarray(palindrome_bits(n), dtype=np.int64)])
-    anti_src = antipalindrome_bits(n)
-    anti = (
-        np.unique(canon[np.asarray(anti_src, dtype=np.int64)])
-        if anti_src
-        else np.empty(0, dtype=np.uint32)
-    )
-    rev = permute_bits_array(reps64, n, reversal_perm(n))
+    flip = reversal_perm(n)
+    pal = canon[fixed_words(n, flip).astype(np.int64)]
+    anti = canon[fixed_words(n, flip, negated=True).astype(np.int64)]
+    rev = permute_bits_array(reps64, n, flip)
     rev_closed = canon[rev.astype(np.int64)] == reps
     if group == "D":
         # Reversal normalises every other group, so there the reversal of
@@ -381,7 +329,7 @@ def _orbit_table(n: int, group: str) -> dict:
         for start in range(0, canon.size, _CHUNK):
             own = canon[start:start + _CHUNK]
             words = np.arange(start, start + own.size, dtype=np.uint64)
-            mirrored = canon[permute_bits_array(words, n, reversal_perm(n)).astype(np.int64)]
+            mirrored = canon[permute_bits_array(words, n, flip).astype(np.int64)]
             stray[own[mirrored != own]] = True
         rev_closed &= ~stray[reps]
     return {
@@ -415,7 +363,7 @@ def enumerate_orbits(n: int, group: str = "C"):
         members.append(permute_bits_array(members[0], n, reversal_perm(n)))
     mults = units(n)
     fixed_reps = {
-        r: set(np.unique(canon[delta_fixed_bits(n, r).astype(np.int64)]).tolist())
+        r: set(canon[fixed_words(n, decimation_perm(n, r)).astype(np.int64)].tolist())
         for r in mults[1:]
     }
     closed = {}
@@ -527,7 +475,7 @@ def census(n: int, group: str = "C") -> dict:
     for r in units(n):
         if r == 1:
             continue
-        fixed = delta_fixed_bits(n, r)
+        fixed = fixed_words(n, decimation_perm(n, r))
         delta_invariant[r] = int(np.unique(t["canon"][fixed.astype(np.int64)]).size)
     return {
         "n": n,
@@ -540,26 +488,6 @@ def census(n: int, group: str = "C") -> dict:
         "nonsym": int((~sym & ~asym).sum()),
         "delta_invariant": delta_invariant,
     }
-
-
-def sym_decomposition(n: int) -> dict:
-    """Counts of rotation orbits split by symmetric x free, under both
-    readings of "symmetric": containing a reversal-fixed phase, and the
-    weaker property of merely being closed under reversal.
-
-    Keys: SF sym and free, nSF nonsym free, SnF sym nonfree, nSnF neither.
-    """
-    t = _orbit_table(n, "C")
-    free = t["periods"] == n
-    out: dict = {"n": n, "total": int(t["reps"].size)}
-    for label, flag in (("palindromic", t["sym"]), ("reversal_closed", t["rev_closed"])):
-        out[label] = {
-            "SF": int((flag & free).sum()),
-            "nSF": int((~flag & free).sum()),
-            "SnF": int((flag & ~free).sum()),
-            "nSnF": int((~flag & ~free).sum()),
-        }
-    return out
 
 
 # ------------------------------------------------------ invariance sweeps

@@ -8,17 +8,18 @@ with lexicographic order on the '+' < '-' alphabet, and the componentwise
 sign product is a single XOR.  The Hamming weight counts '+' signs, so
 weight(X) = n - popcount(bits) and the identity (all '+') is the zero word.
 
-The automorphisms used throughout:
+The automorphisms used throughout, as `BinarySequence` methods:
 
-    rotate(X, i)   position j of the result is x_{(j+i) mod n}
-    reverse(X)     (x_{n-1}, ..., x_1, x_0)
-    decimate(X, r) position i of the result is x_{ri mod n}, gcd(r, n) = 1
-    negate(X)      every sign flipped
+    X.rotate(i)    position j of the result is x_{(j+i) mod n}
+    X.reverse()    (x_{n-1}, ..., x_1, x_0)
+    X.decimate(r)  position i of the result is x_{ri mod n}, gcd(r, n) = 1
+    -X             every sign flipped
 
 Rotation, reversal and decimation are also given as position
 permutations, applied by `permute_bits` to one packed word and by
-`permute_bits_array` to a numpy array of them; the orbit, autocorrelation
-and Hadamard modules build on these rather than on copies.
+`permute_bits_array` to a numpy array of them; `fixed_words` lists the
+words a permutation fixes or negates.  The orbit, autocorrelation and
+Hadamard modules build on these rather than on copies.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidLength, LengthMismatch, NotCoprime
+from .errors import InvalidLength, LengthMismatch, NotCoprime, ScaleExceeded
 
 MAX_N = 256
 
@@ -88,6 +89,29 @@ def perm_cycles(perm: tuple[int, ...]) -> list[list[int]]:
         if cycle:
             cycles.append(cycle)
     return cycles
+
+
+def fixed_words(n: int, perm: tuple[int, ...], negated: bool = False) -> np.ndarray:
+    """Every packed word x with perm x = x, or perm x = -x when negated,
+    ascending, as uint64.
+
+    A fixed word is constant on each cycle of perm, so it is a union of
+    cycle masks.  A negated one alternates along each cycle, so it takes
+    the even steps of every cycle, XOR any union of cycle masks; an odd
+    cycle admits none.  Refuses more than 22 cycles (4M words).
+    """
+    cycles = perm_cycles(perm)
+    if len(cycles) > 22:
+        raise ScaleExceeded(f"permutation of {n} positions has {len(cycles)} cycles")
+    if negated and any(len(c) % 2 for c in cycles):
+        return np.empty(0, dtype=np.uint64)
+    out = np.zeros(1, dtype=np.uint64)
+    for cycle in cycles:
+        mask = np.uint64(sum(1 << (n - 1 - j) for j in cycle))
+        out = np.concatenate([out, out | mask])
+    if negated:
+        out ^= np.uint64(sum(1 << (n - 1 - j) for c in cycles for j in c[::2]))
+    return np.sort(out)
 
 
 def permute_bits(bits: int, n: int, perm: tuple[int, ...]) -> int:
@@ -213,42 +237,6 @@ def make_sequence(signs: str | Iterable[str]) -> BinarySequence:
     return BinarySequence.from_signs(signs)
 
 
-def weight(x: BinarySequence) -> int:
-    return x.weight
-
-
-def product(x: BinarySequence, y: BinarySequence) -> BinarySequence:
-    return x * y
-
-
-def rotate(x: BinarySequence, i: int) -> BinarySequence:
-    return x.rotate(i)
-
-
-def reverse(x: BinarySequence) -> BinarySequence:
-    return x.reverse()
-
-
-def decimate(x: BinarySequence, r: int) -> BinarySequence:
-    return x.decimate(r)
-
-
-def negate(x: BinarySequence) -> BinarySequence:
-    return -x
-
-
-def concat_blocks(blocks: Iterable[BinarySequence]) -> BinarySequence:
-    """Concatenate equal-length blocks; block i occupies positions [i*d, (i+1)*d)."""
-    blocks = list(blocks)
-    if not blocks:
-        raise InvalidLength("no blocks to concatenate")
-    d = blocks[0].n
-    for block in blocks:
-        if block.n != d:
-            raise LengthMismatch(f"block lengths differ: {d} vs {block.n}")
-    return BinarySequence(d * len(blocks), concat_bits((b.bits for b in blocks), d))
-
-
 def units(n: int) -> tuple[int, ...]:
     """Multipliers coprime to n, the valid decimation parameters."""
     if n == 1:
@@ -267,8 +255,3 @@ def divisors(n: int) -> tuple[int, ...]:
         d += 1
     return tuple(small + large[::-1])
 
-
-def all_sequences(n: int) -> Iterator[BinarySequence]:
-    _check_length(n)
-    for bits in range(1 << n):
-        yield BinarySequence(n, bits)

@@ -72,11 +72,6 @@ def class_members_bits(n: int, k: int) -> Iterator[int]:
         v = gosper_next(v)
 
 
-def class_members(n: int, k: int) -> Iterator[BinarySequence]:
-    for bits in class_members_bits(n, k):
-        yield BinarySequence(n, bits)
-
-
 def class_members_recursive(n: int, k: int) -> Iterator[BinarySequence]:
     """Members via the prefix decomposition G_n(k) = +G_{n-1}(k-1) | -G_{n-1}(k).
 

@@ -29,10 +29,6 @@ def str_negate(s: str) -> str:
     return "".join("-" if c == "+" else "+" for c in s)
 
 
-def str_weight(s: str) -> int:
-    return s.count("-")
-
-
 def str_autocorr(s: str, k: int) -> int:
     n = len(s)
     vals = [1 if c == "+" else -1 for c in s]

@@ -62,7 +62,6 @@ def test_theta_peak_and_symmetry():
     for k in range(1, n):
         assert vec.values[k] == vec.values[n - k]
     assert vec[3] == vec[-3] == vec[n + 3]
-    assert vec.offpeak() == vec.values[1:]
 
 
 def test_autocorr_vector_validation():

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from z2schur import orbits as ob
-from z2schur.errors import ScaleExceeded
 from z2schur.orbits import (
     GROUPS,
     Orbit,
@@ -18,7 +17,6 @@ from z2schur.orbits import (
     census,
     classify,
     cyclic_period,
-    delta_fixed_bits,
     enumerate_orbits,
     fd_partition,
     fd_partition_check,
@@ -29,11 +27,12 @@ from z2schur.orbits import (
     orbit_product_decomposition,
     spartition_axiom_check,
     square_freeness_check,
-    sym_decomposition,
 )
 from z2schur.sequences import (
     BinarySequence,
     decimate_bits,
+    decimation_perm,
+    fixed_words,
     make_sequence,
     permute_bits,
     reverse_bits,
@@ -203,12 +202,16 @@ def test_census_delta_invariant_against_string_oracle():
 
 
 def test_sym_decomposition_quadruples():
+    def quadruple(n, flag):
+        orbits = list(enumerate_orbits(n, "C"))
+        return tuple(
+            sum(1 for o in orbits if getattr(o, flag) == sym and o.free == free)
+            for sym, free in ((True, True), (False, True), (True, False), (False, False))
+        )
+
     for n, quad in SYM_QUADRUPLES.items():
-        rep = sym_decomposition(n)
-        p = rep["palindromic"]
-        assert (p["SF"], p["nSF"], p["SnF"], p["nSnF"]) == quad
-    rc = sym_decomposition(4)["reversal_closed"]
-    assert (rc["SF"], rc["nSF"], rc["SnF"], rc["nSnF"]) == (3, 0, 3, 0)
+        assert quadruple(n, "symmetric") == quad
+    assert quadruple(4, "reversal_closed") == (3, 0, 3, 0)
 
 
 def test_fd_partition_and_masses():
@@ -217,21 +220,6 @@ def test_fd_partition_and_masses():
     for n in (1, 2, 3, 4, 6, 9, 12):
         rep = fd_partition_check(n)
         assert rep["mass_ok"] and rep["formula_ok"]
-
-
-def test_delta_fixed_bits_counts():
-    for n in (4, 6, 9, 10):
-        for r in units(n):
-            fixed = delta_fixed_bits(n, r)
-            want = sum(
-                1
-                for bits in range(1 << n)
-                if str_decimate(str(make_sequence("+").__class__(n, bits)), r)
-                == str(make_sequence("+").__class__(n, bits))
-            )
-            assert fixed.size == want
-    with pytest.raises(ScaleExceeded):
-        delta_fixed_bits(23, 1)
 
 
 def test_enumerate_orbits_consistency():
@@ -247,19 +235,21 @@ def test_enumerate_orbits_consistency():
 
 
 def test_enumerate_orbits_needs_no_identity_table(monkeypatch):
-    # d_1 has n cycles, past the 22-cycle cap of delta_fixed_bits at n = 23
+    # d_1 has n cycles, past the 22-cycle cap of fixed_words at n = 23
     # and 24, so enumerate_orbits must fill r = 1 without a table.
     requested = []
 
-    def spy(n, r):
-        requested.append(r)
-        return delta_fixed_bits(n, r)
+    def spy(n, perm, negated=False):
+        requested.append((n, perm, negated))
+        return fixed_words(n, perm, negated)
 
-    monkeypatch.setattr(ob, "delta_fixed_bits", spy)
+    monkeypatch.setattr(ob, "fixed_words", spy)
     for n, group in ((7, "C"), (8, "HDC"), (9, "D")):
         orbits = list(enumerate_orbits(n, group))
         assert all(o.delta_invariant[0] == 1 for o in orbits)
-    assert requested and 1 not in requested
+        asked = [perm for m, perm, negated in requested if m == n and not negated]
+        assert all(decimation_perm(n, r) in asked for r in units(n)[1:])
+        assert decimation_perm(n, 1) not in asked
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from z2schur.errors import InvalidLength, LengthMismatch, NotCoprime
+from z2schur.errors import InvalidLength, LengthMismatch, NotCoprime, ScaleExceeded
 from z2schur.sequences import (
     BinarySequence,
-    all_sequences,
+    concat_bits,
+    decimation_perm,
     divisors,
+    fixed_words,
     make_sequence,
+    reversal_perm,
     sign_rows,
     units,
 )
@@ -29,7 +33,7 @@ def test_weight_counts_plus_signs(s):
 
 
 def test_ordering_is_lexicographic():
-    seqs = sorted(all_sequences(4))
+    seqs = sorted(BinarySequence(4, bits) for bits in range(16))
     rendered = [str(x) for x in seqs]
     assert rendered == sorted(rendered)
     assert rendered[0] == "++++"
@@ -130,19 +134,57 @@ def test_units_and_divisors():
 
 
 def test_concat_blocks_places_first_block_first():
-    from z2schur.sequences import concat_blocks
+    joined = concat_bits([make_sequence("+-").bits, make_sequence("--").bits], 2)
+    assert str(BinarySequence(4, joined)) == "+---"
+    blocks = ["+-+", "---", "++-", "-++"]
+    joined = concat_bits((make_sequence(b).bits for b in blocks), 3)
+    assert str(BinarySequence(12, joined)) == "".join(blocks)
 
-    joined = concat_blocks([make_sequence("+-"), make_sequence("--")])
-    assert str(joined) == "+---"
-    with pytest.raises(LengthMismatch):
-        concat_blocks([make_sequence("+-"), make_sequence("+")])
+
+def _fixed_by_string(n, image_of):
+    # Packed words whose string s satisfies image_of(s) == s, and those
+    # with image_of(s) == str_negate(s), by brute force over all words.
+    fixed, negated = [], []
+    for bits in range(1 << n):
+        s = str(BinarySequence(n, bits))
+        t = image_of(s)
+        if t == s:
+            fixed.append(bits)
+        if t == str_negate(s):
+            negated.append(bits)
+    return fixed, negated
 
 
-def test_all_sequences_is_complete_and_ordered():
-    seqs = list(all_sequences(3))
-    assert len(seqs) == 8
-    assert len(set(seqs)) == 8
-    assert [x.bits for x in seqs] == list(range(8))
+def _assert_fixed_words(n, perm, fixed, negated):
+    for flag, want in ((False, fixed), (True, negated)):
+        got = fixed_words(n, perm, negated=flag)
+        assert got.dtype == np.uint64
+        assert got.tolist() == want, (n, perm, flag)
+
+
+def test_fixed_words_of_reversal_match_string_oracle():
+    for n in range(1, 13):
+        fixed, negated = _fixed_by_string(n, str_reverse)
+        assert len(fixed) == 1 << (n + 1) // 2
+        assert len(negated) == (0 if n % 2 else 1 << n // 2)
+        _assert_fixed_words(n, reversal_perm(n), fixed, negated)
+
+
+def test_fixed_words_of_decimations_match_string_oracle():
+    for n in range(1, 13):
+        for r in units(n):
+            fixed, negated = _fixed_by_string(n, lambda s: str_decimate(s, r))
+            assert not negated  # d_r fixes position 0
+            _assert_fixed_words(n, decimation_perm(n, r), fixed, negated)
+    with pytest.raises(ScaleExceeded):
+        fixed_words(23, decimation_perm(23, 1))
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(n))))
+def test_fixed_words_of_any_permutation(perm):
+    n = len(perm)
+    fixed, negated = _fixed_by_string(n, lambda s: "".join(s[p] for p in perm))
+    _assert_fixed_words(n, tuple(perm), fixed, negated)
 
 
 @given(st.integers(1, 256), st.data())

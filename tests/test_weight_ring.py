@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from z2schur import reproduce
 from z2schur import weight_ring as wr
 from z2schur.errors import InvalidWeight, RingAxiomViolation, ScaleExceeded
+from z2schur.sequences import BinarySequence
 from z2schur.weight_ring import (
-    class_members,
+    class_members_bits,
     class_members_recursive,
     class_product,
     class_product_oracle,
@@ -34,17 +35,18 @@ def test_class_size_is_binomial():
 def test_class_members_sorted_and_complete():
     for n in range(1, 9):
         for k in range(n + 1):
-            members = list(class_members(n, k))
+            members = list(class_members_bits(n, k))
             assert len(members) == comb(n, k)
-            assert all(str(x).count("+") == k for x in members)
+            assert all(str(BinarySequence(n, x)).count("+") == k for x in members)
             assert members == sorted(members)
 
 
 def test_recursive_decomposition_reproduces_members():
     for n in range(1, 10):
         for k in range(n + 1):
-            assert set(class_members(n, k)) == set(class_members_recursive(n, k))
-    assert set(class_members(12, 5)) == set(class_members_recursive(12, 5))
+            assert set(class_members_bits(n, k)) == \
+                {x.bits for x in class_members_recursive(n, k)}
+    assert set(class_members_bits(12, 5)) == {x.bits for x in class_members_recursive(12, 5)}
 
 
 def test_structure_constant_fixed_values():
@@ -180,7 +182,7 @@ def test_multiplicity_table_rejects_a_broken_partition(monkeypatch):
     monkeypatch.setattr(wr, "class_members_array",
                         lambda n, k: real(n, k)[1:] if k == 2 else real(n, k))
     counts = Counter(
-        x.bits ^ y.bits for x in list(class_members(6, 2))[1:] for y in class_members(6, 3)
+        x ^ y for x in list(class_members_bits(6, 2))[1:] for y in class_members_bits(6, 3)
     )
     by_weight = {}
     for z in range(1 << 6):
