@@ -58,10 +58,12 @@ from .sequences import (
     shift_perm,
     units,
 )
-from .weight_ring import cell_product_range, group_cells
+from .weight_ring import group_cells
 
 MAX_ENUM_N = 24
-_CHUNK = 1 << 20
+# Words per block of a whole-space scan: 256 KB of uint32, so a block and
+# its few temporaries stay in a 2 MB L2 cache.
+_CHUNK = 1 << 16
 
 GROUPS = ("C", "D", "H", "DC", "HC", "HDC")
 
@@ -101,18 +103,16 @@ def group_permutations(n: int, group: str = "C") -> tuple[tuple[int, ...], ...]:
 def _rotation_canon(n: int) -> np.ndarray:
     """canon_C[x] = min over i of rotate(x, i), for every packed x.
 
-    One three-operation word rotation per step; uint32 holds every word
-    up to MAX_ENUM_N.
+    One in-place word rotation per step; uint32 holds every word up to
+    MAX_ENUM_N.
     """
     size = 1 << n
-    canon = np.empty(size, dtype=np.uint32)
+    canon = np.arange(size, dtype=np.uint32)
     for start in range(0, size, _CHUNK):
-        cur = np.arange(start, min(start + _CHUNK, size), dtype=np.uint32)
         best = canon[start:start + _CHUNK]
-        best[:] = cur
+        cur = best.copy()
         for _ in range(n - 1):
-            cur = ((cur << 1) | (cur >> (n - 1))) & (size - 1)
-            np.minimum(best, cur, out=best)
+            np.minimum(best, rotate_bits_array(cur, n, 1, out=cur), out=best)
     return canon
 
 
@@ -152,14 +152,14 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
 
     is exact and constant on rotation orbits.  canon_C comes from word
     rotations; the |K| - 1 = |G|/n - 1 non-identity members of K are then
-    applied bit by bit to the least member of each rotation orbit only,
-    each followed by one lookup in canon_C.  For "D" and "H" there are no
-    rotations: canon_C is the identity, K is the whole group, and every
-    word is its own rotation orbit.
+    applied, by `permute_bits_array`'s byte tables, to the least member of
+    each rotation orbit only, each followed by one lookup in canon_C.  For
+    "D" and "H" there are no rotations: canon_C is the identity, K is the
+    whole group, and every word is its own rotation orbit.
 
-    The word scans are chunked, so besides the uint32 tables peak memory
-    stays at a few uint64 blocks; refuses n beyond MAX_ENUM_N instead of
-    thrashing.
+    Words are uint32 and the scans run in cache-sized blocks, so besides
+    the two 2^n uint32 tables peak memory stays at a few blocks of
+    _CHUNK words; refuses n beyond MAX_ENUM_N instead of thrashing.
     """
     if n > MAX_ENUM_N:
         raise ScaleExceeded(
@@ -173,9 +173,9 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
     # word then looks up through its own representative.
     out = np.empty_like(canon)
     for start in range(0, canon.size, _CHUNK):
-        words = np.arange(start, min(start + _CHUNK, canon.size), dtype=np.uint64)
+        words = np.arange(start, min(start + _CHUNK, canon.size), dtype=np.uint32)
         block = words[canon[start:start + _CHUNK] == words]
-        best = block.astype(np.uint32)
+        best = block.copy()
         for perm in coset_reps:
             np.minimum(best, canon[permute_bits_array(block, n, perm)], out=best)
         out[block] = best
@@ -213,11 +213,13 @@ def periods_array(arr: np.ndarray, n: int) -> np.ndarray:
 
     rotate(X, d) = X exactly when the period divides d, so walking the
     proper divisors downwards and overwriting leaves the least one.
+    Words are uint32 up to n = 32, uint64 beyond.
     """
-    a = arr.astype(np.uint64, copy=False)
+    a = np.asarray(arr).astype(np.uint32 if n <= 32 else np.uint64, copy=False)
     period = np.full(a.shape, n, dtype=np.min_scalar_type(n))
+    turned = np.empty_like(a)
     for d in reversed(divisors(n)[:-1]):
-        period[rotate_bits_array(a, n, d) == a] = d
+        period[rotate_bits_array(a, n, d, out=turned) == a] = d
     return period
 
 
@@ -315,12 +317,10 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
 def _orbit_table(n: int, group: str) -> dict:
     canon = canonical_array(n, group)
     reps, sizes = np.unique(canon, return_counts=True)
-    reps64 = reps.astype(np.uint64)
     flip = reversal_perm(n)
-    pal = canon[fixed_words(n, flip).astype(np.int64)]
-    anti = canon[fixed_words(n, flip, negated=True).astype(np.int64)]
-    rev = permute_bits_array(reps64, n, flip)
-    rev_closed = canon[rev.astype(np.int64)] == reps
+    pal = canon[fixed_words(n, flip)]
+    anti = canon[fixed_words(n, flip, negated=True)]
+    rev_closed = canon[permute_bits_array(reps, n, flip)] == reps
     if group == "D":
         # Reversal normalises every other group, so there the reversal of
         # the rep decides for the whole orbit; under decimations alone,
@@ -328,8 +328,8 @@ def _orbit_table(n: int, group: str) -> dict:
         stray = np.zeros(canon.size, dtype=bool)  # indexed by orbit rep
         for start in range(0, canon.size, _CHUNK):
             own = canon[start:start + _CHUNK]
-            words = np.arange(start, start + own.size, dtype=np.uint64)
-            mirrored = canon[permute_bits_array(words, n, flip).astype(np.int64)]
+            words = np.arange(start, start + own.size, dtype=np.uint32)
+            mirrored = canon[permute_bits_array(words, n, flip)]
             stray[own[mirrored != own]] = True
         rev_closed &= ~stray[reps]
     return {
@@ -338,7 +338,7 @@ def _orbit_table(n: int, group: str) -> dict:
         "canon": canon,
         "reps": reps,
         "sizes": sizes.astype(np.int64),
-        "periods": periods_array(reps64, n),
+        "periods": periods_array(reps, n),
         "sym": np.isin(reps, pal),
         "asym": np.isin(reps, anti),
         "rev_closed": rev_closed,
@@ -358,23 +358,31 @@ def enumerate_orbits(n: int, group: str = "C"):
     """
     t = _orbit_table(n, group)
     canon, reps = t["canon"], t["reps"]
-    members = [reps.astype(np.uint64)]
+    members = [reps]
     if group == "H":
-        members.append(permute_bits_array(members[0], n, reversal_perm(n)))
+        members.append(permute_bits_array(reps, n, reversal_perm(n)))
     mults = units(n)
-    fixed_reps = {
-        r: set(canon[fixed_words(n, decimation_perm(n, r)).astype(np.int64)].tolist())
-        for r in mults[1:]
-    }
-    closed = {}
-    for r in mults[1:]:
+    # Bit b of a mask stands for mults[b]; bit 0, for d_1, is always set.
+    invariant = np.ones(reps.size, dtype=np.int64)
+    closed = np.ones(reps.size, dtype=np.int64)
+    for b, r in enumerate(mults[1:], 1):
+        perm = decimation_perm(n, r)
+        invariant |= np.isin(reps, canon[fixed_words(n, perm)]).astype(np.int64) << b
         hit = np.ones(reps.size, dtype=bool)
         for m in members:
-            hit &= canon[permute_bits_array(m, n, decimation_perm(n, r)).astype(np.int64)] == reps
-        closed[r] = hit.tolist()
+            hit &= canon[permute_bits_array(m, n, perm)] == reps
+        closed |= hit.astype(np.int64) << b
+    subsets: dict[int, tuple[int, ...]] = {}  # a handful of masks recur
+
+    def subset(mask: int) -> tuple[int, ...]:
+        if mask not in subsets:
+            subsets[mask] = tuple(r for b, r in enumerate(mults) if mask >> b & 1)
+        return subsets[mask]
+
     columns = zip(reps.tolist(), t["sizes"].tolist(), t["periods"].tolist(),
-                  t["sym"].tolist(), t["asym"].tolist(), t["rev_closed"].tolist())
-    for i, (rep, size, period, sym, asym, rev_closed) in enumerate(columns):
+                  t["sym"].tolist(), t["asym"].tolist(), t["rev_closed"].tolist(),
+                  invariant.tolist(), closed.tolist())
+    for rep, size, period, sym, asym, rev_closed, inv, cl in columns:
         yield Orbit(
             n=n,
             rep=rep,
@@ -384,10 +392,8 @@ def enumerate_orbits(n: int, group: str = "C"):
             symmetric=sym,
             antisymmetric=asym,
             reversal_closed=rev_closed,
-            delta_invariant=tuple(
-                r for r in mults if r == 1 or rep in fixed_reps[r]
-            ),
-            delta_closed=tuple(r for r in mults if r == 1 or closed[r][i]),
+            delta_invariant=subset(inv),
+            delta_closed=subset(cl),
         )
 
 
@@ -411,7 +417,10 @@ def burnside_count(n: int, group: str = "C") -> int:
 
 
 def fd_partition(n: int) -> dict[int, int]:
-    """Orbit count per exact period d, by direct enumeration.
+    """Orbit count per exact period d, by direct enumeration: the period of
+    every word from `periods_array`, tallied by one bincount per block, so
+    that it stays an oracle independent of the counting formula in
+    `fd_partition_check`.
 
     Satisfies sum_d count[d] * d = 2^n.
     """
@@ -419,15 +428,13 @@ def fd_partition(n: int) -> dict[int, int]:
         raise ScaleExceeded(
             f"full orbit enumeration capped at n <= {MAX_ENUM_N}, got {n}"
         )
-    counts = {d: 0 for d in divisors(n)}
+    words = np.zeros(n + 1, dtype=np.int64)  # words[d]: words of exact period d
     size = 1 << n
     for start in range(0, size, _CHUNK):
-        stop = min(start + _CHUNK, size)
-        period = periods_array(np.arange(start, stop, dtype=np.uint64), n)
-        for d in divisors(n):
-            counts[d] += int(np.count_nonzero(period == d))
-    assert all(counts[d] % d == 0 for d in divisors(n))
-    return {d: counts[d] // d for d in divisors(n)}
+        block = np.arange(start, min(start + _CHUNK, size), dtype=np.uint32)
+        words += np.bincount(periods_array(block, n), minlength=n + 1)
+    assert all(words[d] % d == 0 for d in divisors(n))
+    return {d: int(words[d]) // d for d in divisors(n)}
 
 
 def fd_partition_check(n: int) -> dict:
@@ -476,7 +483,7 @@ def census(n: int, group: str = "C") -> dict:
         if r == 1:
             continue
         fixed = fixed_words(n, decimation_perm(n, r))
-        delta_invariant[r] = int(np.unique(t["canon"][fixed.astype(np.int64)]).size)
+        delta_invariant[r] = int(np.unique(t["canon"][fixed]).size)
     return {
         "n": n,
         "group": group,
@@ -511,8 +518,7 @@ def invariance_check(n: int) -> dict:
     violation_count = 0
     multipliers = [r for r in units(n) if r != 1]
     for r in multipliers:
-        mapped = permute_bits_array(reps.astype(np.uint64), n, decimation_perm(n, r))
-        mapped_canon = t["canon"][mapped.astype(np.int64)]
+        mapped_canon = t["canon"][permute_bits_array(reps, n, decimation_perm(n, r))]
         j = np.searchsorted(reps, mapped_canon)
         for name, arr in flags.items():
             bad = np.nonzero(arr != arr[j])[0]
@@ -542,19 +548,19 @@ def _lyndon_words(n: int) -> np.ndarray:
     rotations, ascending: the least member of every free rotation orbit.
 
     Each chunk keeps only the survivors after each rotation, so the work
-    shrinks towards the 2^n / n words that are left.
+    shrinks towards the 2^n / n words that are left.  uint32, like every
+    whole-space word up to MAX_ENUM_N.
     """
     size = 1 << n
     found = []
     for start in range(0, size, _CHUNK):
         words = np.arange(start, min(start + _CHUNK, size), dtype=np.uint32)
-        turned = words
+        turned = words.copy()
         for _ in range(n - 1):
-            turned = ((turned << 1) | (turned >> (n - 1))) & (size - 1)
-            keep = words < turned
+            keep = words < rotate_bits_array(turned, n, 1, out=turned)
             words, turned = words[keep], turned[keep]
         found.append(words)
-    return np.concatenate(found).astype(np.uint64)
+    return np.concatenate(found)
 
 
 def _below_full_period(arr: np.ndarray, n: int) -> np.ndarray:
@@ -562,9 +568,10 @@ def _below_full_period(arr: np.ndarray, n: int) -> np.ndarray:
     it is short exactly when it divides some maximal proper divisor n/p."""
     proper = divisors(n)[:-1]
     short = np.zeros(arr.shape, dtype=bool)
+    turned = np.empty_like(arr)
     for d in proper:
         if not any(e % d == 0 for e in proper if e > d):
-            short |= rotate_bits_array(arr, n, d) == arr
+            short |= rotate_bits_array(arr, n, d, out=turned) == arr
     return short
 
 
@@ -695,36 +702,63 @@ def orbit_product_decomposition(x: BinarySequence, y: BinarySequence) -> dict:
     }
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the 1-d array a starts."""
+    edge = np.empty(a.size, dtype=bool)
+    edge[:1] = True
+    np.not_equal(a[1:], a[:-1], out=edge[1:])
+    return np.flatnonzero(edge)
+
+
 def spartition_axiom_check(n: int, group: str = "DC") -> dict:
     """Verify the orbit partition of a group is a legitimate S-partition:
     the identity cell is a singleton, every cell is closed under inverse
     (automatic here, every element is its own inverse), and each pairwise
     cell product covers every cell uniformly.
 
-    Each cell pair i <= j costs one `weight_ring.cell_product_range` call;
-    the sweep stops at 21 violations, reported in (i, j, k) order."""
+    Row i of the sweep takes the products of cell i with every cell j >= i
+    at once: each product word is keyed j 2^n + its place in the cell
+    order, and one sort of the keys gives the multiplicity of every
+    (j, word) pair met, grouped by (j, cell k).  Cell k is covered
+    uniformly when all its words are met equally often, or none is.  The
+    sweep stops at 21 violations, reported in (i, j, k) order."""
     if n > 14:
         raise ScaleExceeded(f"cell product sweep capped at n <= 14, got {n}")
     t = _orbit_table(n, group)
     order, starts = group_cells(np.searchsorted(t["reps"], t["canon"]))
-    cells = np.split(order, starts[1:])
+    ends = np.append(starts[1:], order.size)
+    cell_sizes = ends - starts
+    # Keys stay below 2^(2n) <= 2^28, so int32 sorts them.
+    cell_at = np.repeat(np.arange(starts.size, dtype=np.int32), cell_sizes)
+    place = np.empty(order.size, dtype=np.int32)
+    place[order] = np.arange(order.size, dtype=np.int32)
     violations = []
-    if cells[0].size != 1 or cells[0][0] != 0:
-        violations.append({"kind": "identity_cell", "size": int(cells[0].size)})
+    if cell_sizes[0] != 1 or order[0] != 0:
+        violations.append({"kind": "identity_cell", "size": int(cell_sizes[0])})
 
     def nonuniform():
-        for i in range(len(cells)):
-            for j in range(i, len(cells)):
-                lo, hi = cell_product_range(cells[i], cells[j], order, starts)
-                for k in np.flatnonzero(lo != hi).tolist():
-                    yield {"kind": "nonuniform", "i": i, "j": j, "k": k,
-                           "min": int(lo[k]), "max": int(hi[k])}
+        for i in range(starts.size):
+            xs, ys = order[starts[i]:ends[i]], order[starts[i]:]
+            keys = (cell_at[starts[i]:] << n) + place[xs[:, None] ^ ys[None, :]]
+            keys = np.sort(keys, axis=None)
+            first = _run_starts(keys)
+            met = keys[first]
+            mult = np.diff(first, append=keys.size)
+            j, k = met >> n, cell_at[met & (order.size - 1)]
+            pair = _run_starts(j * starts.size + k)
+            j, k = j[pair], k[pair]
+            lo = np.minimum.reduceat(mult, pair)
+            hi = np.maximum.reduceat(mult, pair)
+            lo[np.diff(pair, append=met.size) < cell_sizes[k]] = 0  # a word not met
+            for f in np.flatnonzero(lo != hi).tolist():
+                yield {"kind": "nonuniform", "i": i, "j": int(j[f]), "k": int(k[f]),
+                       "min": int(lo[f]), "max": int(hi[f])}
 
     violations += islice(nonuniform(), 21 - len(violations))
     return {
         "n": n,
         "group": group,
-        "cells": len(cells),
+        "cells": int(starts.size),
         "violations": violations,
         "is_spartition": not violations,
     }

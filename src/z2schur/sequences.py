@@ -17,14 +17,20 @@ The automorphisms used throughout, as `BinarySequence` methods:
 
 Rotation, reversal and decimation are also given as position
 permutations, applied by `permute_bits` to one packed word and by
-`permute_bits_array` to a numpy array of them; `fixed_words` lists the
-words a permutation fixes or negates.  The orbit, autocorrelation and
-Hadamard modules build on these rather than on copies.
+`permute_bits_array` to a numpy array of them.  Both use one kernel: per
+(n, permutation), built on first use and cached, ceil(n/8) tables of 256
+entries map each byte of the input to the output bits it lands on, so a
+word costs ceil(n/8) lookups instead of n bit moves.  The array form keeps
+the dtype of its input (uint32 words for the whole-space scans, uint64 up
+to n = 64), and `rotate_bits_array` likewise, optionally in place.
+`fixed_words` lists the words a permutation fixes or negates.  The orbit,
+autocorrelation and Hadamard modules build on these rather than on copies.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -114,11 +120,34 @@ def fixed_words(n: int, perm: tuple[int, ...], negated: bool = False) -> np.ndar
     return np.sort(out)
 
 
+@lru_cache(maxsize=1024)
+def _byte_tables(n: int, perm: tuple[int, ...]) -> tuple[list, np.ndarray | None]:
+    """Where perm sends each byte of a packed word: row b maps the value of
+    bits 8b..8b+7 to the bits they move to, so ORing one lookup per byte
+    applies perm.  Returns the rows for single words, as array("Q") (as
+    Python int lists past 64 positions), and the same rows as one uint64
+    numpy table for arrays of words (None past 64 positions)."""
+    dest = [0] * (8 * ((n + 7) // 8))  # dest[s]: the bit that input bit s becomes
+    for j, p in enumerate(perm):
+        dest[n - 1 - p] = 1 << (n - 1 - j)
+    rows = []
+    for base in range(0, n, 8):
+        row = [0]
+        for bit in dest[base:base + 8]:  # entries v and v + 2^t differ by bit t
+            row += [v | bit for v in row]
+        rows.append(row)
+    if n > 64:
+        return rows, None
+    table = np.array(rows, dtype=np.uint64)
+    table.flags.writeable = False
+    return [array("Q", row.tobytes()) for row in table], table
+
+
 def permute_bits(bits: int, n: int, perm: tuple[int, ...]) -> int:
     out = 0
-    for j in range(n):
-        if (bits >> (n - 1 - perm[j])) & 1:
-            out |= 1 << (n - 1 - j)
+    for row in _byte_tables(n, perm)[0]:
+        out |= row[bits & 255]
+        bits >>= 8
     return out
 
 
@@ -127,23 +156,36 @@ def decimate_bits(bits: int, n: int, r: int) -> int:
 
 
 def permute_bits_array(arr: np.ndarray, n: int, perm: tuple[int, ...]) -> np.ndarray:
-    """Apply one position permutation to a whole array of packed sequences."""
-    a = arr.astype(np.uint64, copy=False)
-    out = np.zeros(a.shape, dtype=np.uint64)
-    for j in range(n):
-        src = n - 1 - perm[j]
-        dst = n - 1 - j
-        out |= ((a >> np.uint64(src)) & np.uint64(1)) << np.uint64(dst)
+    """Apply one position permutation to a whole array of packed sequences,
+    n <= 64.  The result has the dtype of arr, which must hold n bits."""
+    a = np.asarray(arr)
+    table = _byte_tables(n, perm)[1]
+    if table is None:
+        raise ValueError(f"array permutations hold at most 64 positions, got {n}")
+    table = table.astype(a.dtype, copy=False)
+    out = table[0][a & 255]
+    for b in range(1, table.shape[0]):
+        out |= table[b][(a >> 8 * b) & 255]
     return out
 
 
-def rotate_bits_array(arr: np.ndarray, n: int, i: int) -> np.ndarray:
-    i %= n
-    a = arr.astype(np.uint64, copy=False)
+def rotate_bits_array(arr: np.ndarray, n: int, i: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """rotate(X, i) for a whole array of packed sequences, into out when
+    given (out may be arr itself).  The result has the dtype of arr, which
+    must hold n bits."""
+    a = np.asarray(arr)
+    if out is None:
+        out = np.empty_like(a)
+    n, i = int(n), int(i) % n
     if i == 0:
-        return a.copy()
-    mask = np.uint64((1 << n) - 1)
-    return ((a << np.uint64(i)) | (a >> np.uint64(n - i))) & mask
+        np.copyto(out, a)
+        return out
+    low = a >> (n - i)  # taken first, so that out may overwrite arr
+    np.left_shift(a, i, out=out)
+    out |= low
+    out &= (1 << n) - 1
+    return out
 
 
 def sign_rows(words: Iterable[int], n: int) -> np.ndarray:

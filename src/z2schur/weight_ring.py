@@ -7,9 +7,10 @@ of two classes is a two-branch interval formula.  Both closed forms are
 paired here with one brute-force oracle: the XOR enumeration of a class
 pair, whose multiplicity table checks the structure constants and whose
 support checks the set-level product.  It runs on the cell-product kernel
-(`group_cells`, `cell_product_range`), which `orbits.spartition_axiom_check`
-shares: per cell of a partition of Z_2^n, the least and greatest
-multiplicity of its words in a product, equal when the S-ring axiom holds.
+(`group_cells`, `cell_product_range`): per cell of a partition of Z_2^n,
+the least and greatest multiplicity of its words in a product, equal when
+the S-ring axiom holds.  `orbits.spartition_axiom_check` shares
+`group_cells` and sweeps a whole row of cell pairs per call instead.
 
 Index conventions.  The closed structure-constant form is stated in the
 complement indexing T_i = G_n(n - i); the public helpers speak weights and

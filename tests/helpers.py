@@ -21,6 +21,11 @@ def str_decimate(s: str, r: int) -> str:
     return "".join(s[(r * j) % n] for j in range(n))
 
 
+def str_permute(s: str, perm) -> str:
+    # Position j of the image reads position perm[j].
+    return "".join(s[p] for p in perm)
+
+
 def str_product(s: str, t: str) -> str:
     return "".join("+" if a == b else "-" for a, b in zip(s, t, strict=True))
 

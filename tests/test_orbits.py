@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -277,9 +278,10 @@ def test_scalar_engine_matches_vector_engine(n_bits, group):
 
 
 def test_vector_engine_matches_classify_at_ceiling_sizes():
-    # The hypothesis test above stops at n = 16; sample whole records here.
+    # The hypothesis test above stops at n = 16; sample whole records here,
+    # up to the enumeration cap.
     rng = np.random.default_rng(20)
-    for n, group in ((20, "HDC"), (21, "HC"), (22, "DC")):
+    for n, group in ((20, "HDC"), (21, "HC"), (22, "DC"), (23, "HC"), (24, "HDC")):
         orbits = list(enumerate_orbits(n, group))
         for i in rng.choice(len(orbits), size=40, replace=False).tolist():
             o = orbits[i]
@@ -327,6 +329,7 @@ def test_chunked_scans_match_one_block(monkeypatch):
     def results(n):
         return ([list(enumerate_orbits(n, group)) for group in GROUPS],
                 [canonical_array(n, group).tolist() for group in GROUPS],
+                [census(n, group) for group in GROUPS], invariance_check(n),
                 square_freeness_check(n), fd_partition(n))
 
     for n in (9, 10):
@@ -334,6 +337,25 @@ def test_chunked_scans_match_one_block(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(ob, "_CHUNK", 1 << 4)
             assert results(n) == whole, n
+
+
+def _peak_traced_mb(fn):
+    # numpy reports its buffers to tracemalloc; the warm-up call fills the
+    # caches of group and permutation tables first.
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_whole_space_scans_stay_in_cache_sized_blocks():
+    # canonical_array keeps its 4 MB uint32 table; the blocks around it,
+    # and all of fd_partition, stay at a few _CHUNK-word buffers.
+    assert _peak_traced_mb(lambda: canonical_array(20, "C")) < 4 + 2
+    assert _peak_traced_mb(lambda: fd_partition(20)) < 2
 
 
 def test_invariance_check_clean_small():

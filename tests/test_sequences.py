@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,11 +14,21 @@ from z2schur.sequences import (
     divisors,
     fixed_words,
     make_sequence,
+    permute_bits,
+    permute_bits_array,
     reversal_perm,
+    rotate_bits_array,
     sign_rows,
     units,
 )
-from helpers import str_decimate, str_negate, str_product, str_reverse, str_rotate
+from helpers import (
+    str_decimate,
+    str_negate,
+    str_permute,
+    str_product,
+    str_reverse,
+    str_rotate,
+)
 
 signs = st.text(alphabet="+-", min_size=1, max_size=40)
 
@@ -185,6 +196,56 @@ def test_fixed_words_of_any_permutation(perm):
     n = len(perm)
     fixed, negated = _fixed_by_string(n, lambda s: "".join(s[p] for p in perm))
     _assert_fixed_words(n, tuple(perm), fixed, negated)
+
+
+def _oracle_perms(n, rng):
+    # Three seeded shuffles, the reversal and every decimation, each built
+    # here from its definition.
+    perms = [tuple(rng.sample(range(n), n)) for _ in range(3)]
+    perms.append(tuple(range(n - 1, -1, -1)))
+    perms += [tuple(r * j % n for j in range(n))
+              for r in range(1, max(n, 2)) if math.gcd(r, n) == 1]
+    return perms
+
+
+def test_permutation_kernel_matches_string_oracle():
+    # Words as 0/1 strings with position j at index j, permuted by string
+    # reordering: nothing shared with the byte tables under test.
+    rng = random.Random(64)
+    for n in range(1, 65):
+        words = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(14)]
+        dtypes = (np.uint32, np.uint64) if n <= 32 else (np.uint64,)
+        for perm in _oracle_perms(n, rng):
+            want = [int(str_permute(format(w, f"0{n}b"), perm), 2) for w in words]
+            assert [permute_bits(w, n, perm) for w in words] == want, (n, perm)
+            for dtype in dtypes:
+                got = permute_bits_array(np.array(words, dtype=dtype), n, perm)
+                assert got.dtype == dtype and got.tolist() == want, (n, perm, dtype)
+
+
+def test_permutation_kernel_past_sixty_four_positions():
+    # One word goes through Python-int tables up to MAX_N; arrays stop at 64.
+    rng = random.Random(256)
+    for n in (65, 100, 256):
+        perm = tuple(rng.sample(range(n), n))
+        for w in (0, (1 << n) - 1, rng.getrandbits(n)):
+            assert permute_bits(w, n, perm) == int(str_permute(format(w, f"0{n}b"), perm), 2)
+    with pytest.raises(ValueError):
+        permute_bits_array(np.zeros(1, dtype=np.uint64), 65, tuple(range(65)))
+
+
+def test_rotate_bits_array_keeps_dtype_and_writes_in_place():
+    rng = random.Random(32)
+    for n in (1, 7, 24, 32, 33, 64):
+        words = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]
+        for dtype in (np.uint32, np.uint64) if n <= 32 else (np.uint64,):
+            for i in (0, 1, n - 1, n + 2):
+                want = [int(str_rotate(format(w, f"0{n}b"), i), 2) for w in words]
+                arr = np.array(words, dtype=dtype)
+                got = rotate_bits_array(arr, n, i)
+                assert got.dtype == dtype and got.tolist() == want, (n, i, dtype)
+                assert rotate_bits_array(arr, n, i, out=arr) is arr
+                assert arr.tolist() == want, (n, i, dtype)
 
 
 @given(st.integers(1, 256), st.data())
