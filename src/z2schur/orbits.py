@@ -213,9 +213,9 @@ def periods_array(arr: np.ndarray, n: int) -> np.ndarray:
 
     rotate(X, d) = X exactly when the period divides d, so walking the
     proper divisors downwards and overwriting leaves the least one.
-    Words are uint32 up to n = 32, uint64 beyond.
+    Words are uint32, so n <= MAX_ENUM_N.
     """
-    a = np.asarray(arr).astype(np.uint32 if n <= 32 else np.uint64, copy=False)
+    a = np.asarray(arr).astype(np.uint32, copy=False)
     period = np.full(a.shape, n, dtype=np.min_scalar_type(n))
     turned = np.empty_like(a)
     for d in reversed(divisors(n)[:-1]):
@@ -661,11 +661,11 @@ def asym_square_check(n: int) -> dict:
             "subset_reversal_closed": True,
         }
     prods = np.unique((asym_members[:, None] ^ asym_members[None, :]).ravel())
-    rev = permute_bits_array(prods.astype(np.uint64), n, reversal_perm(n))
+    rev = permute_bits_array(prods, n, reversal_perm(n))
     return {
         "n": n,
         "asym_nonempty": True,
-        "set_reversal_closed": bool(np.isin(rev.astype(np.int64), prods).all()),
+        "set_reversal_closed": bool(np.isin(rev, prods).all()),
         "subset_palindromic": bool(member_flag(t["sym"], prods).all()),
         "subset_reversal_closed": bool(member_flag(t["rev_closed"], prods).all()),
     }

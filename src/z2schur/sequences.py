@@ -16,13 +16,17 @@ The automorphisms used throughout, as `BinarySequence` methods:
     -X             every sign flipped
 
 Rotation, reversal and decimation are also given as position
-permutations, applied by `permute_bits` to one packed word and by
-`permute_bits_array` to a numpy array of them.  Both use one kernel: per
-(n, permutation), built on first use and cached, ceil(n/8) tables of 256
-entries map each byte of the input to the output bits it lands on, so a
-word costs ceil(n/8) lookups instead of n bit moves.  The array form keeps
-the dtype of its input (uint32 words for the whole-space scans, uint64 up
-to n = 64), and `rotate_bits_array` likewise, optionally in place.
+permutations.  `permute_bits` applies one to a single packed word by
+reordering its n-digit binary string, which needs no per-permutation
+state: the orbit queries ask for thousands of distinct conjugates at
+large n, so tables built per permutation would rarely be reused there.
+`permute_bits_array` applies one to a numpy array of words, n <= 64, by
+byte tables: per (n, permutation), built on first use and cached,
+ceil(n/8) tables of 256 entries map each byte of the input to the output
+bits it lands on, so a word costs ceil(n/8) lookups instead of n bit
+moves.  It keeps the dtype of its input (uint32 words for the whole-space
+scans, uint64 up to n = 64), and `rotate_bits_array` likewise, optionally
+in place.
 `fixed_words` lists the words a permutation fixes or negates.  The orbit,
 autocorrelation and Hadamard modules build on these rather than on copies.
 """
@@ -30,9 +34,9 @@ autocorrelation and Hadamard modules build on these rather than on copies.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -120,13 +124,20 @@ def fixed_words(n: int, perm: tuple[int, ...], negated: bool = False) -> np.ndar
     return np.sort(out)
 
 
-@lru_cache(maxsize=1024)
-def _byte_tables(n: int, perm: tuple[int, ...]) -> tuple[list, np.ndarray | None]:
-    """Where perm sends each byte of a packed word: row b maps the value of
-    bits 8b..8b+7 to the bits they move to, so ORing one lookup per byte
-    applies perm.  Returns the rows for single words, as array("Q") (as
-    Python int lists past 64 positions), and the same rows as one uint64
-    numpy table for arrays of words (None past 64 positions)."""
+def permute_bits(bits: int, n: int, perm: tuple[int, ...]) -> int:
+    # bin() of bits | 2^n is "0b1" followed by position 0 .. n-1.
+    return int("".join(itemgetter(*perm)(bin(bits | 1 << n)[3:])), 2)
+
+
+def decimate_bits(bits: int, n: int, r: int) -> int:
+    return permute_bits(bits, n, decimation_perm(n, r))
+
+
+@lru_cache(maxsize=256)  # at most 16 KB each
+def _byte_tables(n: int, perm: tuple[int, ...]) -> np.ndarray:
+    """Where perm sends each byte of a packed word, n <= 64: row b maps the
+    value of bits 8b..8b+7 to the bits they move to, so ORing one lookup
+    per byte applies perm."""
     dest = [0] * (8 * ((n + 7) // 8))  # dest[s]: the bit that input bit s becomes
     for j, p in enumerate(perm):
         dest[n - 1 - p] = 1 << (n - 1 - j)
@@ -136,33 +147,18 @@ def _byte_tables(n: int, perm: tuple[int, ...]) -> tuple[list, np.ndarray | None
         for bit in dest[base:base + 8]:  # entries v and v + 2^t differ by bit t
             row += [v | bit for v in row]
         rows.append(row)
-    if n > 64:
-        return rows, None
     table = np.array(rows, dtype=np.uint64)
     table.flags.writeable = False
-    return [array("Q", row.tobytes()) for row in table], table
-
-
-def permute_bits(bits: int, n: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for row in _byte_tables(n, perm)[0]:
-        out |= row[bits & 255]
-        bits >>= 8
-    return out
-
-
-def decimate_bits(bits: int, n: int, r: int) -> int:
-    return permute_bits(bits, n, decimation_perm(n, r))
+    return table
 
 
 def permute_bits_array(arr: np.ndarray, n: int, perm: tuple[int, ...]) -> np.ndarray:
     """Apply one position permutation to a whole array of packed sequences,
     n <= 64.  The result has the dtype of arr, which must hold n bits."""
-    a = np.asarray(arr)
-    table = _byte_tables(n, perm)[1]
-    if table is None:
+    if n > 64:
         raise ValueError(f"array permutations hold at most 64 positions, got {n}")
-    table = table.astype(a.dtype, copy=False)
+    a = np.asarray(arr)
+    table = _byte_tables(n, perm).astype(a.dtype, copy=False)
     out = table[0][a & 255]
     for b in range(1, table.shape[0]):
         out |= table[b][(a >> 8 * b) & 255]

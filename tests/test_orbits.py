@@ -352,9 +352,12 @@ def _peak_traced_mb(fn):
 
 
 def test_whole_space_scans_stay_in_cache_sized_blocks():
-    # canonical_array keeps its 4 MB uint32 table; the blocks around it,
-    # and all of fd_partition, stay at a few _CHUNK-word buffers.
+    # canonical_array keeps its 4 MB uint32 table, plus a second one where
+    # the coset representatives are applied through the byte tables; the
+    # blocks around them, and all of fd_partition, stay at a few
+    # _CHUNK-word buffers.
     assert _peak_traced_mb(lambda: canonical_array(20, "C")) < 4 + 2
+    assert _peak_traced_mb(lambda: canonical_array(20, "HDC")) < 8 + 2
     assert _peak_traced_mb(lambda: fd_partition(20)) < 2
 
 

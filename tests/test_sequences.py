@@ -210,7 +210,7 @@ def _oracle_perms(n, rng):
 
 def test_permutation_kernel_matches_string_oracle():
     # Words as 0/1 strings with position j at index j, permuted by string
-    # reordering: nothing shared with the byte tables under test.
+    # reordering: nothing shared with the kernels under test.
     rng = random.Random(64)
     for n in range(1, 65):
         words = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(14)]
@@ -224,7 +224,7 @@ def test_permutation_kernel_matches_string_oracle():
 
 
 def test_permutation_kernel_past_sixty_four_positions():
-    # One word goes through Python-int tables up to MAX_N; arrays stop at 64.
+    # One word is permuted up to MAX_N; arrays stop at 64.
     rng = random.Random(256)
     for n in (65, 100, 256):
         perm = tuple(rng.sample(range(n), n))
