@@ -26,11 +26,12 @@ invariance sweeps use, canonicalizes every packed sequence at once by
 coset decomposition: the rotation canon first, by word rotations, then
 one table lookup per coset representative of C, a decimation possibly
 times a reflection, applied to the rotation orbits' least members.
-The symmetric, antisymmetric and decimation-invariant orbits are those
-that meet Fix(R), the words R negates, or Fix(d_r); the vectorized engine
-finds them by looking up `sequences.fixed_words` of that permutation in
-the canon.  Burnside and necklace counts give third-party totals to check
-both engines against.
+Its table has one row per orbit, keyed by the words the canon fixes, and
+answers every "which orbit holds this word?" by one lookup; the
+symmetric, antisymmetric and decimation-invariant orbits are those that
+meet Fix(R), the words R negates, or Fix(d_r) (`sequences.fixed_words`).
+Only `enumerate_orbits` counts orbit sizes.  Burnside and necklace counts
+give third-party totals to check both engines against.
 """
 
 from __future__ import annotations
@@ -173,8 +174,7 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
     # word then looks up through its own representative.
     out = np.empty_like(canon)
     for start in range(0, canon.size, _CHUNK):
-        words = np.arange(start, min(start + _CHUNK, canon.size), dtype=np.uint32)
-        block = words[canon[start:start + _CHUNK] == words]
+        block = _self_mapped(canon, start)
         best = block.copy()
         for perm in coset_reps:
             np.minimum(best, canon[permute_bits_array(block, n, perm)], out=best)
@@ -183,6 +183,12 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
         chunk = canon[start:start + _CHUNK]
         chunk[:] = out[chunk]
     return canon
+
+
+def _self_mapped(canon: np.ndarray, start: int) -> np.ndarray:
+    """The words x in [start, start + _CHUNK) with canon[x] == x, ascending."""
+    words = np.arange(start, min(start + _CHUNK, canon.size), dtype=np.uint32)
+    return words[canon[start:start + _CHUNK] == words]
 
 
 def canonical_rep(x: BinarySequence, group: str = "C") -> BinarySequence:
@@ -315,12 +321,18 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
 # ----------------------------------------------------------- the table
 
 def _orbit_table(n: int, group: str) -> dict:
+    """One row per orbit, ascending by `reps`: the words `canon` maps to
+    themselves, collected block by block, so nothing sorts the space.
+    `_orbit_index` maps words to rows; sizes are left to `enumerate_orbits`."""
     canon = canonical_array(n, group)
-    reps, sizes = np.unique(canon, return_counts=True)
+    reps = np.concatenate([_self_mapped(canon, start)
+                           for start in range(0, canon.size, _CHUNK)])
+    t = {"n": n, "group": group, "canon": canon, "reps": reps,
+         "periods": periods_array(reps, n)}
     flip = reversal_perm(n)
-    pal = canon[fixed_words(n, flip)]
-    anti = canon[fixed_words(n, flip, negated=True)]
-    rev_closed = canon[permute_bits_array(reps, n, flip)] == reps
+    t["sym"] = _meets(t, fixed_words(n, flip))
+    t["asym"] = _meets(t, fixed_words(n, flip, negated=True))
+    t["rev_closed"] = canon[permute_bits_array(reps, n, flip)] == reps
     if group == "D":
         # Reversal normalises every other group, so there the reversal of
         # the rep decides for the whole orbit; under decimations alone,
@@ -331,18 +343,20 @@ def _orbit_table(n: int, group: str) -> dict:
             words = np.arange(start, start + own.size, dtype=np.uint32)
             mirrored = canon[permute_bits_array(words, n, flip)]
             stray[own[mirrored != own]] = True
-        rev_closed &= ~stray[reps]
-    return {
-        "n": n,
-        "group": group,
-        "canon": canon,
-        "reps": reps,
-        "sizes": sizes.astype(np.int64),
-        "periods": periods_array(reps, n),
-        "sym": np.isin(reps, pal),
-        "asym": np.isin(reps, anti),
-        "rev_closed": rev_closed,
-    }
+        t["rev_closed"] &= ~stray[reps]
+    return t
+
+
+def _orbit_index(t: dict, words: np.ndarray) -> np.ndarray:
+    """The table row of the orbit that holds each of the words."""
+    return np.searchsorted(t["reps"], t["canon"][words])
+
+
+def _meets(t: dict, words: np.ndarray) -> np.ndarray:
+    """Per table row, whether the orbit holds any of the words."""
+    hit = np.zeros(t["reps"].size, dtype=bool)
+    hit[_orbit_index(t, words)] = True
+    return hit
 
 
 def enumerate_orbits(n: int, group: str = "C"):
@@ -350,14 +364,15 @@ def enumerate_orbits(n: int, group: str = "C"):
 
     Flags come from the vectorized table; the per-multiplier flags are
     filled only here in the streaming path, far fewer calls than one
-    classify per orbit: delta_invariant from one canon lookup per
-    d_r-fixed word, delta_closed from one canon lookup per decimated rep
-    (and per decimated reversed rep under "H", the one group d_r does not
-    normalise).  d_1 fixes every sequence, so 1 joins both flags of every
-    orbit without a table.
+    classify per orbit: delta_invariant from the orbits that the d_r-fixed
+    words meet, as in `census`, delta_closed from one canon lookup per
+    decimated rep (and per decimated reversed rep under "H", the one group
+    d_r does not normalise).  d_1 fixes every sequence, so 1 joins both
+    flags of every orbit.  Sizes, needed only here, count the canon values.
     """
     t = _orbit_table(n, group)
     canon, reps = t["canon"], t["reps"]
+    sizes = np.unique(canon, return_counts=True)[1]
     members = [reps]
     if group == "H":
         members.append(permute_bits_array(reps, n, reversal_perm(n)))
@@ -367,7 +382,7 @@ def enumerate_orbits(n: int, group: str = "C"):
     closed = np.ones(reps.size, dtype=np.int64)
     for b, r in enumerate(mults[1:], 1):
         perm = decimation_perm(n, r)
-        invariant |= np.isin(reps, canon[fixed_words(n, perm)]).astype(np.int64) << b
+        invariant |= _meets(t, fixed_words(n, perm)).astype(np.int64) << b
         hit = np.ones(reps.size, dtype=bool)
         for m in members:
             hit &= canon[permute_bits_array(m, n, perm)] == reps
@@ -379,7 +394,7 @@ def enumerate_orbits(n: int, group: str = "C"):
             subsets[mask] = tuple(r for b, r in enumerate(mults) if mask >> b & 1)
         return subsets[mask]
 
-    columns = zip(reps.tolist(), t["sizes"].tolist(), t["periods"].tolist(),
+    columns = zip(reps.tolist(), sizes.tolist(), t["periods"].tolist(),
                   t["sym"].tolist(), t["asym"].tolist(), t["rev_closed"].tolist(),
                   invariant.tolist(), closed.tolist())
     for rep, size, period, sym, asym, rev_closed, inv, cl in columns:
@@ -399,13 +414,9 @@ def enumerate_orbits(n: int, group: str = "C"):
 
 # --------------------------------------------------------------- counts
 
-def _totient(m: int) -> int:
-    return len(units(m))
-
-
 def necklace_count(n: int) -> int:
     """Closed-form number of rotation orbits."""
-    return sum(_totient(d) * (1 << (n // d)) for d in divisors(n)) // n
+    return sum(len(units(d)) * (1 << (n // d)) for d in divisors(n)) // n
 
 
 def burnside_count(n: int, group: str = "C") -> int:
@@ -462,7 +473,7 @@ def fd_partition_check(n: int) -> dict:
 def census(n: int, group: str = "C") -> dict:
     """Full orbit census for one group: totals, per-period rows, symmetry
     counts, and per-multiplier decimation invariance (orbits containing a
-    d_r-fixed member)."""
+    d_r-fixed member, as in `enumerate_orbits`); it needs no orbit sizes."""
     t = _orbit_table(n, group)
     reps, periods, sym, asym = t["reps"], t["periods"], t["sym"], t["asym"]
     rows = []
@@ -483,7 +494,7 @@ def census(n: int, group: str = "C") -> dict:
         if r == 1:
             continue
         fixed = fixed_words(n, decimation_perm(n, r))
-        delta_invariant[r] = int(np.unique(t["canon"][fixed]).size)
+        delta_invariant[r] = int(_meets(t, fixed).sum())
     return {
         "n": n,
         "group": group,
@@ -518,8 +529,7 @@ def invariance_check(n: int) -> dict:
     violation_count = 0
     multipliers = [r for r in units(n) if r != 1]
     for r in multipliers:
-        mapped_canon = t["canon"][permute_bits_array(reps, n, decimation_perm(n, r))]
-        j = np.searchsorted(reps, mapped_canon)
+        j = _orbit_index(t, permute_bits_array(reps, n, decimation_perm(n, r)))
         for name, arr in flags.items():
             bad = np.nonzero(arr != arr[j])[0]
             violation_count += int(bad.size)
@@ -644,30 +654,17 @@ def asym_square_check(n: int) -> dict:
     if n > 12:
         raise ScaleExceeded(f"pairwise product sweep capped at n <= 12, got {n}")
     t = _orbit_table(n, "C")
-    reps = t["reps"]
-    canon = t["canon"]
-
-    def member_flag(flag: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        return flag[np.searchsorted(reps, canon[bits])]
-
     x = np.arange(1 << n, dtype=np.int64)
-    asym_members = x[member_flag(t["asym"], x)]
-    if asym_members.size == 0:
-        return {
-            "n": n,
-            "asym_nonempty": False,
-            "set_reversal_closed": True,
-            "subset_palindromic": True,
-            "subset_reversal_closed": True,
-        }
+    asym_members = x[t["asym"][_orbit_index(t, x)]]
     prods = np.unique((asym_members[:, None] ^ asym_members[None, :]).ravel())
     rev = permute_bits_array(prods, n, reversal_perm(n))
+    rows = _orbit_index(t, prods)
     return {
         "n": n,
-        "asym_nonempty": True,
-        "set_reversal_closed": bool(np.isin(rev, prods).all()),
-        "subset_palindromic": bool(member_flag(t["sym"], prods).all()),
-        "subset_reversal_closed": bool(member_flag(t["rev_closed"], prods).all()),
+        "asym_nonempty": bool(asym_members.size),
+        "set_reversal_closed": bool(np.array_equal(np.sort(rev), prods)),
+        "subset_palindromic": bool(t["sym"][rows].all()),
+        "subset_reversal_closed": bool(t["rev_closed"][rows].all()),
     }
 
 
@@ -725,7 +722,7 @@ def spartition_axiom_check(n: int, group: str = "DC") -> dict:
     if n > 14:
         raise ScaleExceeded(f"cell product sweep capped at n <= 14, got {n}")
     t = _orbit_table(n, group)
-    order, starts = group_cells(np.searchsorted(t["reps"], t["canon"]))
+    order, starts = group_cells(_orbit_index(t, np.arange(1 << n)))
     ends = np.append(starts[1:], order.size)
     cell_sizes = ends - starts
     # Keys stay below 2^(2n) <= 2^28, so int32 sorts them.

@@ -63,14 +63,14 @@ def _run(number: int, name: str, fn, *args) -> CriterionResult:
 
 # ------------------------------------------------------------- criteria
 
-def criterion_class_products(max_n: int | None = None):
-    cap = _cap(12, max_n)
-    budget_s = 30.0
+def _ring_sweep(cap: int, budget_s: float, kinds: tuple[str, ...]):
+    """verify_ring at every n <= cap, keeping the counterexamples of the
+    given kinds; passes when there are none and the sweep beat its budget."""
     t0 = time.perf_counter()
     counterexamples = []
     for n in range(1, cap + 1):
         rep = weight_ring.verify_ring(n)
-        counterexamples += [c for c in rep["counterexamples"] if c["kind"] == "product"]
+        counterexamples += [c for c in rep["counterexamples"] if c["kind"] in kinds]
     elapsed = time.perf_counter() - t0
     return not counterexamples and elapsed < budget_s, {
         "max_n": cap,
@@ -78,24 +78,14 @@ def criterion_class_products(max_n: int | None = None):
         "seconds": round(elapsed, 2),
         "budget_seconds": budget_s,
     }
+
+
+def criterion_class_products(max_n: int | None = None):
+    return _ring_sweep(_cap(12, max_n), 30.0, ("product",))
 
 
 def criterion_structure_constants(max_n: int | None = None):
-    cap = _cap(10, max_n)
-    budget_s = 60.0
-    t0 = time.perf_counter()
-    counterexamples = []
-    for n in range(1, cap + 1):
-        rep = weight_ring.verify_ring(n)
-        if not rep["lambda_ok"] or not rep["product_ok"]:
-            counterexamples += rep["counterexamples"]
-    elapsed = time.perf_counter() - t0
-    return not counterexamples and elapsed < budget_s, {
-        "max_n": cap,
-        "counterexamples": counterexamples,
-        "seconds": round(elapsed, 2),
-        "budget_seconds": budget_s,
-    }
+    return _ring_sweep(_cap(10, max_n), 60.0, ("product", "lambda"))
 
 
 EXPECTED_COMPLETE = {
