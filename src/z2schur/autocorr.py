@@ -26,6 +26,7 @@ from .sequences import (
     rotate_bits_array,
     sign_rows,
     units,
+    word_dtype,
 )
 
 VERIFY_MAX_N = 16
@@ -77,26 +78,33 @@ def cross_theta(x: BinarySequence, y: BinarySequence) -> tuple[int, ...]:
     return tuple(periodic_correlation(x, y, k) for k in range(x.n))
 
 
-def flat_offpeak_bits(bits: int, n: int, level: int = 0) -> bool:
-    """True iff the packed length-n sequence has P(k) = level for every k != 0.
+def flat_offpeak_indices(words: np.ndarray, n: int, level: int = 0) -> np.ndarray:
+    """Indices of the packed length-n words with P(k) = level at every k != 0.
 
-    P(k) = level needs popcount(X xor rotate(X,k)) = (n - level)/2, so a
-    parity miss rules the whole question out and a range miss fails the
-    first shift; the symmetry P(k) = P(n-k) halves the scan.  At n = 1
-    there is no off-peak shift, so the test holds at every level.
+    P(k) = level needs popcount(X xor rotate(X, k)) = (n - level)/2, so a
+    parity miss rules every word out, and the symmetry P(k) = P(n - k)
+    halves the scan.  After each shift the array is compacted to the words
+    still flat, so most words cost one shift.  At n = 1 there is no
+    off-peak shift, so every word passes at every level.  Words are uint64
+    up to n = 64 and Python ints (object dtype) beyond, on one code path.
     """
+    words = np.asarray(words)
+    idx = np.arange(words.size)
     if n > 1 and (n - level) % 2:
-        return False
+        return idx[:0]
     target = (n - level) // 2
     for k in range(1, n // 2 + 1):
-        if (bits ^ rotate_bits(bits, n, k)).bit_count() != target:
-            return False
-    return True
+        if not idx.size:
+            break
+        keep = np.bitwise_count(words ^ rotate_bits_array(words, n, k)) == target
+        words, idx = words[keep], idx[keep]
+    return idx
 
 
 def flat_offpeak(x: BinarySequence, level: int = 0) -> bool:
     """True iff P_X(k) = level for every k != 0."""
-    return flat_offpeak_bits(x.bits, x.n, level)
+    word = np.array([x.bits], dtype=word_dtype(x.n))
+    return flat_offpeak_indices(word, x.n, level).size == 1
 
 
 def sum_identity(x: BinarySequence) -> dict:

@@ -13,18 +13,26 @@ or with alternating signs), the reversal-paired shapes (A, RA) and
 non-integral block weight.  Each argument is packaged as a verdict with
 the arithmetic certificate spelled out, plus a desk-scale exhaustive
 search that confirms the verdict by enumeration.
+
+Every search tests its candidates with `autocorr.flat_offpeak_indices`,
+in arrays of at most 2^16 words.  The structured and core searches build
+each array from a range of flat candidate indices, one digit per block,
+so candidates come in itertools.product order and memory does not grow
+with the candidate count.  `search_circulant_bruteforce`, the oracle of
+the circulant search, keeps its independence by testing every row pair
+of each circulant instead, without the kernel.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
-from math import comb
+from itertools import islice
+from math import comb, prod
 
 import numpy as np
 
-from .autocorr import flat_offpeak, flat_offpeak_bits
+from .autocorr import flat_offpeak, flat_offpeak_indices
 from .errors import (
     InvalidCore,
     InvalidCoreOrder,
@@ -36,10 +44,11 @@ from .errors import (
 )
 from .sequences import (
     BinarySequence,
-    concat_bits,
     make_sequence,
     reverse_bits,
     rotate_bits,
+    rotate_bits_array,
+    word_dtype,
 )
 from .ssets import CompleteSSet, complete_maximal
 from .weight_ring import class_members_bits
@@ -48,6 +57,7 @@ NORMALIZE_MAX_M = 24
 BRUTEFORCE_MAX_N = 16
 ENUM_MAX_CANDIDATES = 10**7
 SEARCH_MAX_CANDIDATES = 10**8
+_BLOCK = 1 << 16  # candidate words tested per kernel call
 
 VERDICT_EXCLUDED = "excluded-by-parity"
 VERDICT_OPEN = "not-excluded"
@@ -268,8 +278,10 @@ def search_circulant_hadamard(n: int) -> SearchResult:
     """Exhaust all candidate first rows of circulant Hadamard matrices of
     one order, returning the orbit representatives found.
 
-    Only the feasible weights are enumerated, each in ascending packed
-    order, with an early-exit flat off-peak test per candidate.
+    Only the feasible weights are tested: the words of [0, 2^n) with a
+    feasible weight go through `flat_offpeak_indices` in one array.
+    Orders 1, 4 and 16 are the only ones with feasible weights under the
+    candidate cap, so that scan never passes 2^16 words.
     """
     if n < 1 or (n > 2 and n % 4):
         raise InvalidLength(f"circulant Hadamard order must be 1, 2, or 4k, got {n}")
@@ -280,32 +292,40 @@ def search_circulant_hadamard(n: int) -> SearchResult:
         raise ScaleExceeded(
             f"{total} candidates at order {n} exceed the cap {SEARCH_MAX_CANDIDATES}"
         )
-    tested = 0
-    found = set()
-    for a in feasible:
-        for v in class_members_bits(n, a):
-            tested += 1
-            if flat_offpeak_bits(v, n):
-                found.add(min(rotate_bits(v, n, i) for i in range(n)))
+    minus = [n - a for a in feasible]  # set bits are '-' signs
+    words = np.arange(1 << n if feasible else 0, dtype=np.uint64)
+    words = words[np.isin(np.bitwise_count(words), minus)]
+    found = {min(rotate_bits(v, n, i) for i in range(n))
+             for v in words[flat_offpeak_indices(words, n)].tolist()}
     return SearchResult(
         order=n,
         feasible_weights=feasible,
         found=tuple(str(BinarySequence(n, b)) for b in sorted(found)),
-        candidates_tested=tested,
+        candidates_tested=total,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
 
 
 def search_circulant_bruteforce(n: int) -> tuple[str, ...]:
-    """Oracle for the pruned search: test every one of the 2^n sequences
-    with no weight filter and no early exit."""
+    """Oracle for the pruned search: build all n rows of the circulant of
+    every one of the 2^n words at once and keep the words whose row pairs
+    i < j all disagree in n/2 places.
+
+    It shares only the array rotation with the search: no weight filter,
+    no parity guard, no half scan over shifts, no early exit, and no call
+    to `flat_offpeak_indices`.  Each orbit is named by its least rotation,
+    the least of its rows.
+    """
     if n > BRUTEFORCE_MAX_N:
         raise ScaleExceeded(f"bruteforce capped at n <= {BRUTEFORCE_MAX_N}")
-    found = set()
-    for v in range(1 << n):
-        if is_hadamard(circulant(BinarySequence(n, v))):
-            found.add(min(rotate_bits(v, n, i) for i in range(n)))
-    return tuple(str(BinarySequence(n, b)) for b in sorted(found))
+    x = np.arange(1 << n, dtype=np.uint64)
+    rows = [rotate_bits_array(x, n, n - i) for i in range(n)]
+    ok = np.ones(x.size, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ok &= 2 * np.bitwise_count(rows[i] ^ rows[j]) == n
+    found = np.unique(np.minimum.reduce(rows)[ok])
+    return tuple(str(BinarySequence(n, b)) for b in found.tolist())
 
 
 # -------------------------------------------------- structural verdicts
@@ -440,39 +460,68 @@ def core_partition_verdict(n: int, r: int) -> StructureVerdict:
 
 # ---------------------------------------------- exhaustive confirmations
 
+def _members(width: int, a: int) -> np.ndarray:
+    """G_width(a) as an array of packed words, ascending."""
+    return np.fromiter(class_members_bits(width, a), dtype=word_dtype(width))
+
+
+def _concat_blocks(factors: list[np.ndarray], width: int):
+    """Every concatenation of one width-bit word from each factor, the first
+    factor leftmost, in itertools.product order, as arrays of at most
+    _BLOCK words.  Flat index i splits into one digit per factor, the last
+    factor's digit the fastest, and each digit picks its factor's word."""
+    dtype = word_dtype(width * len(factors))
+    factors = [f.astype(dtype) for f in factors]
+    total = prod(f.size for f in factors)
+    for start in range(0, total, _BLOCK):
+        rest = np.arange(start, min(start + _BLOCK, total))
+        words = np.zeros(rest.size, dtype=dtype)
+        for place, f in enumerate(reversed(factors)):
+            rest, digit = np.divmod(rest, f.size)
+            words |= f[digit] << place * width
+        yield words
+
+
+def _reversal_pairs(block: int, a: int, negate: bool):
+    """The words B || RB (B || -RB when negate) for B in G_block(a)
+    ascending, as arrays of at most _BLOCK words."""
+    dtype = word_dtype(2 * block)
+    stream = class_members_bits(block, a)
+    while (b := np.fromiter(islice(stream, _BLOCK), dtype=word_dtype(block))).size:
+        rb = np.array([reverse_bits(v, block) for v in b.tolist()], dtype=word_dtype(block))
+        if negate:
+            rb ^= (1 << block) - 1
+        yield (b.astype(dtype) << block) | rb.astype(dtype)
+
+
 def exhaustive_structured_search(n: int, r: int, a: int, kind: str) -> dict:
     """Enumerate every structured candidate at desk scale and test it
-    outright, confirming (or refuting) the corresponding verdict."""
+    outright, confirming (or refuting) the corresponding verdict.
+
+    The blocks are the weight-a words of length 2n, ascending.  "plain" and
+    "alt" candidates are built as `_concat_blocks` of 2r factors, in
+    itertools.product order; "sym" and "asym" pair each block with its
+    reversal.  Each array of at most 2^16 candidates goes through
+    `flat_offpeak_indices` at once, so `hits` keep the enumeration order
+    and memory stays flat up to the candidate cap.
+    """
     v = partition_parity_verdict(n, r, a, kind)
     block = 2 * n
     order = 4 * n * r
-    members = list(class_members_bits(block, a))
-    if kind in ("plain", "alt"):
-        total = len(members) ** (2 * r)
-    else:
-        total = len(members)
+    total = comb(block, a) ** (2 * r if kind in ("plain", "alt") else 1)
     if total > ENUM_MAX_CANDIDATES:
         raise ScaleExceeded(f"{total} structured candidates exceed the cap")
-    mask = (1 << block) - 1
-    hits = []
-    candidates = 0
     if kind in ("plain", "alt"):
-        for tup in product(members, repeat=2 * r):
-            if kind == "alt":
-                tup = tuple(b if i % 2 == 0 else b ^ mask for i, b in enumerate(tup))
-            bits = concat_bits(tup, block)
-            candidates += 1
-            if flat_offpeak_bits(bits, order):
-                hits.append(str(BinarySequence(order, bits)))
+        members = _members(block, a)
+        factors = [members ^ ((1 << block) - 1) if kind == "alt" and i % 2 else members
+                   for i in range(2 * r)]
+        blocks = _concat_blocks(factors, block)
     else:
-        for b in members:
-            rb = reverse_bits(b, block)
-            if kind == "asym":
-                rb ^= mask
-            bits = concat_bits((b, rb), block)
-            candidates += 1
-            if flat_offpeak_bits(bits, order):
-                hits.append(str(BinarySequence(order, bits)))
+        blocks = _reversal_pairs(block, a, kind == "asym")
+    hits = []
+    for words in blocks:
+        hits += [str(BinarySequence(order, w))
+                 for w in words[flat_offpeak_indices(words, order)].tolist()]
     return {
         "n": n,
         "r": r,
@@ -480,7 +529,7 @@ def exhaustive_structured_search(n: int, r: int, a: int, kind: str) -> dict:
         "kind": kind,
         "order": order,
         "verdict": v.verdict,
-        "candidates": candidates,
+        "candidates": total,
         "hits": hits,
         "consistent": not (v.excluded and hits),
     }
@@ -488,7 +537,13 @@ def exhaustive_structured_search(n: int, r: int, a: int, kind: str) -> dict:
 
 def exhaustive_core_partition_search(n: int, r: int) -> dict:
     """Enumerate every uniform-weight block partition of a circulant core
-    and test whether its border is Hadamard."""
+    and test whether its border is Hadamard.
+
+    Block weights run upwards; at each weight the r-block cores are
+    `_concat_blocks` in itertools.product order, kept at the core weight
+    (p - 1)/2 and tested at level -1 by `flat_offpeak_indices`, one array
+    of at most 2^16 cores at a time.
+    """
     v = core_partition_verdict(n, r)
     p = n * r
     total = sum(comb(n, a) ** r for a in range(n + 1))
@@ -496,20 +551,17 @@ def exhaustive_core_partition_search(n: int, r: int) -> dict:
         raise ScaleExceeded(f"{total} core candidates exceed the cap")
     minus = (p + 1) // 2  # '-' signs of a core of weight (p - 1)/2
     hits = []
-    candidates = 0
     for a in range(n + 1):
-        members = list(class_members_bits(n, a))
-        for tup in product(members, repeat=r):
-            bits = concat_bits(tup, n)
-            candidates += 1
-            if bits.bit_count() == minus and flat_offpeak_bits(bits, p, -1):
-                hits.append(str(BinarySequence(p, bits)))
+        for words in _concat_blocks([_members(n, a)] * r, n):
+            words = words[np.bitwise_count(words) == minus]
+            hits += [str(BinarySequence(p, w))
+                     for w in words[flat_offpeak_indices(words, p, -1)].tolist()]
     return {
         "n": n,
         "r": r,
         "core_length": p,
         "verdict": v.verdict,
-        "candidates": candidates,
+        "candidates": total,
         "hits": hits,
         "consistent": not (v.excluded and hits),
     }

@@ -184,6 +184,13 @@ def rotate_bits_array(arr: np.ndarray, n: int, i: int,
     return out
 
 
+def word_dtype(n: int):
+    """The array dtype of packed length-n words: uint64 up to n = 64 and
+    object (Python ints) beyond, which numpy's shifts, bitwise operators and
+    bitwise_count also accept."""
+    return np.uint64 if n <= 64 else object
+
+
 def sign_rows(words: Iterable[int], n: int) -> np.ndarray:
     """A float +1/-1 matrix with one row per packed length-n word; column i
     holds position i, so '+' (bit 0) reads +1 and '-' (bit 1) reads -1."""
@@ -191,14 +198,6 @@ def sign_rows(words: Iterable[int], n: int) -> np.ndarray:
     raw = b"".join(w.to_bytes(width, "big") for w in words)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1)
     return 1.0 - 2.0 * bits[:, 8 * width - n:]
-
-
-def concat_bits(blocks: Iterable[int], width: int) -> int:
-    """Packed concatenation of width-bit blocks, the first block leftmost."""
-    bits = 0
-    for block in blocks:
-        bits = (bits << width) | block
-    return bits
 
 
 @dataclass(frozen=True, order=True)

@@ -1,9 +1,14 @@
-"""Independent string-level reference implementations.
+"""Independent reference implementations.
 
-Everything here works directly on '+'/'-' strings with explicit index
-arithmetic, deliberately sharing no code with the packed-integer
+The string oracles work directly on '+'/'-' strings with explicit index
+arithmetic, and the scalar search oracles on one Python int per
+candidate; both deliberately share no code with the packed-array
 implementations under test.
 """
+
+from itertools import combinations, product
+
+from z2schur.hadamard import core_partition_verdict, partition_parity_verdict
 
 
 def str_rotate(s: str, i: int) -> str:
@@ -50,3 +55,77 @@ def str_period(s: str) -> int:
 
 def cyclic_orbit(s: str) -> set[str]:
     return {str_rotate(s, i) for i in range(len(s))}
+
+
+# ------------------------------------------ scalar Hadamard search oracles
+#
+# The per-candidate loops the array searches replaced: every candidate is
+# one Python int, joined by concat_bits and tested shift by shift.  Only
+# the verdicts, which are arithmetic, come from z2schur.hadamard.
+
+_BIT_SIGNS = str.maketrans("01", "+-")
+
+
+def concat_bits(blocks, width: int) -> int:
+    """Packed concatenation of width-bit blocks, the first block leftmost."""
+    bits = 0
+    for block in blocks:
+        bits = (bits << width) | block
+    return bits
+
+
+def words_of_weight(width: int, a: int) -> list[int]:
+    """The packed words with a '+' signs, i.e. width - a set bits, ascending."""
+    return sorted(sum(1 << p for p in c) for c in combinations(range(width), width - a))
+
+
+def _flat_words(candidates, n: int, level: int) -> tuple[int, list[int]]:
+    # How many candidates there were, and those with P(k) = level at every
+    # k != 0, in order.  The loop is inlined: it runs millions of times.
+    target, mask, shifts = (n - level) // 2, (1 << n) - 1, range(1, n // 2 + 1)
+    parity_miss = n > 1 and (n - level) % 2
+    seen, flat = 0, []
+    for bits in candidates:
+        seen += 1
+        if parity_miss:
+            continue
+        for k in shifts:
+            if (bits ^ ((bits << k | bits >> (n - k)) & mask)).bit_count() != target:
+                break
+        else:
+            flat.append(bits)
+    return seen, flat
+
+
+def scalar_structured_search(n: int, r: int, a: int, kind: str) -> dict:
+    """exhaustive_structured_search, one candidate at a time."""
+    v = partition_parity_verdict(n, r, a, kind)
+    block, order = 2 * n, 4 * n * r
+    mask = (1 << block) - 1
+    members = words_of_weight(block, a)
+    if kind in ("plain", "alt"):
+        factors = [[b ^ mask for b in members] if kind == "alt" and i % 2 else members
+                   for i in range(2 * r)]
+        tuples = product(*factors)
+    else:
+        flip = mask if kind == "asym" else 0
+        tuples = ((b, int(format(b, f"0{block}b")[::-1], 2) ^ flip) for b in members)
+    candidates, hits = _flat_words((concat_bits(t, block) for t in tuples), order, 0)
+    return {"n": n, "r": r, "a": a, "kind": kind, "order": order,
+            "verdict": v.verdict, "candidates": candidates,
+            "hits": [format(h, f"0{order}b").translate(_BIT_SIGNS) for h in hits],
+            "consistent": not (v.excluded and hits)}
+
+
+def scalar_core_partition_search(n: int, r: int) -> dict:
+    """exhaustive_core_partition_search, one candidate at a time."""
+    v = core_partition_verdict(n, r)
+    p = n * r
+    minus = (p + 1) // 2
+    cores = [concat_bits(t, n) for a in range(n + 1)
+             for t in product(words_of_weight(n, a), repeat=r)]
+    _, hits = _flat_words((c for c in cores if c.bit_count() == minus), p, -1)
+    return {"n": n, "r": r, "core_length": p, "verdict": v.verdict,
+            "candidates": len(cores),
+            "hits": [format(h, f"0{p}b").translate(_BIT_SIGNS) for h in hits],
+            "consistent": not (v.excluded and hits)}

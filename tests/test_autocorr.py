@@ -13,6 +13,7 @@ from z2schur.autocorr import (
     cross_theta,
     decimation_permutes,
     flat_offpeak,
+    flat_offpeak_indices,
     periodic_autocorrelation,
     periodic_correlation,
     random_identity_trials,
@@ -21,6 +22,7 @@ from z2schur.autocorr import (
     verify_identities,
 )
 from z2schur.errors import InvalidLength, LengthMismatch
+from z2schur.hadamard import paley_core
 from z2schur.sequences import BinarySequence, make_sequence, sign_rows, units
 from helpers import str_autocorr
 
@@ -92,6 +94,50 @@ def test_flat_offpeak():
     for s in ("+", "-"):  # no off-peak shift at n = 1: vacuously flat
         assert flat_offpeak(make_sequence(s))
         assert flat_offpeak(make_sequence(s), level=-1)
+
+
+def _flat_by_string(words, n, level):
+    # Positions of the words whose string autocorrelation is level at every k != 0.
+    return [i for i, w in enumerate(words)
+            if all(str_autocorr(str(BinarySequence(n, w)), k) == level
+                   for k in range(1, n))]
+
+
+def test_flat_offpeak_indices_matches_string_oracle():
+    """Every word at n <= 10, at levels 0 and -1 and at a level of the
+    wrong parity, which only n = 1 passes."""
+    for n in range(1, 11):
+        words = np.arange(1 << n, dtype=np.uint64)
+        for level in (0, -1, 1 + n % 2):
+            got = flat_offpeak_indices(words, n, level).tolist()
+            assert got == _flat_by_string(range(1 << n), n, level), (n, level)
+            if level == 1 + n % 2:
+                assert got == ([0, 1] if n == 1 else [])
+
+
+def test_flat_offpeak_indices_at_sixty_four_positions():
+    """The last uint64 width: constant words are flat at level 64, the
+    top bit rotates round, and random words match the string oracle."""
+    rng = random.Random(64)
+    words = [0, (1 << 64) - 1, 1 << 63, 0x5555555555555555]
+    words += [rng.getrandbits(64) for _ in range(200)]
+    arr = np.array(words, dtype=np.uint64)
+    for level in (0, -4, 64):
+        assert flat_offpeak_indices(arr, 64, level).tolist() == \
+            _flat_by_string(words, 64, level), level
+    assert flat_offpeak_indices(arr, 64, 64).tolist() == [0, 1]
+
+
+def test_flat_offpeak_indices_on_object_words():
+    """Paley cores of length 67 and 71, past uint64, pass at level -1 and
+    their one-bit mutants fail, but for the flip of position 0: that gives
+    the negated non-residue core, which is flat as well."""
+    for p in (67, 71):
+        core = paley_core(p).bits
+        words = np.array([core] + [core ^ 1 << j for j in range(p)], dtype=object)
+        got = flat_offpeak_indices(words, p, -1).tolist()
+        assert got == _flat_by_string(words.tolist(), p, -1) == [0, p]
+        assert flat_offpeak_indices(words, p, 0).size == 0  # parity miss
 
 
 @given(signs)

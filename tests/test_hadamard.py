@@ -1,10 +1,13 @@
 import random
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from z2schur import autocorr
 from z2schur import hadamard as hd
 from z2schur.autocorr import flat_offpeak, theta
 from z2schur.errors import (
@@ -18,6 +21,7 @@ from z2schur.errors import (
 from z2schur.orbits import classify
 from z2schur.sequences import BinarySequence, make_sequence, permute_bits
 from z2schur.ssets import complete_maximal
+from helpers import concat_bits, scalar_core_partition_search, scalar_structured_search
 
 BORDER7 = """\
 ++++++++
@@ -234,9 +238,24 @@ def test_search_order_sixteen_exhausts_in_vain():
 
 
 def test_search_matches_bruteforce():
-    for n in (1, 2, 4, 8, 12):
+    for n in (1, 2, 4, 8, 12, hd.BRUTEFORCE_MAX_N):
         assert hd.search_circulant_hadamard(n).found == \
             hd.search_circulant_bruteforce(n)
+    with pytest.raises(ScaleExceeded):
+        hd.search_circulant_bruteforce(hd.BRUTEFORCE_MAX_N + 1)
+
+
+def test_bruteforce_runs_without_the_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle called flat_offpeak_indices")
+
+    monkeypatch.setattr(autocorr, "flat_offpeak_indices", refuse)
+    monkeypatch.setattr(hd, "flat_offpeak_indices", refuse)
+    with pytest.raises(AssertionError):
+        hd.search_circulant_hadamard(4)  # the patch is in force
+    assert hd.search_circulant_bruteforce(1) == ("+", "-")
+    assert hd.search_circulant_bruteforce(4) == ("+++-", "+---")
+    assert hd.search_circulant_bruteforce(6) == ()
 
 
 def test_search_guards():
@@ -295,6 +314,79 @@ def test_structured_search_consistent_with_verdicts():
     assert rep["verdict"] == hd.VERDICT_EXCLUDED and rep["consistent"]
 
 
+def criterion_11_sweep(order):
+    """The (n, r, a, kind) that criterion 11 runs at one order."""
+    cases = []
+    for n in range(1, order // 4 + 1):
+        if order % (4 * n) == 0:
+            r = order // (4 * n)
+            cases += [(n, r, a, kind) for kind in ("plain", "alt") for a in range(2 * n + 1)]
+    n = order // 4
+    cases += [(n, 1, a, kind) for kind in ("sym", "asym") for a in range(2 * n + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("order", [4, 8, 12, 16, 20, 24])
+def test_structured_search_matches_scalar_oracle(order):
+    """Every report criterion 11 makes up to order 24, hits in order."""
+    for case in criterion_11_sweep(order):
+        assert hd.exhaustive_structured_search(*case) == \
+            scalar_structured_search(*case), case
+
+
+def test_criterion_11_sweep_lists_every_case():
+    cases = [c for order in range(4, 25, 4) for c in criterion_11_sweep(order)]
+    assert len(cases) == len(set(cases)) == 2 * sum(
+        (2 * n + 1) * (24 // (4 * n) + 1) for n in range(1, 7))
+
+
+def test_structured_search_object_path_matches_scalar_oracle():
+    """Orders 68, 80 and 132 run on object arrays of Python ints; at 132
+    the blocks themselves pass 64 positions."""
+    for case, count in (((17, 1, 1, "plain"), 34 ** 2), ((17, 1, 1, "alt"), 34 ** 2),
+                        ((20, 1, 0, "sym"), 1), ((33, 1, 1, "asym"), 66)):
+        rep = hd.exhaustive_structured_search(*case)
+        assert rep == scalar_structured_search(*case), case
+        assert rep["candidates"] == count
+
+
+def test_concat_blocks_places_first_block_first():
+    joined = concat_bits([make_sequence("+-").bits, make_sequence("--").bits], 2)
+    assert str(BinarySequence(4, joined)) == "+---"
+    blocks = ["+-+", "---", "++-", "-++"]
+    joined = concat_bits((make_sequence(b).bits for b in blocks), 3)
+    assert str(BinarySequence(12, joined)) == "".join(blocks)
+
+
+def test_concat_blocks_follow_product_order(monkeypatch):
+    """No search report at a searchable size shows the digit order, since
+    no plain, alt or multi-block core candidate there is flat; so check
+    it directly, across block boundaries, on uint64 and on object words."""
+    monkeypatch.setattr(hd, "_BLOCK", 5)
+    words = ([1, 4, 6], [0, 7], [2, 3, 5, 7])
+    for width in (3, 30):
+        factors = [np.array(w, dtype=np.uint64) for w in words]
+        got = np.concatenate(list(hd._concat_blocks(factors, width))).tolist()
+        assert got == [concat_bits(t, width) for t in product(*words)], width
+
+
+def test_structured_search_memory_stays_in_blocks():
+    """6^8 candidates of order 32 would take 13 MB in one uint64 array."""
+    def search():
+        return hd.exhaustive_structured_search(2, 4, 2, "plain")
+
+    search()  # warm-up
+    tracemalloc.start()
+    try:
+        rep = search()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert rep["candidates"] == 6 ** 8 == 1679616
+    assert rep["hits"] == []
+    assert peak_mb < 5
+
+
 def test_core_partition_verdicts():
     assert hd.core_partition_verdict(5, 3).excluded
     assert hd.core_partition_verdict(3, 5).excluded
@@ -308,6 +400,13 @@ def test_core_search_length_fifteen_empty():
     rep = hd.exhaustive_core_partition_search(5, 3)
     assert rep["candidates"] == 2252
     assert rep["hits"] == [] and rep["consistent"]
+
+
+def test_core_search_matches_scalar_oracle():
+    for n, r in ((5, 3), (3, 5), (7, 1), (11, 1), (1, 67)):
+        assert hd.exhaustive_core_partition_search(n, r) == \
+            scalar_core_partition_search(n, r), (n, r)
+    assert len(hd.exhaustive_core_partition_search(11, 1)["hits"]) > 0
 
 
 def test_core_search_length_seven_finds_residue_cores():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from z2schur.errors import InvalidLength, LengthMismatch, NotCoprime, ScaleExceeded
 from z2schur.sequences import (
     BinarySequence,
-    concat_bits,
     decimation_perm,
     divisors,
     fixed_words,
@@ -142,14 +141,6 @@ def test_units_and_divisors():
     assert len(units(30)) == 8
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
     assert units(1) == (1,)
-
-
-def test_concat_blocks_places_first_block_first():
-    joined = concat_bits([make_sequence("+-").bits, make_sequence("--").bits], 2)
-    assert str(BinarySequence(4, joined)) == "+---"
-    blocks = ["+-+", "---", "++-", "-++"]
-    joined = concat_bits((make_sequence(b).bits for b in blocks), 3)
-    assert str(BinarySequence(12, joined)) == "".join(blocks)
 
 
 def _fixed_by_string(n, image_of):
