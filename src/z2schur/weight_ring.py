@@ -12,6 +12,13 @@ the least and greatest multiplicity of its words in a product, equal when
 the S-ring axiom holds.  `orbits.spartition_axiom_check` shares
 `group_cells` and sweeps a whole row of cell pairs per call instead.
 
+Complement symmetry.  Complementing every sign, x -> ~x = x XOR 1...1, maps
+G_n(k) onto G_n(n - k).  Since ~x XOR ~y = x XOR y, the multiset
+G_n(n-a) * G_n(n-b) equals G_n(a) * G_n(b); since x XOR ~y = ~(x XOR y),
+the table of G_n(a) * G_n(n-b) is the table of G_n(a) * G_n(b) read at
+class n - k.  `verify_ring` therefore enumerates only the pairs
+a <= b <= floor(n/2) and derives the other tables by reversal.
+
 Index conventions.  The closed structure-constant form is stated in the
 complement indexing T_i = G_n(n - i); the public helpers speak weights and
 convert at the boundary.  G_n(-1) denotes the empty class.
@@ -20,6 +27,7 @@ convert at the boundary.  G_n(-1) denotes the empty class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -148,7 +156,8 @@ class WeightClassSet:
             return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.n, self.members))
+        # The members alone: equal to a frozenset means hashing like one.
+        return hash(self.members)
 
     @classmethod
     def of(cls, n: int, weights) -> "WeightClassSet":
@@ -233,6 +242,7 @@ def structure_constant_oracle(n: int, i: int, j: int, k: int) -> int:
     return table.coeffs[n - k]
 
 
+@lru_cache(maxsize=1024)  # every pair a <= b up to n = 16 is 968 entries
 def class_product(n: int, a: int, b: int) -> WeightClassSet:
     """Weights appearing in G_n(a) * G_n(b), via the two-branch closed form.
 
@@ -284,17 +294,40 @@ def is_sgroup(n: int, s: WeightClassSet | frozenset[int] | set[int]) -> bool:
     )
 
 
+def _class_pair_tables(n: int) -> dict[tuple[int, int], QuantityVector]:
+    """The multiplicity table of every class pair a <= b, in (a, b) order.
+
+    Only the pairs a <= b <= floor(n/2) are enumerated; complementing a
+    factor above n/2 reverses the table, so two such factors cancel.
+    """
+    half = n // 2
+    base = {(a, b): product_multiplicity_table(n, a, b)
+            for a in range(half + 1) for b in range(a, half + 1)}
+    tables = {}
+    for a in range(n + 1):
+        for b in range(a, n + 1):
+            fa, fb = min(a, n - a), min(b, n - b)
+            table = base[min(fa, fb), max(fa, fb)]
+            if (a > half) != (b > half):
+                table = QuantityVector(n, table.coeffs[::-1])
+            tables[a, b] = table
+    return tables
+
+
 def verify_ring(n: int) -> dict:
     """Cross-check the closed forms against the oracles at a single n.
 
     One multiplicity table per unordered class pair serves both checks: its
     support against `class_product`, its entries against
-    `structure_constant_closed`.  Returns a report dict with product_ok /
-    lambda_ok flags and explicit counterexamples (empty on success),
-    products first, then structure constants in (i, j, k) order.
+    `structure_constant_closed`.  Only the pairs a <= b <= floor(n/2) are
+    enumerated, each with the uniformity check; the rest follow from the
+    complement identities G_n(n-a) * G_n(n-b) = G_n(a) * G_n(b) and
+    G_n(a) * G_n(n-b) = the same table read at class n - k.  Returns a
+    report dict with product_ok / lambda_ok flags and explicit
+    counterexamples (empty on success), products first, then structure
+    constants in (i, j, k) order.
     """
-    tables = {(a, b): product_multiplicity_table(n, a, b)
-              for a in range(n + 1) for b in range(a, n + 1)}
+    tables = _class_pair_tables(n)
     products = []
     for (a, b), table in tables.items():
         got, want = class_product(n, a, b), table.support()

@@ -130,6 +130,17 @@ def test_weight_class_set_equality_semantics():
     assert s != 7
 
 
+def test_weight_class_set_hashes_like_its_members():
+    s = class_product(6, 2, 3)
+    assert s == frozenset({1, 3, 5}) and hash(s) == hash(frozenset({1, 3, 5}))
+    assert s in {frozenset({1, 3, 5})}
+    assert frozenset({1, 3, 5}) in {s}
+    assert {frozenset({1, 3, 5}): "odd"}[s] == "odd"
+    assert {s: "odd"}[frozenset({5, 3, 1})] == "odd"
+    assert wr.WeightClassSet.of(6, {1, 3, 5}) in {s}
+    assert frozenset({0, 2}) not in {s}
+
+
 def test_even_odd_unions_and_sgroups():
     evens, odds = even_odd_unions(6)
     assert evens == {0, 2, 4, 6}
@@ -176,23 +187,69 @@ def test_verify_ring_lists_each_counterexample_once_products_first(monkeypatch):
     assert not passed and details["counterexamples"] == [product, lam]
 
 
-def test_multiplicity_table_rejects_a_broken_partition(monkeypatch):
-    """A class missing one member covers some weight class unevenly."""
+def test_verify_ring_derived_tables_match_direct_enumeration(monkeypatch):
+    """Every table derived by complementing equals its own enumeration,
+    and only the pairs a <= b <= n/2 were enumerated to derive them."""
+    real = wr.product_multiplicity_table
+    enumerated = []
+    monkeypatch.setattr(wr, "product_multiplicity_table",
+                        lambda n, a, b: enumerated.append((a, b)) or real(n, a, b))
+    for n in range(1, 13):
+        half = n // 2
+        enumerated.clear()
+        tables = wr._class_pair_tables(n)
+        assert enumerated == [(a, b) for a in range(half + 1) for b in range(a, half + 1)]
+        assert list(tables) == [(a, b) for a in range(n + 1) for b in range(a, n + 1)]
+        for (a, b), table in tables.items():
+            assert table == real(n, a, b), (n, a, b)
+
+
+def _first_uneven_class(n, xs, ys):
+    """The least weight class that the XOR multiset of xs and ys covers
+    unevenly, with its least and greatest multiplicity."""
+    counts = Counter(x ^ y for x in xs for y in ys)
+    by_weight = {}
+    for z in range(1 << n):
+        by_weight.setdefault(n - z.bit_count(), []).append(counts[z])
+    w = min(w for w, c in by_weight.items() if min(c) != max(c))
+    return w, min(by_weight[w]), max(by_weight[w])
+
+
+def _drop_first_member_of_class_2(monkeypatch):
     real = wr.class_members_array
     monkeypatch.setattr(wr, "class_members_array",
                         lambda n, k: real(n, k)[1:] if k == 2 else real(n, k))
-    counts = Counter(
-        x ^ y for x in list(class_members_bits(6, 2))[1:] for y in class_members_bits(6, 3)
-    )
-    by_weight = {}
-    for z in range(1 << 6):
-        by_weight.setdefault(6 - z.bit_count(), []).append(counts[z])
-    w = min(w for w, c in by_weight.items() if min(c) != max(c))
-    lo, hi = min(by_weight[w]), max(by_weight[w])
+
+
+def test_multiplicity_table_rejects_a_broken_partition(monkeypatch):
+    """A class missing one member covers some weight class unevenly."""
+    _drop_first_member_of_class_2(monkeypatch)
+    w, lo, hi = _first_uneven_class(
+        6, list(class_members_bits(6, 2))[1:], list(class_members_bits(6, 3)))
     with pytest.raises(RingAxiomViolation) as err:
         product_multiplicity_table(6, 2, 3)
     assert str(err.value) == (
         f"nonuniform multiplicity on G_6({w}) in G_6(2)*G_6(3): min {lo}, max {hi}")
+
+
+def test_verify_ring_rejects_a_broken_partition(monkeypatch):
+    """Deriving tables by complementing does not bypass the uniformity
+    check: the first enumerated pair with the broken class, (0, 2), raises."""
+    _drop_first_member_of_class_2(monkeypatch)
+    w, lo, hi = _first_uneven_class(
+        6, list(class_members_bits(6, 0)), list(class_members_bits(6, 2))[1:])
+    with pytest.raises(RingAxiomViolation) as err:
+        verify_ring(6)
+    assert str(err.value) == (
+        f"nonuniform multiplicity on G_6({w}) in G_6(0)*G_6(2): min {lo}, max {hi}")
+
+
+def test_verify_ring_runs_clean_at_the_oracle_cap():
+    rep = verify_ring(wr.ORACLE_MAX_N)
+    assert rep["n"] == wr.ORACLE_MAX_N == 14
+    assert rep["product_ok"] and rep["lambda_ok"]
+    assert rep["counterexamples"] == []
+    assert rep["even_union_sgroup"] and not rep["odd_union_sgroup"]
 
 
 def test_scale_and_weight_guards():
