@@ -134,59 +134,85 @@ def decimation_permutes(x: BinarySequence, r: int) -> bool:
     )
 
 
-def autocorrelation_array(n: int, arr: np.ndarray, k: int) -> np.ndarray:
-    """P at one shift for a whole array of packed sequences."""
-    a = arr.astype(np.uint64, copy=False)
-    return n - 2 * np.bitwise_count(a ^ rotate_bits_array(a, n, k)).astype(np.int64)
-
-
 def verify_identities(n: int) -> dict:
     """Exhaustively check every identity over all 2^n sequences.
 
     Covers: peak value, shift symmetry, the mod-4 congruence of n - P(k)
     (recorded at every n, even and odd alike), the sum identity, the
     bound P(k) = n - 4a + 4 i_k with 0 <= i_k <= a, and invariance under
-    rotation, reversal, negation, and every decimation.  Each check
-    keeps at most ten violating sequences.
+    rotation, reversal, negation, and every decimation.
+
+    The words are x = 0 .. 2^n - 1, so column w of the n x 2^n table
+    holds P_w at every shift.  The table is built once, in int8 (|P| <=
+    n <= 16), by n rotations into one scratch array.  The peak, symmetry,
+    mod-4, i_k range and sum checks are whole-table masks.  A transform's
+    values are a gather: word w maps to image[w], and P_{image[w]}(k) =
+    table[k, image[w]] is compared with table[k, w], or with
+    table[rk mod n, w] for the decimation d_r.
+
+    Each check lists at most ten violating sequences, in word order, and
+    only shifts with a failure are visited.  `violation_counts` gives the
+    exact number of failures per kind: failing (word, shift) pairs, or
+    failing words for the peak and the sum.
     """
     if n > VERIFY_MAX_N:
         raise ScaleExceeded(f"exhaustive sweep capped at n <= {VERIFY_MAX_N}")
-    x = np.arange(1 << n, dtype=np.uint64)
-    weights = (n - np.bitwise_count(x)).astype(np.int64)
-    table = np.stack([autocorrelation_array(n, x, k) for k in range(n)])
+    x = np.arange(1 << n, dtype=np.uint32)
+    weights = (n - np.bitwise_count(x)).astype(np.int8)  # the '+' count a
+    table = np.empty((n, x.size), dtype=np.int8)  # |P| <= n <= 16
+    scratch = np.empty_like(x)
+    for k in range(n):
+        rotate_bits_array(x, n, k, out=scratch)
+        scratch ^= x
+        np.bitwise_count(scratch, out=table[k])
+    table *= -2
+    table += n
     violations: list[dict] = []
+    counts = dict.fromkeys(("peak", "symmetry", "mod4", "ik_range", "sum",
+                            "rotation", "reversal", "negation", "decimation"), 0)
 
-    def record(kind: str, mask: np.ndarray, **extra):
-        for i in np.nonzero(mask)[0][:10]:
-            violations.append(
-                {"kind": kind, "x": str(BinarySequence(n, int(x[i]))), **extra}
-            )
+    def check(kind: str, mask: np.ndarray, keys: list[dict]) -> None:
+        # One mask row per entry of keys; only rows with a failure are listed.
+        counts[kind] += int(np.count_nonzero(mask))
+        for row in np.flatnonzero(mask.any(axis=1)).tolist():
+            for i in np.flatnonzero(mask[row])[:10].tolist():
+                violations.append(
+                    {"kind": kind, "x": str(BinarySequence(n, i)), **keys[row]})
 
-    record("peak", table[0] != n)
-    for k in range(1, n):
-        record("symmetry", table[k] != table[n - k], k=k)
-        record("mod4", (n - table[k]) % 4 != 0, k=k)
-        num = table[k] - n + 4 * weights
-        record("ik_range", (num % 4 != 0) | (num < 0) | (num // 4 > weights), k=k)
-    record("sum", table.sum(axis=0) != (2 * weights - n) ** 2)
+    off = table[1:]
+    num = off - n + 4 * weights  # 4 i_k, at most 64
+    per_shift = {
+        "symmetry": off != table[:0:-1],
+        "mod4": (off - n) & 3 != 0,
+        "ik_range": (num & 3 != 0) | (num < 0) | (num >> 2 > weights),
+    }
+    check("peak", table[:1] != n, [{}])
+    for k in range(1, n):  # the three kinds interleave shift by shift
+        for kind, mask in per_shift.items():
+            check(kind, mask[k - 1:k], [{"k": k}])
+    square = (2 * weights.astype(np.int16) - n) ** 2
+    check("sum", (table.sum(axis=0, dtype=np.int16) != square)[None], [{}])
 
+    # (kind, r, image): P_{image[w]}(k) must equal P_w(rk), with r = 1
+    # for the rotation, reversal and negation.
     transforms = [
-        ("rotation", rotate_bits_array(x, n, 1), lambda k: k),
-        ("reversal", permute_bits_array(x, n, reversal_perm(n)), lambda k: k),
-        ("negation", x ^ np.uint64((1 << n) - 1), lambda k: k),
+        ("rotation", 1, rotate_bits_array(x, n, 1)),
+        ("reversal", 1, permute_bits_array(x, n, reversal_perm(n))),
+        ("negation", 1, x ^ np.uint32((1 << n) - 1)),
+    ] + [
+        ("decimation", r, permute_bits_array(x, n, decimation_perm(n, r)))
+        for r in units(n) if r != 1
     ]
-    for r in units(n):
-        if r != 1:
-            transforms.append(
-                ("decimation", permute_bits_array(x, n, decimation_perm(n, r)),
-                 lambda k, r=r: (r * k) % n)
-            )
-    for name, tx, shift in transforms:
-        for k in range(n):
-            record(name, autocorrelation_array(n, tx, k) != table[shift(k)], k=k)
+    keys = [{"k": k} for k in range(n)]
+    moved, expected = np.empty_like(table), np.empty_like(table)
+    mask = np.empty(table.shape, dtype=bool)
+    for kind, r, image in transforms:
+        np.take(table, image, axis=1, out=moved)
+        np.take(table, np.arange(n) * r % n, axis=0, out=expected)
+        check(kind, np.not_equal(moved, expected, out=mask), keys)
 
     return {"n": n, "checked": 1 << n, "violations": violations,
-            "ok": not violations}
+            "violation_counts": counts, "ok": not violations}
 
 
 def correlation_rows(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
@@ -217,12 +243,15 @@ def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
     Each trial draws, from random.Random(seed) and in this order, X =
     getrandbits(n), Y = getrandbits(n), a shift k = randrange(1, n) and a
     multiplier r = choice(units(n)).  All trials are then evaluated at
-    once on a trials x n sign matrix: one `correlation_rows` call gives the
-    autocorrelation tables of X, its rotation, reversal, negation and d_r X,
-    and another the cross table of X with Y.  Checked per trial: the peak,
-    the symmetry P(k) = P(n-k) and, for even n only, the mod-4 congruence
-    at every shift; the sum and cross-sum identities; rotation, reversal
-    and negation invariance at k; and P_{d_r X}(i) = P_X(ri) at every i.
+    once on a trials x n sign matrix.  One `correlation_rows` call gives
+    the autocorrelation tables of X and d_r X, the two checked at every
+    shift, and another the cross table of X with Y.  The rotation,
+    reversal and negation of X are checked at k alone, so P(k) of each is
+    summed directly over the columns j and j + k.  Checked per trial: the
+    peak, the symmetry P(k) = P(n-k) and, for even n only, the mod-4
+    congruence at every shift; the sum and cross-sum identities; rotation,
+    reversal and negation invariance at k; and P_{d_r X}(i) = P_X(ri) at
+    every i.
     Violations are listed by trial and, within a trial, in that order,
     keyed by the shift k or the multiplier r they concern.
     """
@@ -243,15 +272,15 @@ def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
     t = np.arange(trials)
     k = np.array(ks, dtype=np.int64)
     dec = (np.array(rs, dtype=np.int64)[:, None] * np.arange(n)) % n
-    images = [np.roll(x, -1, axis=1), x[:, ::-1], -x, x[t[:, None], dec]]
-    table, rot, rev, neg, dtab = np.split(
-        correlation_rows(np.concatenate([x] + images)), 5)
+    table, dtab = np.split(correlation_rows(np.concatenate([x, x[t[:, None], dec]])), 2)
     cross = correlation_rows(x, y)
     off = table[:, 1:]
     total = x.sum(axis=1)
+    plus_k = (np.arange(n) + k[:, None]) % n  # column j + k of each trial
 
     def at_k(img):
-        return (img[t, k] != table[t, k])[:, None]
+        # P_img(k) = sum_j img_j img_{j+k}, a sum of at most 256 signs: exact.
+        return ((img * img[t[:, None], plus_k]).sum(axis=1) != table[t, k])[:, None]
 
     checks = [  # (kind, trials x keys failure mask, the keys of one failure)
         ("peak", (table[:, 0] != n)[:, None], lambda i, c: {}),
@@ -260,9 +289,9 @@ def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
         ("sum", (table.sum(axis=1) != total ** 2)[:, None], lambda i, c: {}),
         ("cross_sum", (cross.sum(axis=1) != total * y.sum(axis=1))[:, None],
          lambda i, c: {}),
-        ("rotation", at_k(rot), lambda i, c: {"k": ks[i]}),
-        ("reversal", at_k(rev), lambda i, c: {"k": ks[i]}),
-        ("negation", at_k(neg), lambda i, c: {"k": ks[i]}),
+        ("rotation", at_k(np.roll(x, -1, axis=1)), lambda i, c: {"k": ks[i]}),
+        ("reversal", at_k(x[:, ::-1]), lambda i, c: {"k": ks[i]}),
+        ("negation", at_k(-x), lambda i, c: {"k": ks[i]}),
         ("decimation", (dtab != table[t[:, None], dec]).any(axis=1)[:, None],
          lambda i, c: {"r": rs[i]}),
     ]

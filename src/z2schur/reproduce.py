@@ -131,10 +131,16 @@ def criterion_complete_ssets(max_n: int | None = None):
 def criterion_orbit_counts(max_n: int | None = None):
     import numpy as np
 
+    def orbit_total(n, group):
+        # Distinct canonical words, marked in place of a sort.
+        seen = np.zeros(1 << n, dtype=bool)
+        seen[orbits.canonical_array(n, group)] = True
+        return int(np.count_nonzero(seen))
+
     cap = _cap(20, max_n)
     mismatches = []
     for n in range(1, cap + 1):
-        total = int(np.unique(orbits.canonical_array(n, "C")).size)
+        total = orbit_total(n, "C")
         formula = orbits.necklace_count(n)
         layers = orbits.fd_partition_check(n)
         if total != formula or not layers["mass_ok"] or not layers["formula_ok"]:
@@ -144,7 +150,7 @@ def criterion_orbit_counts(max_n: int | None = None):
     small_burnside = []
     for n in range(1, min(cap, 12) + 1):
         for group in orbits.GROUPS:
-            t = int(np.unique(orbits.canonical_array(n, group)).size)
+            t = orbit_total(n, group)
             b = orbits.burnside_count(n, group)
             if t != b:
                 small_burnside.append({"n": n, "group": group, "total": t, "burnside": b})

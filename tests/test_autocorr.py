@@ -21,10 +21,11 @@ from z2schur.autocorr import (
     theta,
     verify_identities,
 )
-from z2schur.errors import InvalidLength, LengthMismatch
+from z2schur.autocorr import VERIFY_MAX_N
+from z2schur.errors import InvalidLength, LengthMismatch, ScaleExceeded
 from z2schur.hadamard import paley_core
 from z2schur.sequences import BinarySequence, make_sequence, sign_rows, units
-from helpers import str_autocorr
+from helpers import str_autocorr, str_negate, str_permute, str_rotate
 
 signs = st.text(alphabet="+-", min_size=1, max_size=16)
 
@@ -180,6 +181,95 @@ def test_verify_identities_exhaustive_small():
         rep = verify_identities(n)
         assert rep["ok"], rep["violations"][:3]
         assert rep["checked"] == 1 << n
+
+
+def identity_oracle(n):
+    """verify_identities(n) from '+'/'-' strings, one string at a time.
+
+    The reversal and decimation images use whatever position permutations
+    `autocorr` currently holds, so a patched permutation reaches both."""
+    words = [format(w, f"0{n}b").translate(str.maketrans("01", "+-"))
+             for w in range(1 << n)]
+    vec = {s: [str_autocorr(s, k) for k in range(n)] for s in words}
+    violations = []
+    counts = dict.fromkeys(("peak", "symmetry", "mod4", "ik_range", "sum",
+                            "rotation", "reversal", "negation", "decimation"), 0)
+
+    def check(kind, bad, **keys):
+        failing = [s for s in words if bad(s)]
+        counts[kind] += len(failing)
+        violations.extend({"kind": kind, "x": s, **keys} for s in failing[:10])
+
+    def ik_bad(s, k):
+        a = s.count("+")
+        four_i = vec[s][k] - n + 4 * a
+        return four_i % 4 != 0 or not 0 <= four_i // 4 <= a
+
+    check("peak", lambda s: vec[s][0] != n)
+    for k in range(1, n):
+        check("symmetry", lambda s: vec[s][k] != vec[s][n - k], k=k)
+        check("mod4", lambda s: (n - vec[s][k]) % 4 != 0, k=k)
+        check("ik_range", lambda s: ik_bad(s, k), k=k)
+    check("sum", lambda s: sum(vec[s]) != (2 * s.count("+") - n) ** 2)
+    reverse = autocorr.reversal_perm(n)
+    images = [("rotation", 1, lambda s: str_rotate(s, 1)),
+              ("reversal", 1, lambda s: str_permute(s, reverse)),
+              ("negation", 1, str_negate)]
+    images += [("decimation", r, lambda s, p=autocorr.decimation_perm(n, r): str_permute(s, p))
+               for r in units(n) if r != 1]
+    for kind, r, image in images:
+        moved = {s: vec[image(s)] for s in words}
+        for k in range(n):
+            check(kind, lambda s: moved[s][k] != vec[s][r * k % n], k=k)
+    return {"n": n, "checked": 1 << n, "violations": violations,
+            "violation_counts": counts, "ok": not violations}
+
+
+def _swap_first_two(perm_of):
+    def swapped(n, *args):
+        perm = list(perm_of(n, *args))
+        perm[:2] = perm[1::-1]
+        return tuple(perm)
+    return swapped
+
+
+@pytest.mark.parametrize("broken", ("decimation_perm", "reversal_perm"))
+def test_verify_identities_matches_string_oracle(monkeypatch, broken):
+    """With a reversal or decimation that swaps positions 0 and 1, no
+    longer an automorphism, the full capped violation list, in order, and
+    the exact counts per kind equal a per-string oracle at every n <= 8."""
+    monkeypatch.setattr(autocorr, broken, _swap_first_two(getattr(autocorr, broken)))
+    for n in range(1, 9):
+        assert verify_identities(n) == identity_oracle(n), n
+    rep = verify_identities(8)
+    kind = broken.removesuffix("_perm")
+    assert {k for k, c in rep["violation_counts"].items() if c} == {kind}
+    assert rep["violation_counts"][kind] > len(rep["violations"])  # a cap of ten bit
+
+
+def test_verify_identities_at_its_cap():
+    rep = verify_identities(VERIFY_MAX_N)
+    assert rep["ok"] and rep["checked"] == 1 << VERIFY_MAX_N
+    assert not any(rep["violation_counts"].values())
+    with pytest.raises(ScaleExceeded):
+        verify_identities(VERIFY_MAX_N + 1)
+
+
+def test_trials_transform_only_the_tables_checked_at_every_shift(monkeypatch):
+    """X and d_r X go through one correlation, and X with Y through one
+    more; the rotation, reversal and negation, checked at one shift, are
+    summed directly."""
+    shapes = []
+    real = autocorr.correlation_rows
+
+    def spy(x, y=None):
+        shapes.append((x.shape, None if y is None else y.shape))
+        return real(x, y)
+
+    monkeypatch.setattr(autocorr, "correlation_rows", spy)
+    rep = random_identity_trials(32, 50, 4)
+    assert rep["ok"]
+    assert shapes == [((100, 32), None), ((50, 32), (50, 32))]
 
 
 def test_random_trials_seeded():
