@@ -20,7 +20,11 @@ Orbit enumeration runs two independent engines.  The scalar engine
 handles one orbit at a time: `orbit_members` applies every group
 element, and `classify` builds the members as rotations of the images of
 x under the position-0 stabiliser, then decides each fixed-point flag on
-x alone against the conjugates of the fixing permutation.  The
+x alone against the conjugates of the fixing permutation.  Each of these
+permutations is an affine position map j -> u j + c, whose image of x is
+rotate(d_u x, c u^-1), so `classify` permutes the string of x once per
+multiplier u it needs, at most phi(n) times, and does the rest with
+integer rotations.  The
 vectorized engine (`canonical_array`), which the census and the
 invariance sweeps use, canonicalizes every packed sequence at once by
 coset decomposition: the rotation canon first, by word rotations, then
@@ -42,7 +46,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ScaleExceeded
+from .errors import InvalidLength, ScaleExceeded
 from .sequences import (
     BinarySequence,
     decimate_bits,
@@ -53,7 +57,6 @@ from .sequences import (
     permute_bits,
     permute_bits_array,
     reversal_perm,
-    reverse_bits,
     rotate_bits,
     rotate_bits_array,
     shift_perm,
@@ -67,6 +70,16 @@ MAX_ENUM_N = 24
 _CHUNK = 1 << 16
 
 GROUPS = ("C", "D", "H", "DC", "HC", "HDC")
+
+
+def _check_enum_length(n: int) -> None:
+    """The whole-space scans hold 1 <= n <= MAX_ENUM_N."""
+    if n < 1:
+        raise InvalidLength(f"sequence length must be at least 1, got {n}")
+    if n > MAX_ENUM_N:
+        raise ScaleExceeded(
+            f"full orbit enumeration capped at n <= {MAX_ENUM_N}, got {n}"
+        )
 
 
 # ---------------------------------------------------------------- perms
@@ -104,17 +117,30 @@ def group_permutations(n: int, group: str = "C") -> tuple[tuple[int, ...], ...]:
 def _rotation_canon(n: int) -> np.ndarray:
     """canon_C[x] = min over i of rotate(x, i), for every packed x.
 
-    One in-place word rotation per step; uint32 holds every word up to
-    MAX_ENUM_N.
+    An even word x rotates right into x >> 1, in the same rotation orbit,
+    so canon_C[x] = canon_C[x >> 1].  In every block after the first,
+    x >> 1 lies in an earlier block: the even half of the block is one
+    strided copy, and the min over rotations runs on its odd words only.
+    The first block takes the full min, in place.  uint32 holds every
+    word up to MAX_ENUM_N.
     """
     size = 1 << n
     canon = np.arange(size, dtype=np.uint32)
-    for start in range(0, size, _CHUNK):
-        best = canon[start:start + _CHUNK]
-        cur = best.copy()
-        for _ in range(n - 1):
-            np.minimum(best, rotate_bits_array(cur, n, 1, out=cur), out=best)
+    _least_rotations(canon[:_CHUNK], n)
+    for start in range(_CHUNK, size, _CHUNK):
+        stop = start + _CHUNK
+        canon[start:stop:2] = canon[start // 2:stop // 2]
+        canon[start + 1:stop:2] = _least_rotations(canon[start + 1:stop:2].copy(), n)
     return canon
+
+
+def _least_rotations(words: np.ndarray, n: int) -> np.ndarray:
+    """Each of the contiguous words replaced by its least rotation, in
+    place, one in-place word rotation per step."""
+    cur = words.copy()
+    for _ in range(n - 1):
+        np.minimum(words, rotate_bits_array(cur, n, 1, out=cur), out=words)
+    return words
 
 
 @lru_cache(maxsize=None)
@@ -126,15 +152,36 @@ def _coset_reps(n: int, group: str) -> tuple[tuple[int, ...], ...]:
                  if p[0] == 0 or "C" not in group)
 
 
+def _position_map(n: int, perm: tuple[int, ...]) -> tuple[int, int]:
+    """(u, c) with perm[j] = u j + c, for an affine position map."""
+    return ((perm[1] - perm[0]) % n, perm[0]) if n > 1 else (1, 0)
+
+
+def _affine(n: int, perm: tuple[int, ...]) -> tuple[int, int]:
+    """(u, s) for an affine position map perm[j] = u j + c, so that
+    perm x = rotate(d_u x, s) with s = c u^-1: position j of
+    rotate(d_u x, s) reads x at u (j + s)."""
+    u, c = _position_map(n, perm)
+    return u, c * pow(u, -1, n) % n
+
+
+def _after(n: int, g: tuple[int, int], h: tuple[int, int]) -> tuple[int, int]:
+    """(u, s) of h g, both given as (u, s): d_v rotate(y, s) =
+    rotate(d_v y, s v^-1), so h g x = rotate(d_(u_g u_h) x, s_g u_h^-1 + s_h)."""
+    return g[0] * h[0] % n, (g[1] * pow(h[0], -1, n) + h[1]) % n
+
+
 @lru_cache(maxsize=None)
-def _conjugates(n: int, group: str, h: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The distinct g h g^-1 over g in the group, h any position permutation."""
+def _conjugates(n: int, group: str, h: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The distinct g h g^-1 over g in the group, as (u, s) from `_affine`;
+    h is an affine position map.  For g: j -> a j + b and h: j -> u j + c,
+    g h g^-1 is j -> u j + a c + b (1 - u)."""
+    u, c = _position_map(n, h)
+    u_inv = pow(u, -1, n)
     out = set()
     for g in group_permutations(n, group):
-        inv = [0] * n
-        for j, gj in enumerate(g):
-            inv[gj] = j
-        out.add(tuple(g[h[inv[j]]] for j in range(n)))
+        a, b = _position_map(n, g)
+        out.add((u, (a * c + b * (1 - u)) * u_inv % n))
     return tuple(sorted(out))
 
 
@@ -160,12 +207,10 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
 
     Words are uint32 and the scans run in cache-sized blocks, so besides
     the two 2^n uint32 tables peak memory stays at a few blocks of
-    _CHUNK words; refuses n beyond MAX_ENUM_N instead of thrashing.
+    _CHUNK words; refuses n < 1, and n beyond MAX_ENUM_N instead of
+    thrashing.
     """
-    if n > MAX_ENUM_N:
-        raise ScaleExceeded(
-            f"full orbit enumeration capped at n <= {MAX_ENUM_N}, got {n}"
-        )
+    _check_enum_length(n)
     canon = _rotation_canon(n) if "C" in group else np.arange(1 << n, dtype=np.uint32)
     coset_reps = [p for p in _coset_reps(n, group) if p != tuple(range(n))]
     if not coset_reps:
@@ -286,14 +331,36 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
     (d_r R = R d_r C^(r-1)), so under "D" every member is checked.  By
     the same relation each d_r normalises every group but "H", so
     `delta_closed` tests d_r x alone there and both members under "H".
+
+    Every group element, and every conjugate of R and of d_r, is an affine
+    position map j -> u j + c, which sends x to rotate(d_u x, c u^-1); the
+    conjugates are cached as those (u, c u^-1) pairs.  So each d_u x that
+    a test needs is permuted once per call, and every image after it is an
+    integer rotation; the rotations of each k x come from one doubled word.
     """
     n, bits = x.n, x.bits
     mask = (1 << n) - 1
-    turns = range(n) if "C" in group else (0,)
-    images = {permute_bits(bits, n, k) for k in _coset_reps(n, group)}
-    members = {rotate_bits(t, n, i) for t in images for i in turns}
-    reversed_x = {permute_bits(bits, n, c)
-                  for c in _conjugates(n, group, reversal_perm(n))}
+    decimated: dict[int, int] = {}
+
+    def image(g: tuple[int, int]) -> int:
+        u, s = g
+        if u not in decimated:
+            decimated[u] = decimate_bits(bits, n, u)
+        return rotate_bits(decimated[u], n, s)
+
+    ks = [_affine(n, k) for k in _coset_reps(n, group)]
+    if "C" in group:
+        members = set()
+        for k in ks:
+            # t << n | t: its n-bit windows are the rotations of t = k x.
+            doubled = image(k) * (mask + 2)
+            members.update((doubled >> i) & mask for i in range(n))
+    else:
+        members = {image(k) for k in ks}
+    rev = reversal_perm(n)
+    reversed_x = {image(c) for c in _conjugates(n, group, rev)}
+    flip = _affine(n, rev)
+    x_alone = ((1, 0),)
 
     return Orbit(
         n=n,
@@ -303,17 +370,17 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
         period=cyclic_period(x),
         symmetric=bits in reversed_x,
         antisymmetric=(bits ^ mask) in reversed_x,
-        reversal_closed=all(reverse_bits(t, n) in members
-                            for t in (members if group == "D" else (bits,))),
+        reversal_closed=all(image(_after(n, k, flip)) in members
+                            for k in (ks if group == "D" else x_alone)),
         delta_invariant=tuple(
             r for r in units(n)
-            if any(permute_bits(bits, n, c) == bits
+            if any(image(c) == bits
                    for c in _conjugates(n, group, decimation_perm(n, r)))
         ),
         delta_closed=tuple(
             r for r in units(n)
-            if all(decimate_bits(t, n, r) in members
-                   for t in (members if group == "H" else (bits,)))
+            if all(image(_after(n, k, (r, 0))) in members
+                   for k in (ks if group == "H" else x_alone))
         ),
     )
 
@@ -428,22 +495,25 @@ def burnside_count(n: int, group: str = "C") -> int:
 
 
 def fd_partition(n: int) -> dict[int, int]:
-    """Orbit count per exact period d, by direct enumeration: the period of
-    every word from `periods_array`, tallied by one bincount per block, so
-    that it stays an oracle independent of the counting formula in
+    """Orbit count per exact period d, by direct enumeration, so that it
+    stays an oracle independent of the counting formula in
     `fd_partition_check`.
 
-    Satisfies sum_d count[d] * d = 2^n.
+    Complementing a word keeps its period, so only the words with top bit
+    0 are tallied, and every count doubled.  Per block,
+    `_below_full_period` decides which words have full period, and
+    `periods_array` runs on the short-period words that remain; one
+    bincount per block tallies them.  Satisfies sum_d count[d] * d = 2^n.
     """
-    if n > MAX_ENUM_N:
-        raise ScaleExceeded(
-            f"full orbit enumeration capped at n <= {MAX_ENUM_N}, got {n}"
-        )
-    words = np.zeros(n + 1, dtype=np.int64)  # words[d]: words of exact period d
-    size = 1 << n
+    _check_enum_length(n)
+    words = np.zeros(n + 1, dtype=np.int64)  # words[d]: half the words of period d
+    size = 1 << (n - 1)
     for start in range(0, size, _CHUNK):
         block = np.arange(start, min(start + _CHUNK, size), dtype=np.uint32)
-        words += np.bincount(periods_array(block, n), minlength=n + 1)
+        short = _below_full_period(block, n)
+        words[n] += block.size - int(np.count_nonzero(short))
+        words += np.bincount(periods_array(block[short], n), minlength=n + 1)
+    words *= 2
     assert all(words[d] % d == 0 for d in divisors(n))
     return {d: int(words[d]) // d for d in divisors(n)}
 
@@ -557,14 +627,21 @@ def _lyndon_words(n: int) -> np.ndarray:
     """Packed words less than each of their n - 1 nontrivial
     rotations, ascending: the least member of every free rotation orbit.
 
-    Each chunk keeps only the survivors after each rotation, so the work
-    shrinks towards the 2^n / n words that are left.  uint32, like every
-    whole-space word up to MAX_ENUM_N.
+    For n >= 2 such a word has top bit 0 and bottom bit 1: a top 1 loses
+    to the rotation that starts at any 0 (all ones is periodic), and a
+    bottom 0 loses to the right rotation x >> 1.  So only the 2^(n-2)
+    words (i << 1) | 1, i < 2^(n-2), are filtered; at n = 1 both words
+    qualify.  Each chunk keeps only the survivors after each rotation, so
+    the work shrinks towards the 2^n / n words that are left.  uint32,
+    like every whole-space word up to MAX_ENUM_N.
     """
-    size = 1 << n
+    if n == 1:
+        return np.arange(2, dtype=np.uint32)
+    size = 1 << (n - 2)
     found = []
     for start in range(0, size, _CHUNK):
         words = np.arange(start, min(start + _CHUNK, size), dtype=np.uint32)
+        words = (words << 1) | 1
         turned = words.copy()
         for _ in range(n - 1):
             keep = words < rotate_bits_array(turned, n, 1, out=turned)
@@ -607,10 +684,7 @@ def square_freeness_check(n: int) -> dict:
     of every free word gives.  Likewise X * C^{n-a} X = C^{n-a}(X * C^a X),
     so odd n computes offsets a <= (n-1)/2 only and reuses them for n - a.
     """
-    if n > MAX_ENUM_N:
-        raise ScaleExceeded(
-            f"full orbit enumeration capped at n <= {MAX_ENUM_N}, got {n}"
-        )
+    _check_enum_length(n)
     lyndon = _lyndon_words(n)
     free_count = n * int(lyndon.size)
     if n % 2:

@@ -1,12 +1,15 @@
 """Independent reference implementations.
 
 The string oracles work directly on '+'/'-' strings with explicit index
-arithmetic, and the scalar search oracles on one Python int per
-candidate; both deliberately share no code with the packed-array
+arithmetic, the period oracle on uint64 word arrays with its own
+rotations, and the scalar search oracles on one Python int per
+candidate; all deliberately share no code with the packed-array
 implementations under test.
 """
 
 from itertools import combinations, product
+
+import numpy as np
 
 from z2schur.hadamard import core_partition_verdict, partition_parity_verdict
 
@@ -55,6 +58,36 @@ def str_period(s: str) -> int:
 
 def cyclic_orbit(s: str) -> set[str]:
     return {str_rotate(s, i) for i in range(len(s))}
+
+
+# ------------------------------------------------------- period oracle
+
+def rotate_words(words: np.ndarray, n: int, i: int) -> np.ndarray:
+    """rotate(X, i), 0 < i < n, for every packed word in a uint64 array."""
+    mask = np.uint64((1 << n) - 1)
+    return ((words << np.uint64(i)) | (words >> np.uint64(n - i))) & mask
+
+
+def word_periods(words: np.ndarray, n: int) -> np.ndarray:
+    """The exact rotation period of every packed word in a uint64 array:
+    rotate(X, d) = X exactly when the period divides d, so walking the
+    divisors downwards and overwriting leaves the least one."""
+    period = np.full(words.shape, n)
+    for d in range(n - 1, 0, -1):
+        if n % d == 0:
+            period[rotate_words(words, n, d) == words] = d
+    return period
+
+
+def period_tally(n: int) -> dict[int, int]:
+    """Rotation orbits per exact period d: the period of each of the 2^n
+    words, tallied, and every d words of period d make one orbit."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    size = 1 << n
+    for start in range(0, size, 1 << 16):
+        block = np.arange(start, min(start + (1 << 16), size), dtype=np.uint64)
+        counts += np.bincount(word_periods(block, n), minlength=n + 1)
+    return {d: int(counts[d]) // d for d in range(1, n + 1) if n % d == 0}
 
 
 # ------------------------------------------ scalar Hadamard search oracles

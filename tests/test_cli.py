@@ -175,6 +175,11 @@ def test_invalid_sequence_exits_two(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_orbits_census_refuses_empty_length(capsys):
+    code, out, err = run(capsys, "orbits", "census", "--n", "0", "--group", "C")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_csv_refused_before_the_work(capsys, monkeypatch):
     calls = []
     real = wr.verify_ring

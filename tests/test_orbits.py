@@ -1,6 +1,7 @@
+import random
 import tracemalloc
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from z2schur import orbits as ob
+from z2schur.errors import InvalidLength, ScaleExceeded
 from z2schur.orbits import (
     GROUPS,
+    MAX_ENUM_N,
     Orbit,
     asym_square_check,
     burnside_count,
@@ -33,13 +36,24 @@ from z2schur.sequences import (
     BinarySequence,
     decimate_bits,
     decimation_perm,
+    divisors,
     fixed_words,
     make_sequence,
+    perm_cycles,
     permute_bits,
     reverse_bits,
     units,
 )
-from helpers import cyclic_orbit, str_decimate, str_period, str_reverse, str_rotate
+from helpers import (
+    cyclic_orbit,
+    period_tally,
+    rotate_words,
+    str_decimate,
+    str_period,
+    str_reverse,
+    str_rotate,
+    word_periods,
+)
 
 signs = st.text(alphabet="+-", min_size=1, max_size=14)
 
@@ -152,6 +166,33 @@ def test_classify_matches_member_walk():
             assert classify(x, group) == _walk_every_member(x, group), (str(x), group)
 
 
+def _flagged_words(n, rng):
+    # A random word, and words that set the flags a random word misses: a
+    # palindrome, a word fixed by the least nontrivial decimation, and a
+    # word of the largest proper period.
+    signs = format(rng.getrandbits(n), f"0{n}b")
+    head = signs[:(n + 1) // 2]
+    palindrome = head + head[:n // 2][::-1]
+    r = units(n)[1]
+    fixed = sum(1 << (n - 1 - j) for cycle in perm_cycles(decimation_perm(n, r))
+                if rng.getrandbits(1) for j in cycle)
+    d = divisors(n)[-2]
+    periodic = signs[:d] * (n // d)
+    return [BinarySequence(n, bits) for bits in
+            (int(signs, 2), int(palindrome, 2), fixed, int(periodic, 2))]
+
+
+def test_classify_matches_member_walk_at_large_n():
+    # The walk above stops at n = 14 and the vector engine's check at
+    # n = 24; the affine images of x matter most past both.
+    rng = random.Random(47)
+    cases = [(n, group) for n in (31, 47, 64) for group in GROUPS]
+    cases += [(128, "C"), (128, "HC")]
+    for n, group in cases:
+        for x in _flagged_words(n, rng):
+            assert classify(x, group) == _walk_every_member(x, group), (str(x), group)
+
+
 def test_classify_worked_examples():
     o = classify(make_sequence("+----+----+----"))
     assert o.period == 5 and not o.free
@@ -221,6 +262,21 @@ def test_fd_partition_and_masses():
     for n in (1, 2, 3, 4, 6, 9, 12):
         rep = fd_partition_check(n)
         assert rep["mass_ok"] and rep["formula_ok"]
+
+
+def test_fd_partition_matches_per_word_periods():
+    for n in range(1, 21):
+        assert fd_partition(n) == period_tally(n), n
+
+
+@pytest.mark.parametrize("scan", [canonical_array, census, fd_partition,
+                                  fd_partition_check, square_freeness_check])
+def test_whole_space_scans_refuse_lengths_outside_the_cap(scan):
+    for n in (0, -1):
+        with pytest.raises(InvalidLength):
+            scan(n)
+    with pytest.raises(ScaleExceeded):
+        scan(MAX_ENUM_N + 1)
 
 
 def test_enumerate_orbits_consistency():
@@ -306,6 +362,39 @@ def test_canonical_array_matches_whole_group_brute_force():
             want = _brute_canonical_array(n, group)
             got = canonical_array(n, group)
             assert got.dtype == want.dtype and np.array_equal(got, want), (n, group)
+
+
+def _every_rotation(n):
+    # Every word, and its nontrivial rotations one array at a time.
+    words = np.arange(1 << n, dtype=np.uint64)
+    return words, (rotate_words(words, n, i) for i in range(1, n))
+
+
+def test_rotation_canon_over_full_blocks():
+    # Past n = 16 the space spans several _CHUNK blocks, and every block
+    # after the first copies its even half from an earlier one.
+    for n in (17, 18):
+        words, turns = _every_rotation(n)
+        want = reduce(np.minimum, turns, words).astype(np.uint32)
+        assert np.array_equal(ob._rotation_canon(n), want), n
+
+
+def _plain_lyndon(n):
+    # Every word, kept when it is less than each nontrivial rotation.
+    words, turns = _every_rotation(n)
+    keep = np.ones(words.size, dtype=bool)
+    for turned in turns:
+        keep &= words < turned
+    return words[keep].astype(np.uint32)
+
+
+def test_lyndon_words_match_the_plain_filter(monkeypatch):
+    for n in range(1, 19):
+        got = ob._lyndon_words(n)
+        assert got.dtype == np.uint32 and np.array_equal(got, _plain_lyndon(n)), n
+    monkeypatch.setattr(ob, "_CHUNK", 1 << 4)
+    for n in range(1, 13):
+        assert np.array_equal(ob._lyndon_words(n), _plain_lyndon(n)), n
 
 
 def test_canonical_array_sampled_at_twenty():
@@ -417,35 +506,20 @@ def test_square_freeness_counts_past_the_witness_cap():
     assert square_freeness_check(12)["violation_count"] == 0
 
 
-def _exact_periods(words, n):
-    mask = np.uint64((1 << n) - 1)
-    period = np.full(words.shape, n)
-    for d in range(n - 1, 0, -1):
-        if n % d == 0:
-            turned = ((words << np.uint64(d)) | (words >> np.uint64(n - d))) & mask
-            period[turned == words] = d
-    return period
-
-
 def _scan_every_free_word(n):
     # Every free word against every offset, by exact period.
-    mask = np.uint64((1 << n) - 1)
-
-    def rot(words, a):
-        return ((words << np.uint64(a)) | (words >> np.uint64(n - a))) & mask
-
     def signs(bits):
         return format(bits, f"0{n}b").translate(str.maketrans("01", "+-"))
 
     words = np.arange(1 << n, dtype=np.uint64)
-    free = words[_exact_periods(words, n) == n]
+    free = words[word_periods(words, n) == n]
     if n % 2:
-        failing = [(a, free[_exact_periods(free ^ rot(free, a), n) != n])
+        failing = [(a, free[word_periods(free ^ rotate_words(free, n, a), n) != n])
                    for a in range(1, n)]
         checked = free.size * (n - 1)
     else:
-        y = free ^ rot(free, n // 2)
-        failing = [(n // 2, free[~((rot(y, n // 2) == y) & (y != 0))])]
+        y = free ^ rotate_words(free, n, n // 2)
+        failing = [(n // 2, free[~((rotate_words(y, n, n // 2) == y) & (y != 0))])]
         checked = free.size
     violations = [{"x": signs(bits), "a": a}
                   for a, bad in failing for bits in bad[:10].tolist()]
