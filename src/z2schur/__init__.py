@@ -80,7 +80,6 @@ from .hadamard import (
     SignMatrix,
     StructureVerdict,
     border_core,
-    circulant,
     circulant_feasible_weights,
     core_partition_verdict,
     exhaustive_core_partition_search,

@@ -131,12 +131,6 @@ def is_hadamard(mat: SignMatrix) -> bool:
     return orthogonality_witness(mat) is None
 
 
-def circulant(x: BinarySequence) -> SignMatrix:
-    """Row i holds X shifted right by i: entry (i, j) is x_{(j-i) mod n}."""
-    n = x.n
-    return SignMatrix(n, tuple(rotate_bits(x.bits, n, (n - i) % n) for i in range(n)))
-
-
 BUILTIN_H12 = SignMatrix.from_rows(
     [
         "+-----------",

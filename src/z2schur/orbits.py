@@ -16,16 +16,19 @@ group that contains them: reversal and decimation permute the rotation
 orbits as whole blocks, which is why circulant S-sets are invariant
 under decimation.
 
+Every element of these groups is an affine position map j -> u (j + s),
+u a unit, which sends x to rotate(d_u x, s); `affine_group` lists each
+group as those pairs (u, s) in closed form, with no closure over the
+generators.
+
 Orbit enumeration runs two independent engines.  The scalar engine
-handles one orbit at a time: `orbit_members` applies every group
-element, and `classify` builds the members as rotations of the images of
-x under the position-0 stabiliser, then decides each fixed-point flag on
-x alone against the conjugates of the fixing permutation.  Each of these
-permutations is an affine position map j -> u j + c, whose image of x is
-rotate(d_u x, c u^-1), so `classify` permutes the string of x once per
-multiplier u it needs, at most phi(n) times, and does the rest with
-integer rotations.  The
-vectorized engine (`canonical_array`), which the census and the
+handles one orbit at a time, on the pairs: `orbit_members` and
+`canonical_rep` take every image of x, and `classify` builds the members
+as rotations of the images of x under the position-0 stabiliser, then
+decides each fixed-point flag on x alone against the conjugates of the
+fixing map.  Each permutes the string of x once per multiplier u it
+needs, at most phi(n) times, and does the rest with integer rotations.
+The vectorized engine (`canonical_array`), which the census and the
 invariance sweeps use, canonicalizes every packed sequence at once by
 coset decomposition: the rotation canon first, by word rotations, then
 one table lookup per coset representative of C, a decimation possibly
@@ -54,12 +57,10 @@ from .sequences import (
     divisors,
     fixed_words,
     perm_cycles,
-    permute_bits,
     permute_bits_array,
     reversal_perm,
     rotate_bits,
     rotate_bits_array,
-    shift_perm,
     units,
 )
 from .weight_ring import group_cells
@@ -82,34 +83,33 @@ def _check_enum_length(n: int) -> None:
         )
 
 
-# ---------------------------------------------------------------- perms
+# --------------------------------------------------------------- groups
+
+def _reflection(n: int) -> tuple[int, int]:
+    """R as an affine pair: position j reads n - 1 - j = -(j + 1), so
+    R = (n - 1, 1); n - 1 is the last unit, which is 1 at n = 1."""
+    return units(n)[-1], 1 % n
+
 
 @lru_cache(maxsize=None)
-def group_permutations(n: int, group: str = "C") -> tuple[tuple[int, ...], ...]:
-    """All position permutations of the named group, closed from its
-    generators: C rotations, D decimations, H the reversal."""
+def affine_group(n: int, group: str = "C") -> tuple[tuple[int, int], ...]:
+    """Every element of the named group as a pair (u, s), sorted: the
+    element sends x to rotate(d_u x, s), whose position j reads x at
+    u (j + s).
+
+    By the relations above these maps are closed under composition, and
+    the generators are among them: C is (1, 1), d_r is (r, 0) and R is
+    `_reflection`.  So "C" is (1, s) for every s, "HC" is (+-1, s), "DC"
+    and "HDC" are (u, s) for every unit u (one group, since j -> -j is
+    d_(n-1)), "D" is (u, 0), and "H" is the identity and R.
+    """
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}, expected one of {GROUPS}")
-    gens: list[tuple[int, ...]] = []
-    if "C" in group:
-        gens.append(shift_perm(n))
-    if "H" in group:
-        gens.append(reversal_perm(n))
-    if "D" in group:
-        gens.extend(decimation_perm(n, r) for r in units(n) if r != 1)
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(p[g[j]] for j in range(n))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return tuple(sorted(seen))
+    if group == "H":
+        return tuple(sorted({(1, 0), _reflection(n)}))
+    mults = {"C": (1,), "HC": (1, _reflection(n)[0])}.get(group, units(n))
+    shifts = range(n) if "C" in group else (0,)
+    return tuple(sorted({(u, s) for u in mults for s in shifts}))
 
 
 # ------------------------------------------------------- canonical forms
@@ -144,25 +144,19 @@ def _least_rotations(words: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _coset_reps(n: int, group: str) -> tuple[tuple[int, ...], ...]:
+def _coset_reps(n: int, group: str) -> tuple[tuple[int, int], ...]:
     """K, the stabiliser of position 0 in the group when it holds the
     rotations (then G = C K, each element uniquely c k), else the whole
-    group (then C K reads as K alone)."""
-    return tuple(p for p in group_permutations(n, group)
-                 if p[0] == 0 or "C" not in group)
+    group (then C K reads as K alone).  (u, s) sends position 0 to u s,
+    so K is the pairs with s = 0."""
+    return tuple(g for g in affine_group(n, group) if g[1] == 0 or "C" not in group)
 
 
-def _position_map(n: int, perm: tuple[int, ...]) -> tuple[int, int]:
-    """(u, c) with perm[j] = u j + c, for an affine position map."""
-    return ((perm[1] - perm[0]) % n, perm[0]) if n > 1 else (1, 0)
-
-
-def _affine(n: int, perm: tuple[int, ...]) -> tuple[int, int]:
-    """(u, s) for an affine position map perm[j] = u j + c, so that
-    perm x = rotate(d_u x, s) with s = c u^-1: position j of
-    rotate(d_u x, s) reads x at u (j + s)."""
-    u, c = _position_map(n, perm)
-    return u, c * pow(u, -1, n) % n
+def _positions(n: int, g: tuple[int, int]) -> tuple[int, ...]:
+    """The position permutation of the pair g = (u, s): position j reads
+    u (j + s).  Only the array kernels and the cycle counts need it."""
+    u, s = g
+    return tuple(u * (j + s) % n for j in range(n))
 
 
 def _after(n: int, g: tuple[int, int], h: tuple[int, int]) -> tuple[int, int]:
@@ -172,17 +166,13 @@ def _after(n: int, g: tuple[int, int], h: tuple[int, int]) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _conjugates(n: int, group: str, h: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The distinct g h g^-1 over g in the group, as (u, s) from `_affine`;
-    h is an affine position map.  For g: j -> a j + b and h: j -> u j + c,
-    g h g^-1 is j -> u j + a c + b (1 - u)."""
-    u, c = _position_map(n, h)
-    u_inv = pow(u, -1, n)
-    out = set()
-    for g in group_permutations(n, group):
-        a, b = _position_map(n, g)
-        out.add((u, (a * c + b * (1 - u)) * u_inv % n))
-    return tuple(sorted(out))
+def _conjugates(n: int, group: str, h: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """The distinct g h g^-1 over g in the group, all pairs (u, s).  As
+    position maps g: j -> a j + a t and h: j -> u j + u s, and g h g^-1 is
+    j -> u j + a u s + a t (1 - u), which is (u, a (s + t (u^-1 - 1)))."""
+    u, s = h
+    step = pow(u, -1, n) - 1
+    return tuple(sorted({(u, a * (s + t * step) % n) for a, t in affine_group(n, group)}))
 
 
 def canonical_array(n: int, group: str = "C") -> np.ndarray:
@@ -205,28 +195,32 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
     "D" and "H" there are no rotations: canon_C is the identity, K is the
     whole group, and every word is its own rotation orbit.
 
+    The fold is written into canon itself, at each rotation-orbit
+    representative, which every word then looks up through its own
+    representative.  A representative that a later block reads through
+    canon may already hold its orbit minimum instead of itself; that is a
+    member of the same orbit no greater than it, so the minimum is the
+    same.  The byte tables are keyed by position tuple, which is built
+    for the coset representatives only.
+
     Words are uint32 and the scans run in cache-sized blocks, so besides
-    the two 2^n uint32 tables peak memory stays at a few blocks of
-    _CHUNK words; refuses n < 1, and n beyond MAX_ENUM_N instead of
-    thrashing.
+    the 2^n uint32 table peak memory stays at a few blocks of _CHUNK
+    words; refuses n < 1, and n beyond MAX_ENUM_N instead of thrashing.
     """
     _check_enum_length(n)
     canon = _rotation_canon(n) if "C" in group else np.arange(1 << n, dtype=np.uint32)
-    coset_reps = [p for p in _coset_reps(n, group) if p != tuple(range(n))]
+    coset_reps = [_positions(n, k) for k in _coset_reps(n, group) if k != (1, 0)]
     if not coset_reps:
         return canon
-    # out holds the fold at each rotation-orbit representative, which every
-    # word then looks up through its own representative.
-    out = np.empty_like(canon)
     for start in range(0, canon.size, _CHUNK):
         block = _self_mapped(canon, start)
         best = block.copy()
         for perm in coset_reps:
             np.minimum(best, canon[permute_bits_array(block, n, perm)], out=best)
-        out[block] = best
+        canon[block] = best
     for start in range(0, canon.size, _CHUNK):
         chunk = canon[start:start + _CHUNK]
-        chunk[:] = out[chunk]
+        chunk[:] = canon[chunk]
     return canon
 
 
@@ -236,16 +230,28 @@ def _self_mapped(canon: np.ndarray, start: int) -> np.ndarray:
     return words[canon[start:start + _CHUNK] == words]
 
 
+def _imager(x: BinarySequence):
+    """g -> g x for affine pairs g = (u, s): x is decimated once per
+    multiplier u asked for, and each image is then an integer rotation."""
+    decimated: dict[int, int] = {}
+
+    def image(g: tuple[int, int]) -> int:
+        u, s = g
+        if u not in decimated:
+            decimated[u] = decimate_bits(x.bits, x.n, u)
+        return rotate_bits(decimated[u], x.n, s)
+
+    return image
+
+
 def canonical_rep(x: BinarySequence, group: str = "C") -> BinarySequence:
     """Least orbit member in packed order, which is least in sign-string
     lexicographic order ('+' < '-')."""
-    perms = group_permutations(x.n, group)
-    return BinarySequence(x.n, min(permute_bits(x.bits, x.n, p) for p in perms))
+    return BinarySequence(x.n, min(map(_imager(x), affine_group(x.n, group))))
 
 
 def orbit_members(x: BinarySequence, group: str = "C") -> list[BinarySequence]:
-    perms = group_permutations(x.n, group)
-    bits = sorted({permute_bits(x.bits, x.n, p) for p in perms})
+    bits = sorted(set(map(_imager(x), affine_group(x.n, group))))
     return [BinarySequence(x.n, b) for b in bits]
 
 
@@ -325,7 +331,7 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
     of position 0 (G = C K; K is all of G for "D" and "H").  A member g x
     is fixed by h exactly when x is fixed by g^-1 h g, so `symmetric`,
     `antisymmetric` and `delta_invariant` test x against the G-conjugates
-    of R and of each d_r, a handful of permutations cached per group.
+    of R and of each d_r, a handful of affine pairs cached per group.
     R normalises every group with rotations or the reversal, so there
     `reversal_closed` tests R x alone; it does not normalise "D"
     (d_r R = R d_r C^(r-1)), so under "D" every member is checked.  By
@@ -333,22 +339,15 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
     `delta_closed` tests d_r x alone there and both members under "H".
 
     Every group element, and every conjugate of R and of d_r, is an affine
-    position map j -> u j + c, which sends x to rotate(d_u x, c u^-1); the
-    conjugates are cached as those (u, c u^-1) pairs.  So each d_u x that
-    a test needs is permuted once per call, and every image after it is an
-    integer rotation; the rotations of each k x come from one doubled word.
+    pair (u, s) of `affine_group`, which sends x to rotate(d_u x, s).  So
+    each d_u x that a test needs is permuted once per call, and every
+    image after it is an integer rotation; the rotations of each k x come
+    from one doubled word.
     """
     n, bits = x.n, x.bits
     mask = (1 << n) - 1
-    decimated: dict[int, int] = {}
-
-    def image(g: tuple[int, int]) -> int:
-        u, s = g
-        if u not in decimated:
-            decimated[u] = decimate_bits(bits, n, u)
-        return rotate_bits(decimated[u], n, s)
-
-    ks = [_affine(n, k) for k in _coset_reps(n, group)]
+    image = _imager(x)
+    ks = _coset_reps(n, group)
     if "C" in group:
         members = set()
         for k in ks:
@@ -357,9 +356,8 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
             members.update((doubled >> i) & mask for i in range(n))
     else:
         members = {image(k) for k in ks}
-    rev = reversal_perm(n)
-    reversed_x = {image(c) for c in _conjugates(n, group, rev)}
-    flip = _affine(n, rev)
+    flip = _reflection(n)
+    reversed_x = {image(c) for c in _conjugates(n, group, flip)}
     x_alone = ((1, 0),)
 
     return Orbit(
@@ -375,7 +373,7 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
         delta_invariant=tuple(
             r for r in units(n)
             if any(image(c) == bits
-                   for c in _conjugates(n, group, decimation_perm(n, r)))
+                   for c in _conjugates(n, group, (r, 0)))
         ),
         delta_closed=tuple(
             r for r in units(n)
@@ -486,12 +484,14 @@ def necklace_count(n: int) -> int:
     return sum(len(units(d)) * (1 << (n // d)) for d in divisors(n)) // n
 
 
+@lru_cache(maxsize=None)
 def burnside_count(n: int, group: str = "C") -> int:
-    """Orbit count as the average number of fixed sequences per group element."""
-    perms = group_permutations(n, group)
-    total = sum(1 << len(perm_cycles(p)) for p in perms)
-    assert total % len(perms) == 0
-    return total // len(perms)
+    """Orbit count as the average number of fixed sequences per group
+    element: 2 to the number of cycles of its position map."""
+    pairs = affine_group(n, group)
+    total = sum(1 << len(perm_cycles(_positions(n, g))) for g in pairs)
+    assert total % len(pairs) == 0
+    return total // len(pairs)
 
 
 def fd_partition(n: int) -> dict[int, int]:

@@ -15,11 +15,14 @@ The automorphisms used throughout, as `BinarySequence` methods:
     X.decimate(r)  position i of the result is x_{ri mod n}, gcd(r, n) = 1
     -X             every sign flipped
 
-Rotation, reversal and decimation are also given as position
-permutations.  `permute_bits` applies one to a single packed word by
-reordering its n-digit binary string, which needs no per-permutation
-state: the orbit queries ask for thousands of distinct conjugates at
-large n, so tables built per permutation would rarely be reused there.
+Reversal and decimation are also given as position permutations, the
+tuples that `fixed_words` and the array kernels take; the orbit module
+names group elements by affine pairs instead and builds a tuple only
+for the array kernels and the cycle counts.  `permute_bits` applies one permutation
+to a single packed word by reordering its n-digit binary string, which
+needs no per-permutation state: `decimate_bits` runs on it, once per
+multiplier of each scalar orbit query, and tables built per permutation
+would rarely be reused there.
 `permute_bits_array` applies one to a numpy array of words, n <= 64, by
 byte tables: per (n, permutation), built on first use and cached,
 ceil(n/8) tables of 256 entries map each byte of the input to the output
@@ -70,11 +73,6 @@ def reverse_bits(bits: int, n: int) -> int:
 
 
 # Position permutations: position j of the image reads position perm[j].
-
-def shift_perm(n: int) -> tuple[int, ...]:
-    """The generator C of the rotations, rotate(X, 1)."""
-    return tuple((j + 1) % n for j in range(n))
-
 
 def reversal_perm(n: int) -> tuple[int, ...]:
     return tuple(n - 1 - j for j in range(n))

@@ -34,7 +34,6 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidWeight, RingAxiomViolation, ScaleExceeded
-from .sequences import BinarySequence
 
 ORACLE_MAX_N = 14
 
@@ -81,27 +80,6 @@ def class_members_bits(n: int, k: int) -> Iterator[int]:
         v = gosper_next(v)
 
 
-def class_members_recursive(n: int, k: int) -> Iterator[BinarySequence]:
-    """Members via the prefix decomposition G_n(k) = +G_{n-1}(k-1) | -G_{n-1}(k).
-
-    Independent of the Gosper stream; used to cross-check it.
-    """
-    _check_weight(n, k)
-
-    def rec(n: int, k: int) -> Iterator[int]:
-        if k < 0 or k > n:
-            return
-        if n == 0:
-            yield 0
-            return
-        for tail in rec(n - 1, k - 1):
-            yield tail  # '+' prefix, top bit 0
-        for tail in rec(n - 1, k):
-            yield (1 << (n - 1)) | tail  # '-' prefix
-    for bits in rec(n, k):
-        yield BinarySequence(n, bits)
-
-
 def class_members_array(n: int, k: int) -> np.ndarray:
     """Members of G_n(k) ascending, as int64 so XOR products feed bincount."""
     _check_weight(n, k)
@@ -135,8 +113,10 @@ def cell_product_range(xs: np.ndarray, ys: np.ndarray, order: np.ndarray,
 class WeightClassSet:
     """A union of weight classes: the S-set currency of the ring.
 
-    Compares equal to any iterable with the same weights, so results can
-    be checked against plain sets directly.
+    Compares equal to a set, frozenset or list with the same weights, so
+    results can be checked against plain sets directly.  Not to a tuple
+    or any other hashable iterable: equal objects must hash alike, and
+    this hashes like the frozenset of its weights.
     """
 
     n: int
@@ -150,10 +130,9 @@ class WeightClassSet:
     def __eq__(self, other) -> bool:
         if isinstance(other, WeightClassSet):
             return self.n == other.n and self.members == other.members
-        try:
+        if isinstance(other, (set, frozenset, list)):
             return self.members == frozenset(other)
-        except TypeError:
-            return NotImplemented
+        return NotImplemented
 
     def __hash__(self) -> int:
         # The members alone: equal to a frozenset means hashing like one.

@@ -1,17 +1,20 @@
 """Independent reference implementations.
 
 The string oracles work directly on '+'/'-' strings with explicit index
-arithmetic, the period oracle on uint64 word arrays with its own
-rotations, and the scalar search oracles on one Python int per
-candidate; all deliberately share no code with the packed-array
-implementations under test.
+arithmetic, the group oracle closes position tuples over the generators,
+the period oracle works on uint64 word arrays with its own rotations, and
+the scalar search oracles on one Python int per candidate; all
+deliberately share no code with the packed-array implementations under
+test.
 """
 
+from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 
-from z2schur.hadamard import core_partition_verdict, partition_parity_verdict
+from z2schur.hadamard import SignMatrix, core_partition_verdict, partition_parity_verdict
 
 
 def str_rotate(s: str, i: int) -> str:
@@ -58,6 +61,54 @@ def str_period(s: str) -> int:
 
 def cyclic_orbit(s: str) -> set[str]:
     return {str_rotate(s, i) for i in range(len(s))}
+
+
+def circulant(s: str) -> SignMatrix:
+    """Row i holds s shifted right by i: entry (i, j) is s[(j - i) mod n]."""
+    return SignMatrix.from_rows([str_rotate(s, -i) for i in range(len(s))])
+
+
+def class_members_recursive(n: int, k: int):
+    """Packed members of G_n(k), the words with k '+' signs, by the prefix
+    decomposition G_n(k) = +G_{n-1}(k-1) | -G_{n-1}(k)."""
+    if k < 0 or k > n:
+        return
+    if n == 0:
+        yield 0
+        return
+    yield from class_members_recursive(n - 1, k - 1)  # '+' prefix, top bit 0
+    for tail in class_members_recursive(n - 1, k):
+        yield (1 << (n - 1)) | tail  # '-' prefix
+
+
+# --------------------------------------------------------- group oracle
+
+@lru_cache(maxsize=None)
+def group_closure(n: int, group: str) -> tuple[tuple[int, ...], ...]:
+    """Every position permutation of the named group, sorted, closed from
+    its generators: C the shift, H the reversal, D the decimations.
+    Position j of an image reads position perm[j]."""
+    gens = []
+    if "C" in group:
+        gens.append(tuple((j + 1) % n for j in range(n)))
+    if "H" in group:
+        gens.append(tuple(n - 1 - j for j in range(n)))
+    if "D" in group:
+        gens += [tuple(r * j % n for j in range(n))
+                 for r in range(2, n) if gcd(r, n) == 1]
+    ident = tuple(range(n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(p[g[j]] for j in range(n))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return tuple(sorted(seen))
 
 
 # ------------------------------------------------------- period oracle

@@ -21,7 +21,12 @@ from z2schur.errors import (
 from z2schur.orbits import classify
 from z2schur.sequences import BinarySequence, make_sequence, permute_bits
 from z2schur.ssets import complete_maximal
-from helpers import concat_bits, scalar_core_partition_search, scalar_structured_search
+from helpers import (
+    circulant,
+    concat_bits,
+    scalar_core_partition_search,
+    scalar_structured_search,
+)
 
 BORDER7 = """\
 ++++++++
@@ -101,15 +106,15 @@ def test_no_witness_exactly_when_hadamard(rows):
 # ------------------------------------------------------------- circulant
 
 def test_circulant_rows_are_right_rotations():
-    mat = hd.circulant(make_sequence("-+++"))
+    mat = circulant("-+++")
     assert [str(mat.row(i)) for i in range(4)] == \
         ["-+++", "+-++", "++-+", "+++-"]
 
 
 def test_circulant_order_four_hadamard():
-    assert hd.is_hadamard(hd.circulant(make_sequence("+---")))
-    assert hd.is_hadamard(hd.circulant(make_sequence("+++-")))
-    assert not hd.is_hadamard(hd.circulant(make_sequence("++--")))
+    assert hd.is_hadamard(circulant("+---"))
+    assert hd.is_hadamard(circulant("+++-"))
+    assert not hd.is_hadamard(circulant("++--"))
 
 
 def test_circulant_feasible_weights():
@@ -134,7 +139,7 @@ def test_normalize_builtin_h12():
 
 
 def test_normalize_already_contained():
-    mat = hd.circulant(make_sequence("-+++"))
+    mat = circulant("-+++")
     normalized, rep = hd.normalize_into_complete(mat)
     assert rep.already_contained
     assert rep.signs == "++++"

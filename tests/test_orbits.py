@@ -14,6 +14,7 @@ from z2schur.orbits import (
     GROUPS,
     MAX_ENUM_N,
     Orbit,
+    affine_group,
     asym_square_check,
     burnside_count,
     canonical_array,
@@ -24,7 +25,6 @@ from z2schur.orbits import (
     enumerate_orbits,
     fd_partition,
     fd_partition_check,
-    group_permutations,
     invariance_check,
     necklace_count,
     orbit_members,
@@ -46,6 +46,7 @@ from z2schur.sequences import (
 )
 from helpers import (
     cyclic_orbit,
+    group_closure,
     period_tally,
     rotate_words,
     str_decimate,
@@ -76,19 +77,35 @@ SYM_QUADRUPLES = {
 
 
 def test_group_sizes():
-    assert len(group_permutations(5, "C")) == 5
-    assert len(group_permutations(5, "H")) == 2
-    assert len(group_permutations(5, "D")) == 4
-    assert len(group_permutations(5, "HC")) == 10
-    assert len(group_permutations(5, "DC")) == 20
-    assert len(group_permutations(12, "DC")) == 48
+    for table in (group_closure, affine_group):
+        assert len(table(5, "C")) == 5
+        assert len(table(5, "H")) == 2
+        assert len(table(5, "D")) == 4
+        assert len(table(5, "HC")) == 10
+        assert len(table(5, "DC")) == 20
+        assert len(table(12, "DC")) == 48
 
 
 def test_reversal_lies_inside_rotation_decimation():
     for n in (3, 4, 5, 7, 8):
-        dc = set(group_permutations(n, "DC"))
-        hdc = set(group_permutations(n, "HDC"))
-        assert dc == hdc
+        assert set(group_closure(n, "DC")) == set(group_closure(n, "HDC"))
+        assert affine_group(n, "DC") == affine_group(n, "HDC")
+
+
+def test_affine_group_matches_generator_closure():
+    for n in range(1, 41):
+        for group in GROUPS:
+            pairs = affine_group(n, group)
+            assert len(set(pairs)) == len(pairs), (n, group)
+            # Position j of (u, s) x reads position u (j + s).
+            perms = [tuple(u * (j + s) % n for j in range(n)) for u, s in pairs]
+            assert len(set(perms)) == len(perms), (n, group)
+            assert set(perms) == set(group_closure(n, group)), (n, group)
+
+
+def test_affine_group_rejects_unknown_groups():
+    with pytest.raises(ValueError):
+        affine_group(5, "R")
 
 
 def test_canonical_rep_is_least_string():
@@ -134,7 +151,7 @@ def _walk_every_member(x, group):
     # Every member built from every group element, every flag tested on
     # every member.
     n = x.n
-    members = sorted({permute_bits(x.bits, n, p) for p in group_permutations(n, group)})
+    members = sorted({permute_bits(x.bits, n, p) for p in group_closure(n, group)})
     memberset = set(members)
     mask = (1 << n) - 1
     decimated = {r: [(t, decimate_bits(t, n, r)) for t in members] for r in units(n)}
@@ -348,7 +365,7 @@ def _brute_canonical_array(n, group):
     # Every group element applied bit by bit, sharing no array helper.
     x = np.arange(1 << n, dtype=np.uint64)
     best = x.copy()
-    for perm in group_permutations(n, group):
+    for perm in group_closure(n, group):
         image = np.zeros_like(x)
         for j, src in enumerate(perm):
             image |= ((x >> np.uint64(n - 1 - src)) & np.uint64(1)) << np.uint64(n - 1 - j)
@@ -441,14 +458,14 @@ def _peak_traced_mb(fn):
 
 
 def test_whole_space_scans_stay_in_cache_sized_blocks():
-    # canonical_array keeps its 4 MB uint32 table, plus a second one where
-    # the coset representatives are applied through the byte tables; the
-    # blocks around them, and all of fd_partition, stay at a few
-    # _CHUNK-word buffers.  The orbit table adds only per-orbit columns:
+    # canonical_array keeps one 4 MB uint32 table, also where the coset
+    # representatives are applied through the byte tables, since the fold
+    # is written into it; the blocks around it, and all of fd_partition,
+    # stay at a few _CHUNK-word buffers.  The orbit table adds only per-orbit columns:
     # its representatives are collected block by block, with no sorted
     # copy of the canon.
     assert _peak_traced_mb(lambda: canonical_array(20, "C")) < 4 + 2
-    assert _peak_traced_mb(lambda: canonical_array(20, "HDC")) < 8 + 2
+    assert _peak_traced_mb(lambda: canonical_array(20, "HDC")) < 4 + 2
     assert _peak_traced_mb(lambda: fd_partition(20)) < 2
     assert _peak_traced_mb(lambda: census(20, "C")) < 4 + 3
     assert _peak_traced_mb(lambda: invariance_check(20)) < 4 + 3

@@ -12,7 +12,6 @@ from z2schur.errors import InvalidWeight, RingAxiomViolation, ScaleExceeded
 from z2schur.sequences import BinarySequence
 from z2schur.weight_ring import (
     class_members_bits,
-    class_members_recursive,
     class_product,
     class_product_oracle,
     class_size,
@@ -23,6 +22,7 @@ from z2schur.weight_ring import (
     structure_constant_oracle,
     verify_ring,
 )
+from helpers import class_members_recursive
 
 
 def test_class_size_is_binomial():
@@ -44,9 +44,8 @@ def test_class_members_sorted_and_complete():
 def test_recursive_decomposition_reproduces_members():
     for n in range(1, 10):
         for k in range(n + 1):
-            assert set(class_members_bits(n, k)) == \
-                {x.bits for x in class_members_recursive(n, k)}
-    assert set(class_members_bits(12, 5)) == {x.bits for x in class_members_recursive(12, 5)}
+            assert set(class_members_bits(n, k)) == set(class_members_recursive(n, k))
+    assert set(class_members_bits(12, 5)) == set(class_members_recursive(12, 5))
 
 
 def test_structure_constant_fixed_values():
@@ -128,6 +127,15 @@ def test_weight_class_set_equality_semantics():
     assert s == frozenset({4, 2})
     assert not s == {0, 1}
     assert s != 7
+
+
+def test_weight_class_set_equal_objects_hash_alike():
+    s = class_product(6, 2, 3)
+    for other in (frozenset({5, 3, 1}), wr.WeightClassSet.of(6, (1, 3, 5))):
+        assert s == other and hash(s) == hash(other)
+    # A tuple hashes unlike a frozenset, so it must not compare equal.
+    assert s != (1, 3, 5) and (1, 3, 5) != s
+    assert (1, 3, 5) not in {s}
 
 
 def test_weight_class_set_hashes_like_its_members():
