@@ -30,11 +30,14 @@ fixing map.  Each permutes the string of x once per multiplier u it
 needs, at most phi(n) times, and does the rest with integer rotations.
 The vectorized engine (`canonical_array`), which the census and the
 invariance sweeps use, canonicalizes every packed sequence at once by
-coset decomposition: the rotation canon first, by word rotations, then
-one table lookup per coset representative of C, a decimation possibly
-times a reflection, applied to the rotation orbits' least members.
-Its table has one row per orbit, keyed by the words the canon fixes, and
-answers every "which orbit holds this word?" by one lookup; the
+coset decomposition: the rotation canon first, by word rotations on the
+words that two necklace symmetries (x -> x >> 1 for even x, and the left
+rotation 2x + 1 - 2^n for odd x with top bit 1) do not already decide,
+then one table lookup per coset representative of C, a decimation
+possibly times a reflection, applied to the rotation orbits' least
+members.  Its table has one row per orbit, keyed by the words the canon
+fixes, and answers every "which orbit holds this word?" by a rank in a
+bitmap of those words, two gathers and a popcount with no search; the
 symmetric, antisymmetric and decimation-invariant orbits are those that
 meet Fix(R), the words R negates, or Fix(d_r) (`sequences.fixed_words`).
 Only `enumerate_orbits` counts orbit sizes.  Burnside and necklace counts
@@ -46,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from math import gcd
 
 import numpy as np
 
@@ -107,9 +111,15 @@ def affine_group(n: int, group: str = "C") -> tuple[tuple[int, int], ...]:
         raise ValueError(f"unknown group {group!r}, expected one of {GROUPS}")
     if group == "H":
         return tuple(sorted({(1, 0), _reflection(n)}))
-    mults = {"C": (1,), "HC": (1, _reflection(n)[0])}.get(group, units(n))
     shifts = range(n) if "C" in group else (0,)
-    return tuple(sorted({(u, s) for u in mults for s in shifts}))
+    return tuple(sorted({(u, s) for u in _multipliers(n, group) for s in shifts}))
+
+
+@lru_cache(maxsize=None)
+def _multipliers(n: int, group: str) -> tuple[int, ...]:
+    """The units u of the pairs (u, s) in every group but "H": 1 for "C",
+    +-1 for "HC", and every unit for the groups with decimations."""
+    return {"C": (1,), "HC": tuple(sorted({1, _reflection(n)[0]}))}.get(group, units(n))
 
 
 # ------------------------------------------------------- canonical forms
@@ -117,12 +127,19 @@ def affine_group(n: int, group: str = "C") -> tuple[tuple[int, int], ...]:
 def _rotation_canon(n: int) -> np.ndarray:
     """canon_C[x] = min over i of rotate(x, i), for every packed x.
 
-    An even word x rotates right into x >> 1, in the same rotation orbit,
-    so canon_C[x] = canon_C[x >> 1].  In every block after the first,
-    x >> 1 lies in an earlier block: the even half of the block is one
-    strided copy, and the min over rotations runs on its odd words only.
-    The first block takes the full min, in place.  uint32 holds every
-    word up to MAX_ENUM_N.
+    Two necklace symmetries fill most of the table by strided copies.  An
+    even word x rotates right into x >> 1, in the same rotation orbit, so
+    canon_C[x] = canon_C[x >> 1]; in every block after the first, x >> 1
+    lies in an earlier block, so the even half of the block is one copy.
+    An odd word x with top bit 1 rotates left into 2x + 1 - 2^n, which is
+    less than x unless x is all ones.  It lies 2^n - 1 - x below x, which
+    outside the last block is more than x's offset in its block, so in
+    every upper-half block but the last the odd half is a stride-4 copy
+    from earlier blocks.
+    The min over rotations runs only on the odd words of the lower half's
+    later blocks and of the last block, which holds the all-ones word; the
+    first block takes the full min, in place.  uint32 holds every word up
+    to MAX_ENUM_N.
     """
     size = 1 << n
     canon = np.arange(size, dtype=np.uint32)
@@ -130,7 +147,10 @@ def _rotation_canon(n: int) -> np.ndarray:
     for start in range(_CHUNK, size, _CHUNK):
         stop = start + _CHUNK
         canon[start:stop:2] = canon[start // 2:stop // 2]
-        canon[start + 1:stop:2] = _least_rotations(canon[start + 1:stop:2].copy(), n)
+        if 2 * start >= size and stop < size:
+            canon[start + 1:stop:2] = canon[2 * start + 3 - size:2 * stop + 1 - size:4]
+        else:
+            canon[start + 1:stop:2] = _least_rotations(canon[start + 1:stop:2].copy(), n)
     return canon
 
 
@@ -148,8 +168,10 @@ def _coset_reps(n: int, group: str) -> tuple[tuple[int, int], ...]:
     """K, the stabiliser of position 0 in the group when it holds the
     rotations (then G = C K, each element uniquely c k), else the whole
     group (then C K reads as K alone).  (u, s) sends position 0 to u s,
-    so K is the pairs with s = 0."""
-    return tuple(g for g in affine_group(n, group) if g[1] == 0 or "C" not in group)
+    so K is the pairs (u, 0), one per multiplier of the group."""
+    if "C" not in group:
+        return affine_group(n, group)
+    return tuple((u, 0) for u in _multipliers(n, group))
 
 
 def _positions(n: int, g: tuple[int, int]) -> tuple[int, ...]:
@@ -167,12 +189,25 @@ def _after(n: int, g: tuple[int, int], h: tuple[int, int]) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _conjugates(n: int, group: str, h: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    """The distinct g h g^-1 over g in the group, all pairs (u, s).  As
-    position maps g: j -> a j + a t and h: j -> u j + u s, and g h g^-1 is
-    j -> u j + a u s + a t (1 - u), which is (u, a (s + t (u^-1 - 1)))."""
+    """The distinct g h g^-1 over g in the group, all pairs (u, s), sorted.
+
+    As position maps g: j -> a j + a t and h: j -> u j + u s, and g h g^-1
+    is j -> u j + a u s + a t (1 - u), which is (u, a (s + t (u^-1 - 1))).
+    Without rotations t = 0, so "D" gives (u, a s) for every multiplier a.
+    With them t runs over Z_n, and a t (u^-1 - 1) over the multiples of
+    m = gcd(u^-1 - 1, n), since a is a unit: the shifts are a s mod m
+    plus every multiple of m, phi(n) + n / m steps with no walk over the
+    n phi(n) pairs.  "H", two pairs, is walked."""
     u, s = h
-    step = pow(u, -1, n) - 1
-    return tuple(sorted({(u, a * (s + t * step) % n) for a, t in affine_group(n, group)}))
+    if group == "H":
+        step = pow(u, -1, n) - 1
+        return tuple(sorted({(u, a * (s + t * step) % n) for a, t in affine_group(n, group)}))
+    mults = _multipliers(n, group)
+    if "C" not in group:
+        return tuple(sorted({(u, a * s % n) for a in mults}))
+    m = gcd(pow(u, -1, n) - 1, n)
+    offsets = sorted({a * s % m for a in mults})
+    return tuple((u, c + k) for k in range(0, n, m) for c in offsets)
 
 
 def canonical_array(n: int, group: str = "C") -> np.ndarray:
@@ -213,7 +248,7 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
     if not coset_reps:
         return canon
     for start in range(0, canon.size, _CHUNK):
-        block = _self_mapped(canon, start)
+        block = _self_mapped(canon, start)[0]
         best = block.copy()
         for perm in coset_reps:
             np.minimum(best, canon[permute_bits_array(block, n, perm)], out=best)
@@ -224,10 +259,12 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
     return canon
 
 
-def _self_mapped(canon: np.ndarray, start: int) -> np.ndarray:
-    """The words x in [start, start + _CHUNK) with canon[x] == x, ascending."""
+def _self_mapped(canon: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The words x in [start, start + _CHUNK) with canon[x] == x,
+    ascending, and the mask that picks them from the block."""
     words = np.arange(start, min(start + _CHUNK, canon.size), dtype=np.uint32)
-    return words[canon[start:start + _CHUNK] == words]
+    fixed = canon[start:start + _CHUNK] == words
+    return words[fixed], fixed
 
 
 def _imager(x: BinarySequence):
@@ -388,11 +425,26 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
 def _orbit_table(n: int, group: str) -> dict:
     """One row per orbit, ascending by `reps`: the words `canon` maps to
     themselves, collected block by block, so nothing sorts the space.
-    `_orbit_index` maps words to rows; sizes are left to `enumerate_orbits`."""
+
+    The same pass packs the mask canon[x] == x into a bitmap, `marked`,
+    64 words to a uint64, and `through` counts the marked words up to the
+    end of each uint64 (a running sum of popcounts).  The row of the orbit
+    with least member q is the number of reps below q, so `_orbit_index`
+    reads it from one uint64 and one count.  Each column takes 2^n / 8
+    bytes, both together a sixteenth of the canon.  Sizes are left to
+    `enumerate_orbits`."""
     canon = canonical_array(n, group)
-    reps = np.concatenate([_self_mapped(canon, start)
-                           for start in range(0, canon.size, _CHUNK)])
-    t = {"n": n, "group": group, "canon": canon, "reps": reps,
+    marked = np.zeros(-(-canon.size // 64), dtype="<u8")
+    packed = marked.view(np.uint8)
+    reps = []
+    for start in range(0, canon.size, _CHUNK):
+        block, fixed = _self_mapped(canon, start)
+        reps.append(block)
+        bits = np.packbits(fixed, bitorder="little")
+        packed[start // 8:start // 8 + bits.size] = bits
+    reps = np.concatenate(reps)
+    t = {"n": n, "group": group, "canon": canon, "reps": reps, "marked": marked,
+         "through": np.cumsum(np.bitwise_count(marked), dtype=np.intp),
          "periods": periods_array(reps, n)}
     flip = reversal_perm(n)
     t["sym"] = _meets(t, fixed_words(n, flip))
@@ -413,8 +465,27 @@ def _orbit_table(n: int, group: str) -> dict:
 
 
 def _orbit_index(t: dict, words: np.ndarray) -> np.ndarray:
-    """The table row of the orbit that holds each of the words."""
-    return np.searchsorted(t["reps"], t["canon"][words])
+    """The table row of the orbit that holds each of the 1-d words.
+
+    With q = canon[x], the row is the rank of q among the reps: through[w]
+    for the uint64 w = q >> 6 that holds q's mark, less the marks at bit
+    q & 63 and above in it, one shift and one popcount of marked[w].  That
+    is two gathers per word, where a binary search over the reps took
+    about 30 gathers' time.  The words run in blocks of _CHUNK / 16, in
+    place, so the temporaries (a uint64 and two uint32 per word) stay at
+    about 70 KB however many words are asked for."""
+    canon, marked, through = t["canon"], t["marked"], t["through"]
+    rows = np.empty(len(words), dtype=np.intp)
+    step = max(_CHUNK >> 4, 1)
+    for start in range(0, rows.size, step):
+        q = canon[words[start:start + step]]
+        w = q >> 6
+        bits = marked[w]
+        bits >>= np.bitwise_and(q, 63, out=q)
+        out = rows[start:start + step]
+        np.take(through, w, out=out)
+        out -= np.bitwise_count(bits)
+    return rows
 
 
 def _meets(t: dict, words: np.ndarray) -> np.ndarray:

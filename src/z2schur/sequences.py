@@ -272,6 +272,7 @@ def make_sequence(signs: str | Iterable[str]) -> BinarySequence:
     return BinarySequence.from_signs(signs)
 
 
+@lru_cache(maxsize=None)
 def units(n: int) -> tuple[int, ...]:
     """Multipliers coprime to n, the valid decimation parameters."""
     if n == 1:

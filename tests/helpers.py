@@ -111,6 +111,24 @@ def group_closure(n: int, group: str) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
+def conjugates_walk(n: int, pairs, h: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """The distinct g h g^-1 over every pair g of a group, sorted.  Each
+    pair (a, t) is the map j -> a (j + t) on Z_n; the conjugate is composed
+    as maps and read back as a pair from its values at 0 and 1."""
+    u, s = h
+
+    def apply(a, t, j):
+        return a * (j + t) % n
+
+    found = set()
+    for a, t in pairs:
+        a_inv = pow(a, -1, n)
+        at = [apply(a, t, apply(u, s, apply(a_inv, -t * a % n, j))) for j in (0, 1 % n)]
+        assert (at[1] - at[0] - u) % n == 0 or n == 1
+        found.add((u, at[0] * pow(u, -1, n) % n))
+    return tuple(sorted(found))
+
+
 # ------------------------------------------------------- period oracle
 
 def rotate_words(words: np.ndarray, n: int, i: int) -> np.ndarray:

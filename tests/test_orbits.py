@@ -45,6 +45,7 @@ from z2schur.sequences import (
     units,
 )
 from helpers import (
+    conjugates_walk,
     cyclic_orbit,
     group_closure,
     period_tally,
@@ -101,6 +102,16 @@ def test_affine_group_matches_generator_closure():
             perms = [tuple(u * (j + s) % n for j in range(n)) for u, s in pairs]
             assert len(set(perms)) == len(perms), (n, group)
             assert set(perms) == set(group_closure(n, group)), (n, group)
+
+
+def test_conjugates_match_the_group_walk():
+    # classify tests x against the conjugates of R and of every d_r.
+    for n in range(1, 41):
+        for group in GROUPS:
+            pairs = affine_group(n, group)
+            for h in (ob._reflection(n), *((r, 0) for r in units(n))):
+                assert ob._conjugates(n, group, h) == conjugates_walk(n, pairs, h), \
+                    (n, group, h)
 
 
 def test_affine_group_rejects_unknown_groups():
@@ -387,13 +398,51 @@ def _every_rotation(n):
     return words, (rotate_words(words, n, i) for i in range(1, n))
 
 
-def test_rotation_canon_over_full_blocks():
-    # Past n = 16 the space spans several _CHUNK blocks, and every block
-    # after the first copies its even half from an earlier one.
-    for n in (17, 18):
-        words, turns = _every_rotation(n)
-        want = reduce(np.minimum, turns, words).astype(np.uint32)
-        assert np.array_equal(ob._rotation_canon(n), want), n
+def _plain_rotation_canon(n):
+    words, turns = _every_rotation(n)
+    return reduce(np.minimum, turns, words).astype(np.uint32)
+
+
+def test_rotation_canon_over_full_blocks(monkeypatch):
+    # Past n = 16 the space spans several _CHUNK blocks: every block after
+    # the first copies its even half from an earlier one, and every
+    # upper-half block but the last its odd half too.  Small blocks give
+    # many upper-half blocks, and a last one that must take the full min.
+    for n in (17, 18, 19):
+        assert np.array_equal(ob._rotation_canon(n), _plain_rotation_canon(n)), n
+    monkeypatch.setattr(ob, "_CHUNK", 1 << 4)
+    for n in range(9, 13):
+        assert np.array_equal(ob._rotation_canon(n), _plain_rotation_canon(n)), n
+
+
+def _binary_search_index(t, words):
+    # The row of each word's orbit by binary search over the sorted reps.
+    return np.searchsorted(t["reps"], t["canon"][words])
+
+
+def test_orbit_index_matches_binary_search(monkeypatch):
+    rng = np.random.default_rng(17)
+    sampled = [(ob._orbit_table(n, group), rng.integers(0, 1 << n, size=10**4))
+               for n, group in ((20, "C"), (19, "HC"))]
+
+    def check():
+        for n in range(1, 13):
+            for group in GROUPS:
+                t = ob._orbit_table(n, group)
+                words = np.arange(1 << n)
+                got = ob._orbit_index(t, words)
+                assert got.dtype == np.intp, (n, group)
+                assert np.array_equal(got, _binary_search_index(t, words)), (n, group)
+        for t, words in sampled:
+            assert np.array_equal(ob._orbit_index(t, words),
+                                  _binary_search_index(t, words)), t["n"]
+
+    check()
+    # Small blocks pack many bitmap pieces per table at n <= 12 and split
+    # the sampled queries; the two large tables are kept, since building
+    # them in 16-word blocks takes seconds.
+    monkeypatch.setattr(ob, "_CHUNK", 1 << 4)
+    check()
 
 
 def _plain_lyndon(n):
