@@ -124,7 +124,7 @@ def conjugates_walk(n: int, pairs, h: tuple[int, int]) -> tuple[tuple[int, int],
     for a, t in pairs:
         a_inv = pow(a, -1, n)
         at = [apply(a, t, apply(u, s, apply(a_inv, -t * a % n, j))) for j in (0, 1 % n)]
-        assert (at[1] - at[0] - u) % n == 0 or n == 1
+        assert (at[1] - at[0] - u) % n == 0
         found.add((u, at[0] * pow(u, -1, n) % n))
     return tuple(sorted(found))
 

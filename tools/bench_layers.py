@@ -10,9 +10,9 @@ best of three fresh processes, the call alone without the import.
 --src names the source tree to import (default: the src/ next to this
 script), so a checkout of another commit is measured into the same file,
 BENCH_layers.json at the repository root.  The run is stored under the
-commit of that tree, with the Python and
-numpy versions and the host, and replaces an earlier run of the same
-commit; the runs of other commits stay in the file.
+commit of that tree, with the Python and numpy versions and the host,
+and replaces an earlier run of the same commit; the runs of other
+commits stay in the file.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ OUT = ROOT / "BENCH_layers.json"
 REPEAT = 3
 
 FIRST_CLASSIFY = """
-import random, sys, time
+import random, time
 from z2schur.orbits import classify
 from z2schur.sequences import BinarySequence
 x = BinarySequence(256, random.Random(0).getrandbits(256))
