@@ -193,20 +193,17 @@ def _conjugates(n: int, group: str, h: tuple[int, int]) -> tuple[tuple[int, int]
 
     As position maps g: j -> a j + a t and h: j -> u j + u s, and g h g^-1
     is j -> u j + a u s + a t (1 - u), which is (u, a (s + t (u^-1 - 1))).
-    Without rotations t = 0, so "D" gives (u, a s) for every multiplier a.
-    With them t runs over Z_n, and a t (u^-1 - 1) over the multiples of
+    Without rotations that is one step per pair of the group.  With them
+    t runs over Z_n, and a t (u^-1 - 1) over the multiples of
     m = gcd(u^-1 - 1, n), since a is a unit: the shifts are a s mod m
     plus every multiple of m, phi(n) + n / m steps with no walk over the
-    n phi(n) pairs.  "H", two pairs, is walked."""
+    n phi(n) pairs."""
     u, s = h
-    if group == "H":
+    if "C" not in group:
         step = pow(u, -1, n) - 1
         return tuple(sorted({(u, a * (s + t * step) % n) for a, t in affine_group(n, group)}))
-    mults = _multipliers(n, group)
-    if "C" not in group:
-        return tuple(sorted({(u, a * s % n) for a in mults}))
     m = gcd(pow(u, -1, n) - 1, n)
-    offsets = sorted({a * s % m for a in mults})
+    offsets = sorted({a * s % m for a in _multipliers(n, group)})
     return tuple((u, c + k) for k in range(0, n, m) for c in offsets)
 
 
@@ -430,9 +427,9 @@ def _orbit_table(n: int, group: str) -> dict:
     64 words to a uint64, and `through` counts the marked words up to the
     end of each uint64 (a running sum of popcounts).  The row of the orbit
     with least member q is the number of reps below q, so `_orbit_index`
-    reads it from one uint64 and one count.  Each column takes 2^n / 8
-    bytes, both together a sixteenth of the canon.  Sizes are left to
-    `enumerate_orbits`."""
+    reads it from one uint64 and one count.  `marked` takes 2^n / 8 bytes
+    and `through`, a uint32 since no count reaches 2^MAX_ENUM_N, 2^n / 16,
+    together 3/64 of the canon.  Sizes are left to `enumerate_orbits`."""
     canon = canonical_array(n, group)
     marked = np.zeros(-(-canon.size // 64), dtype="<u8")
     packed = marked.view(np.uint8)
@@ -444,7 +441,7 @@ def _orbit_table(n: int, group: str) -> dict:
         packed[start // 8:start // 8 + bits.size] = bits
     reps = np.concatenate(reps)
     t = {"n": n, "group": group, "canon": canon, "reps": reps, "marked": marked,
-         "through": np.cumsum(np.bitwise_count(marked), dtype=np.intp),
+         "through": np.cumsum(np.bitwise_count(marked), dtype=np.uint32),
          "periods": periods_array(reps, n)}
     flip = reversal_perm(n)
     t["sym"] = _meets(t, fixed_words(n, flip))
@@ -472,8 +469,8 @@ def _orbit_index(t: dict, words: np.ndarray) -> np.ndarray:
     q & 63 and above in it, one shift and one popcount of marked[w].  That
     is two gathers per word, where a binary search over the reps took
     about 30 gathers' time.  The words run in blocks of _CHUNK / 16, in
-    place, so the temporaries (a uint64 and two uint32 per word) stay at
-    about 70 KB however many words are asked for."""
+    place, so the temporaries (a uint64 and three uint32 per word) stay at
+    about 90 KB however many words are asked for."""
     canon, marked, through = t["canon"], t["marked"], t["through"]
     rows = np.empty(len(words), dtype=np.intp)
     step = max(_CHUNK >> 4, 1)
@@ -482,9 +479,7 @@ def _orbit_index(t: dict, words: np.ndarray) -> np.ndarray:
         w = q >> 6
         bits = marked[w]
         bits >>= np.bitwise_and(q, 63, out=q)
-        out = rows[start:start + step]
-        np.take(through, w, out=out)
-        out -= np.bitwise_count(bits)
+        np.subtract(through[w], np.bitwise_count(bits), out=rows[start:start + step])
     return rows
 
 
