@@ -19,6 +19,7 @@ from .errors import InvalidLength, LengthMismatch, ScaleExceeded
 from .sequences import (
     MAX_N,
     BinarySequence,
+    check_positive_length,
     decimation_perm,
     permute_bits_array,
     reversal_perm,
@@ -153,8 +154,10 @@ def verify_identities(n: int) -> dict:
     Each check lists at most ten violating sequences, in word order, and
     only shifts with a failure are visited.  `violation_counts` gives the
     exact number of failures per kind: failing (word, shift) pairs, or
-    failing words for the peak and the sum.
+    failing words for the peak and the sum.  Refuses n < 1, and n above
+    VERIFY_MAX_N.
     """
+    check_positive_length(n)
     if n > VERIFY_MAX_N:
         raise ScaleExceeded(f"exhaustive sweep capped at n <= {VERIFY_MAX_N}")
     x = np.arange(1 << n, dtype=np.uint32)

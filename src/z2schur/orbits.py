@@ -28,20 +28,26 @@ as rotations of the images of x under the position-0 stabiliser, then
 decides each fixed-point flag on x alone against the conjugates of the
 fixing map.  Each permutes the string of x once per multiplier u it
 needs, at most phi(n) times, and does the rest with integer rotations.
-The vectorized engine (`canonical_array`), which the census and the
-invariance sweeps use, canonicalizes every packed sequence at once by
-coset decomposition: the rotation canon first, by word rotations on the
-words that two necklace symmetries (x -> x >> 1 for even x, and the left
-rotation 2x + 1 - 2^n for odd x with top bit 1) do not already decide,
-then one table lookup per coset representative of C, a decimation
-possibly times a reflection, applied to the rotation orbits' least
-members.  Its table has one row per orbit, keyed by the words the canon
-fixes, and answers every "which orbit holds this word?" by a rank in a
-bitmap of those words, two gathers and a popcount with no search; the
-symmetric, antisymmetric and decimation-invariant orbits are those that
-meet Fix(R), the words R negates, or Fix(d_r) (`sequences.fixed_words`).
-Only `enumerate_orbits` counts orbit sizes.  Burnside and necklace counts
-give third-party totals to check both engines against.
+`classify` decides each fixed-point flag by shift residues: if x has
+period p and d_u x = rotate(x, s1), then rotate(d_u x, s) = x exactly
+when s = -s1 mod p, so x is fixed by some conjugate (u, s) of the fixing
+map exactly when -s1 mod p is among the conjugates' shifts mod p; one
+lookup among the rotations of x and one in a cached set, with no walk
+over the conjugates.  The vectorized engine (`canonical_array`), which
+the census and the invariance sweeps use, canonicalizes every packed
+sequence at once by coset decomposition: the rotation canon first, by
+word rotations on the words that two necklace symmetries (x -> x >> 1
+for even x, and the left rotation 2x + 1 - 2^n for odd x with top bit 1)
+do not already decide, then one table lookup per coset representative of
+C, a decimation possibly times a reflection, applied to the rotation
+orbits' least members.  Its table has one row per orbit, keyed by the
+words the canon fixes, and answers every "which orbit holds this word?"
+by a rank in a bitmap of those words, two gathers and a popcount with no
+search; the symmetric, antisymmetric and decimation-invariant orbits are
+those that meet Fix(R), the words R negates, or Fix(d_r)
+(`sequences.fixed_words`).  Only `enumerate_orbits` counts orbit sizes.
+Burnside and necklace counts give third-party totals to check both
+engines against.
 """
 
 from __future__ import annotations
@@ -53,9 +59,10 @@ from math import gcd
 
 import numpy as np
 
-from .errors import InvalidLength, ScaleExceeded
+from .errors import ScaleExceeded
 from .sequences import (
     BinarySequence,
+    check_positive_length,
     decimate_bits,
     decimation_perm,
     divisors,
@@ -79,8 +86,7 @@ GROUPS = ("C", "D", "H", "DC", "HC", "HDC")
 
 def _check_enum_length(n: int) -> None:
     """The whole-space scans hold 1 <= n <= MAX_ENUM_N."""
-    if n < 1:
-        raise InvalidLength(f"sequence length must be at least 1, got {n}")
+    check_positive_length(n)
     if n > MAX_ENUM_N:
         raise ScaleExceeded(
             f"full orbit enumeration capped at n <= {MAX_ENUM_N}, got {n}"
@@ -183,8 +189,9 @@ def _positions(n: int, g: tuple[int, int]) -> tuple[int, ...]:
 
 def _after(n: int, g: tuple[int, int], h: tuple[int, int]) -> tuple[int, int]:
     """(u, s) of h g, both given as (u, s): d_v rotate(y, s) =
-    rotate(d_v y, s v^-1), so h g x = rotate(d_(u_g u_h) x, s_g u_h^-1 + s_h)."""
-    return g[0] * h[0] % n, (g[1] * pow(h[0], -1, n) + h[1]) % n
+    rotate(d_v y, s v^-1), so h g x = rotate(d_(u_g u_h) x, s_g u_h^-1 + s_h).
+    The unit is written 1 at n = 1, as `units` writes it."""
+    return g[0] * h[0] % n or 1, (g[1] * pow(h[0], -1, n) + h[1]) % n
 
 
 @lru_cache(maxsize=None)
@@ -358,6 +365,22 @@ class Orbit:
         }
 
 
+@lru_cache(maxsize=None)
+def _closure_pairs(n: int, group: str, h: tuple[int, int],
+                   every: bool) -> tuple[tuple[int, int], ...]:
+    """The pairs h k whose images of x decide whether h maps the orbit of
+    x onto itself: h k x must be a member for every k of `_coset_reps`,
+    and h x alone decides when h normalises the group (h G x = G h x);
+    `every` says that h does not."""
+    return tuple(_after(n, k, h) for k in (_coset_reps(n, group) if every else ((1, 0),)))
+
+
+@lru_cache(maxsize=None)
+def _shift_residues(n: int, group: str, h: tuple[int, int], p: int) -> frozenset[int]:
+    """The shifts s of the conjugates (u, s) of h in the group, mod p."""
+    return frozenset(s % p for _, s in _conjugates(n, group, h))
+
+
 def classify(x: BinarySequence, group: str = "C") -> Orbit:
     """Classify the orbit of x, deciding each fixed-point flag on x alone.
 
@@ -370,49 +393,73 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
     `reversal_closed` tests R x alone; it does not normalise "D"
     (d_r R = R d_r C^(r-1)), so under "D" every member is checked.  By
     the same relation each d_r normalises every group but "H", so
-    `delta_closed` tests d_r x alone there and both members under "H".
+    `delta_closed` tests d_r x alone there and both members under "H"
+    (`_closure_pairs`).
 
     Every group element, and every conjugate of R and of d_r, is an affine
     pair (u, s) of `affine_group`, which sends x to rotate(d_u x, s).  So
-    each d_u x that a test needs is permuted once per call, and every
-    image after it is an integer rotation; the rotations of each k x come
-    from one doubled word.
+    x is permuted once per unit u, into d_u x, and every image after that
+    is an integer rotation.  The n rotations of x are read off one doubled
+    word: the period p of x is n over the number of them equal to x, and
+    a dict maps each of them to a shift that gives it.
+
+    A fixed-point flag then takes one lookup in that dict and one in a
+    set, whatever the group.  Every conjugate of h = (u, s) has the
+    multiplier u, since the units commute.  Say the target y is x, or -x
+    for `antisymmetric`; -x has the period p, and its rotations are the
+    negated rotations of x.  d_u x is a rotation of y exactly when d_u x,
+    or -d_u x, is in the dict; then d_u x = rotate(y, s1) for its shift
+    s1, and rotate(d_u x, s) = rotate(y, s1 + s) is y exactly when
+    s = -s1 mod p.  So some conjugate sends x to y exactly when -s1 mod p
+    is among the conjugates' shifts mod p, a set cached per (n, group, h,
+    p) by `_shift_residues`.  Walking the conjugates instead took one
+    rotation per conjugate, n / gcd(u^-1 - 1, n) or more of them for each
+    d_u under rotations.
     """
     n, bits = x.n, x.bits
     mask = (1 << n) - 1
-    image = _imager(x)
+    mults = units(n)
+    # d_u x for every unit u; `delta_invariant` asks for each of them.
+    dec = dict(zip(mults, (bits if u == 1 else decimate_bits(bits, n, u) for u in mults)))
+
+    def image(g: tuple[int, int]) -> int:
+        return rotate_bits(dec[g[0]], n, g[1])
+
+    def rotations(t: int) -> list[int]:
+        # t << n | t: its n-bit windows are the rotations of t.
+        doubled = t * (mask + 2)
+        return [(doubled >> (n - s)) & mask for s in range(n)]
+
+    own = rotations(bits)
+    period = n // own.count(bits)
+    shift_of = dict(zip(own, range(n)))
+
+    def sent_to(h: tuple[int, int], negate: int) -> bool:
+        s = shift_of.get(dec[h[0]] ^ negate)
+        return s is not None and -s % period in _shift_residues(n, group, h, period)
+
     ks = _coset_reps(n, group)
     if "C" in group:
-        members = set()
-        for k in ks:
-            # t << n | t: its n-bit windows are the rotations of t = k x.
-            doubled = image(k) * (mask + 2)
-            members.update((doubled >> i) & mask for i in range(n))
+        members = set(own).union(*(rotations(dec[u]) for u, _ in ks if u != 1))
     else:
-        members = {image(k) for k in ks}
+        members = set(map(image, ks))
     flip = _reflection(n)
-    reversed_x = {image(c) for c in _conjugates(n, group, flip)}
-    x_alone = ((1, 0),)
 
     return Orbit(
         n=n,
         rep=min(members),
         group=group,
         size=len(members),
-        period=cyclic_period(x),
-        symmetric=bits in reversed_x,
-        antisymmetric=(bits ^ mask) in reversed_x,
-        reversal_closed=all(image(_after(n, k, flip)) in members
-                            for k in (ks if group == "D" else x_alone)),
-        delta_invariant=tuple(
-            r for r in units(n)
-            if any(image(c) == bits
-                   for c in _conjugates(n, group, (r, 0)))
-        ),
+        period=period,
+        symmetric=sent_to(flip, 0),
+        antisymmetric=sent_to(flip, mask),
+        reversal_closed=all(image(g) in members
+                            for g in _closure_pairs(n, group, flip, group == "D")),
+        delta_invariant=tuple(r for r in mults if sent_to((r, 0), 0)),
         delta_closed=tuple(
-            r for r in units(n)
-            if all(image(_after(n, k, (r, 0))) in members
-                   for k in (ks if group == "H" else x_alone))
+            r for r in mults
+            if all(image(g) in members
+                   for g in _closure_pairs(n, group, (r, 0), group == "H"))
         ),
     )
 
@@ -446,19 +493,29 @@ def _orbit_table(n: int, group: str) -> dict:
     flip = reversal_perm(n)
     t["sym"] = _meets(t, fixed_words(n, flip))
     t["asym"] = _meets(t, fixed_words(n, flip, negated=True))
-    t["rev_closed"] = canon[permute_bits_array(reps, n, flip)] == reps
-    if group == "D":
-        # Reversal normalises every other group, so there the reversal of
-        # the rep decides for the whole orbit; under decimations alone,
-        # d_r R = R d_r C^(r-1), it does not, and every member is checked.
+    return t
+
+
+def _reversal_closed(t: dict) -> np.ndarray:
+    """Per table row, whether the reversal maps the orbit onto itself.
+
+    Reversal normalises every group but "D", so there the reversal of the
+    rep decides for the whole orbit; under decimations alone,
+    d_r R = R d_r C^(r-1), it does not, and every member is checked, one
+    more pass over the space.  Only the readers of the flag pay for it;
+    `census` reports none."""
+    n, canon, reps = t["n"], t["canon"], t["reps"]
+    flip = reversal_perm(n)
+    closed = canon[permute_bits_array(reps, n, flip)] == reps
+    if t["group"] == "D":
         stray = np.zeros(canon.size, dtype=bool)  # indexed by orbit rep
         for start in range(0, canon.size, _CHUNK):
             own = canon[start:start + _CHUNK]
             words = np.arange(start, start + own.size, dtype=np.uint32)
             mirrored = canon[permute_bits_array(words, n, flip)]
             stray[own[mirrored != own]] = True
-        t["rev_closed"] &= ~stray[reps]
-    return t
+        closed &= ~stray[reps]
+    return closed
 
 
 def _orbit_index(t: dict, words: np.ndarray) -> np.ndarray:
@@ -526,7 +583,7 @@ def enumerate_orbits(n: int, group: str = "C"):
         return subsets[mask]
 
     columns = zip(reps.tolist(), sizes.tolist(), t["periods"].tolist(),
-                  t["sym"].tolist(), t["asym"].tolist(), t["rev_closed"].tolist(),
+                  t["sym"].tolist(), t["asym"].tolist(), _reversal_closed(t).tolist(),
                   invariant.tolist(), closed.tolist())
     for rep, size, period, sym, asym, rev_closed, inv, cl in columns:
         yield Orbit(
@@ -659,7 +716,7 @@ def invariance_check(n: int) -> dict:
         "period": t["periods"],
         "sym": t["sym"],
         "asym": t["asym"],
-        "rev_closed": t["rev_closed"],
+        "rev_closed": _reversal_closed(t),
     }
     violations = []
     violation_count = 0
@@ -697,21 +754,26 @@ def _lyndon_words(n: int) -> np.ndarray:
     to the rotation that starts at any 0 (all ones is periodic), and a
     bottom 0 loses to the right rotation x >> 1.  So only the 2^(n-2)
     words (i << 1) | 1, i < 2^(n-2), are filtered; at n = 1 both words
-    qualify.  Each chunk keeps only the survivors after each rotation, so
-    the work shrinks towards the 2^n / n words that are left.  uint32,
-    like every whole-space word up to MAX_ENUM_N.
+    qualify.
+    Two rotations never reject such a word.  Top bit 0 makes the left
+    rotation by 1 the word 2x, and 2x > x since x >= 1; bottom bit 1 makes
+    the rotation by n - 1 (right by 1) start with that 1, above every word
+    with top bit 0.  So only the rotations by 2 .. n - 2 are tested, each
+    straight from the survivors into one buffer, and each chunk keeps only
+    the survivors after each rotation, so the work shrinks towards the
+    2^n / n words that are left.  uint32, like every whole-space word up to
+    MAX_ENUM_N.
     """
     if n == 1:
         return np.arange(2, dtype=np.uint32)
     size = 1 << (n - 2)
     found = []
+    turned = np.empty(min(_CHUNK, size), dtype=np.uint32)
     for start in range(0, size, _CHUNK):
         words = np.arange(start, min(start + _CHUNK, size), dtype=np.uint32)
         words = (words << 1) | 1
-        turned = words.copy()
-        for _ in range(n - 1):
-            keep = words < rotate_bits_array(turned, n, 1, out=turned)
-            words, turned = words[keep], turned[keep]
+        for i in range(2, n - 1):
+            words = words[words < rotate_bits_array(words, n, i, out=turned[:words.size])]
         found.append(words)
     return np.concatenate(found)
 
@@ -804,7 +866,7 @@ def asym_square_check(n: int) -> dict:
         "asym_nonempty": bool(asym_members.size),
         "set_reversal_closed": bool(np.array_equal(np.sort(rev), prods)),
         "subset_palindromic": bool(t["sym"][rows].all()),
-        "subset_reversal_closed": bool(t["rev_closed"][rows].all()),
+        "subset_reversal_closed": bool(_reversal_closed(t)[rows].all()),
     }
 
 

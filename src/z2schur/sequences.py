@@ -52,9 +52,14 @@ _SIGN_TO_BIT = {"+": "0", "-": "1"}
 _BIT_TO_SIGN = {"0": "+", "1": "-"}
 
 
-def _check_length(n: int) -> None:
+def check_positive_length(n: int) -> None:
+    """Every sequence, and every sweep over sequences, has length n >= 1."""
     if n < 1:
         raise InvalidLength(f"sequence length must be at least 1, got {n}")
+
+
+def _check_length(n: int) -> None:
+    check_positive_length(n)
     if n > MAX_N:
         raise InvalidLength(f"sequence length {n} exceeds the cap of {MAX_N}")
 

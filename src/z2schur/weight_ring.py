@@ -34,6 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidWeight, RingAxiomViolation, ScaleExceeded
+from .sequences import check_positive_length
 
 ORACLE_MAX_N = 14
 
@@ -304,8 +305,9 @@ def verify_ring(n: int) -> dict:
     G_n(a) * G_n(n-b) = the same table read at class n - k.  Returns a
     report dict with product_ok / lambda_ok flags and explicit
     counterexamples (empty on success), products first, then structure
-    constants in (i, j, k) order.
+    constants in (i, j, k) order.  Refuses n < 1.
     """
+    check_positive_length(n)
     tables = _class_pair_tables(n)
     products = []
     for (a, b), table in tables.items():

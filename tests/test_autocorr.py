@@ -255,6 +255,14 @@ def test_verify_identities_at_its_cap():
         verify_identities(VERIFY_MAX_N + 1)
 
 
+def test_verify_identities_refuses_lengths_below_one():
+    # n = 0 used to divide by zero and n = -1 to shift by a negative count.
+    for n in (0, -1):
+        with pytest.raises(InvalidLength):
+            verify_identities(n)
+    assert verify_identities(1)["ok"]
+
+
 def test_trials_transform_only_the_tables_checked_at_every_shift(monkeypatch):
     """X and d_r X go through one correlation, and X with Y through one
     more; the rotation, reversal and negation, checked at one shift, are

@@ -180,6 +180,13 @@ def test_orbits_census_refuses_empty_length(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_ring_verify_refuses_lengths_below_one(capsys, n):
+    code, out, err = run(capsys, "ring", "verify", "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"error: sequence length must be at least 1, got {n}\n"
+
+
 def test_csv_refused_before_the_work(capsys, monkeypatch):
     calls = []
     real = wr.verify_ring

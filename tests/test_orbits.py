@@ -114,6 +114,19 @@ def test_conjugates_match_the_group_walk():
                     (n, group, h)
 
 
+def test_shift_residues_match_the_group_walk():
+    # classify decides each fixed-point flag by the conjugates' shifts
+    # mod the period of x, one cached set per (n, group, h, p).
+    for n in range(1, 41):
+        for group in GROUPS:
+            pairs = affine_group(n, group)
+            for h in (ob._reflection(n), *((r, 0) for r in units(n))):
+                shifts = [s for _, s in conjugates_walk(n, pairs, h)]
+                for p in divisors(n):
+                    assert ob._shift_residues(n, group, h, p) == \
+                        {s % p for s in shifts}, (n, group, h, p)
+
+
 def test_affine_group_rejects_unknown_groups():
     with pytest.raises(ValueError):
         affine_group(5, "R")
@@ -210,15 +223,28 @@ def _flagged_words(n, rng):
             (int(signs, 2), int(palindrome, 2), fixed, int(periodic, 2))]
 
 
+def _periodic_words(n, most):
+    # Every word whose period is a proper divisor p <= most of n.
+    return sorted({int(format(b, f"0{p}b") * (n // p), 2)
+                   for p in divisors(n)[:-1] if p <= most for b in range(1 << p)})
+
+
 def test_classify_matches_member_walk_at_large_n():
     # The walk above stops at n = 14 and the vector engine's check at
-    # n = 24; the affine images of x matter most past both.
+    # n = 24; the affine images of x matter most past both.  classify
+    # reads its fixed-point flags off shift residues mod the period, so
+    # every word of each short period is walked too, in every group.
     rng = random.Random(47)
     cases = [(n, group) for n in (31, 47, 64) for group in GROUPS]
     cases += [(128, "C"), (128, "HC")]
     for n, group in cases:
         for x in _flagged_words(n, rng):
             assert classify(x, group) == _walk_every_member(x, group), (str(x), group)
+    for n in (12, 18, 24, 30):
+        words = [BinarySequence(n, bits) for bits in _periodic_words(n, 6)]
+        for group in GROUPS:
+            for x in words:
+                assert classify(x, group) == _walk_every_member(x, group), (str(x), group)
 
 
 def test_classify_worked_examples():
@@ -461,6 +487,28 @@ def test_lyndon_words_match_the_plain_filter(monkeypatch):
     monkeypatch.setattr(ob, "_CHUNK", 1 << 4)
     for n in range(1, 13):
         assert np.array_equal(ob._lyndon_words(n), _plain_lyndon(n)), n
+
+
+def _mobius(n):
+    # mu(n) by trial division: 0 on a square factor, else -1 per prime.
+    mu, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
+
+
+def test_lyndon_words_count_by_the_mobius_formula():
+    # Past the plain filter's n <= 18: (1/n) sum over d | n of
+    # mu(d) 2^(n/d) aperiodic necklaces, each listed once, ascending.
+    for n in range(19, MAX_ENUM_N + 1):
+        got = ob._lyndon_words(n)
+        assert got.size == sum(_mobius(d) << (n // d) for d in divisors(n)) // n, n
+        assert np.all(got[1:] > got[:-1]), n
 
 
 def test_canonical_array_sampled_at_twenty():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from z2schur import reproduce
 from z2schur import weight_ring as wr
-from z2schur.errors import InvalidWeight, RingAxiomViolation, ScaleExceeded
+from z2schur.errors import InvalidLength, InvalidWeight, RingAxiomViolation, ScaleExceeded
 from z2schur.sequences import BinarySequence
 from z2schur.weight_ring import (
     class_members_bits,
@@ -258,6 +258,15 @@ def test_verify_ring_runs_clean_at_the_oracle_cap():
     assert rep["product_ok"] and rep["lambda_ok"]
     assert rep["counterexamples"] == []
     assert rep["even_union_sgroup"] and not rep["odd_union_sgroup"]
+
+
+def test_verify_ring_refuses_lengths_below_one():
+    # Both used to return an empty, passing report.
+    for n in (0, -1):
+        with pytest.raises(InvalidLength):
+            verify_ring(n)
+    rep = verify_ring(1)
+    assert rep["product_ok"] and rep["lambda_ok"]
 
 
 def test_scale_and_weight_guards():
