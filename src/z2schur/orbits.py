@@ -412,9 +412,7 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
     s1, and rotate(d_u x, s) = rotate(y, s1 + s) is y exactly when
     s = -s1 mod p.  So some conjugate sends x to y exactly when -s1 mod p
     is among the conjugates' shifts mod p, a set cached per (n, group, h,
-    p) by `_shift_residues`.  Walking the conjugates instead took one
-    rotation per conjugate, n / gcd(u^-1 - 1, n) or more of them for each
-    d_u under rotations.
+    p) by `_shift_residues`, so no conjugate is rotated one at a time.
     """
     n, bits = x.n, x.bits
     mask = (1 << n) - 1
@@ -755,6 +753,7 @@ def _lyndon_words(n: int) -> np.ndarray:
     bottom 0 loses to the right rotation x >> 1.  So only the 2^(n-2)
     words (i << 1) | 1, i < 2^(n-2), are filtered; at n = 1 both words
     qualify.
+
     Two rotations never reject such a word.  Top bit 0 makes the left
     rotation by 1 the word 2x, and 2x > x since x >= 1; bottom bit 1 makes
     the rotation by n - 1 (right by 1) start with that 1, above every word
