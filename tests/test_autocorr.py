@@ -256,7 +256,7 @@ def test_verify_identities_at_its_cap():
 
 
 def test_verify_identities_refuses_lengths_below_one():
-    # n = 0 used to divide by zero and n = -1 to shift by a negative count.
+    # No sequence has length below 1; refused before any table is built.
     for n in (0, -1):
         with pytest.raises(InvalidLength):
             verify_identities(n)

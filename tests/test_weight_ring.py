@@ -261,7 +261,7 @@ def test_verify_ring_runs_clean_at_the_oracle_cap():
 
 
 def test_verify_ring_refuses_lengths_below_one():
-    # Both used to return an empty, passing report.
+    # An empty sweep must not read as a passing report.
     for n in (0, -1):
         with pytest.raises(InvalidLength):
             verify_ring(n)
