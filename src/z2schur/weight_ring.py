@@ -4,19 +4,23 @@ The basic sets are the weight classes G_n(k): all sequences with exactly k
 plus signs, of size binomial(n, k).  Their simple-quantity products carry
 integer structure constants with a closed form, and the set-level product
 of two classes is a two-branch interval formula.  Both closed forms are
-paired here with one brute-force oracle: the XOR enumeration of a class
-pair, whose multiplicity table checks the structure constants and whose
-support checks the set-level product.  It runs on the cell-product kernel
-(`group_cells`, `cell_product_range`): per cell of a partition of Z_2^n,
-the least and greatest multiplicity of its words in a product, equal when
-the S-ring axiom holds.  `orbits.spartition_axiom_check` shares
-`group_cells` and sweeps a whole row of cell pairs per call instead.
+paired here with one brute-force oracle: the multiplicity of every word
+of Z_2^n in a class product, whose per-class table checks the structure
+constants and whose support checks the set-level product.  It comes from
+the Walsh-Hadamard transform, which turns XOR products into entrywise
+ones: transform the 0/1 indicator rows of the two classes, multiply,
+transform back and divide by 2^n.  The transform uses only the +-1
+characters (-1)^popcount(u & z) of Z_2^n, never a binomial or Krawtchouk
+value, so it is independent of the closed forms it checks.  One batched
+kernel serves every class pair of an n; `group_cells` reads the least and
+greatest count of each class, equal when the S-ring axiom holds.
+`orbits.spartition_axiom_check` shares `group_cells` for its own cells.
 
 Complement symmetry.  Complementing every sign, x -> ~x = x XOR 1...1, maps
 G_n(k) onto G_n(n - k).  Since ~x XOR ~y = x XOR y, the multiset
 G_n(n-a) * G_n(n-b) equals G_n(a) * G_n(b); since x XOR ~y = ~(x XOR y),
 the table of G_n(a) * G_n(n-b) is the table of G_n(a) * G_n(b) read at
-class n - k.  `verify_ring` therefore enumerates only the pairs
+class n - k.  `verify_ring` therefore counts only the pairs
 a <= b <= floor(n/2) and derives the other tables by reversal.
 
 Index conventions.  The closed structure-constant form is stated in the
@@ -36,7 +40,12 @@ import numpy as np
 from .errors import InvalidWeight, RingAxiomViolation, ScaleExceeded
 from .sequences import check_positive_length
 
-ORACLE_MAX_N = 14
+# The transform kernel is exact while every partial sum of its second
+# transform, at most 2^n * binomial(n, a) * binomial(n, b) <= 8^n, stays
+# below 2^53: n <= 17.
+ORACLE_MAX_N = 16
+# Words per batch of class pairs in the kernel: 8 MB per float64 buffer.
+_BATCH_WORDS = 1 << 20
 
 _popcount = np.bitwise_count
 
@@ -97,17 +106,6 @@ def group_cells(cell_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(cell_of, kind="stable")
     starts = np.searchsorted(cell_of[order], np.arange(int(cell_of.max()) + 1))
     return order, starts
-
-
-def cell_product_range(xs: np.ndarray, ys: np.ndarray, order: np.ndarray,
-                       starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell of `group_cells`, the least and greatest multiplicity of its
-    words in the multiset {x XOR y : x in xs, y in ys} of int64 words.
-
-    The cells are never empty, which `reduceat` relies on: an empty cell
-    would repeat a start and read its neighbour's first count."""
-    counts = np.bincount((xs[:, None] ^ ys[None, :]).ravel(), minlength=order.size)[order]
-    return np.minimum.reduceat(counts, starts), np.maximum.reduceat(counts, starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,26 +192,88 @@ def structure_constant_closed(n: int, i: int, j: int, k: int) -> int:
     return _binom0(k, (j - i + k) // 2) * _binom0(n - k, (j + i - k) // 2)
 
 
-def product_multiplicity_table(n: int, a: int, b: int) -> QuantityVector:
-    """Brute-force multiset G_n(a) * G_n(b) as per-class multiplicities.
+@lru_cache(maxsize=None)
+def _sylvester(m: int) -> np.ndarray:
+    """The +-1 Sylvester-Hadamard matrix of order 2^m, float64: its entry
+    (u, z) is the character (-1)^popcount(u & z) of Z_2^m."""
+    h = np.ones((1, 1))
+    for _ in range(m):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def _walsh_hadamard(rows: np.ndarray, n: int) -> np.ndarray:
+    """The unnormalised Walsh-Hadamard transform of each row of a C-ordered
+    (r, 2^n) float64 array, written over it.  Row-major, a row is a
+    2^p x 2^q matrix X with p = floor(n/2), q = ceil(n/2), and
+    H_{2^n} = H_{2^p} (x) H_{2^q} maps it to H_{2^p} X H_{2^q}: two matmuls,
+    exact while every partial sum stays below 2^53."""
+    p, q = n // 2, n - n // 2
+    y = rows.reshape(-1, 1 << q) @ _sylvester(q)
+    np.matmul(_sylvester(p), y.reshape(-1, 1 << p, 1 << q),
+              out=rows.reshape(-1, 1 << p, 1 << q))
+    return rows
+
+
+def _word_multiplicities(n: int, pairs: list[tuple[int, int]]
+                         ) -> Iterator[tuple[list, np.ndarray]]:
+    """The multiplicity of every word of Z_2^n in G_n(a) * G_n(b), for each
+    pair in order: batches of pairs, each with an int64 array of shape
+    (len(batch), 2^n), one row per pair, at most _BATCH_WORDS words.
+
+    The characters of Z_2^n turn XOR convolution into a product: the
+    transform of the indicator rows of G_n(a) and G_n(b), multiplied
+    entrywise and transformed again, is 2^n times the count of each word.
+    """
+    classes = sorted({k for pair in pairs for k in pair})
+    row_of = {k: i for i, k in enumerate(classes)}
+    spectra = np.zeros((len(classes), 1 << n))
+    for k, row in zip(classes, spectra):
+        row[class_members_array(n, k)] = 1.0
+    _walsh_hadamard(spectra, n)
+    per_batch = max(1, _BATCH_WORDS >> n)
+    for start in range(0, len(pairs), per_batch):
+        batch = pairs[start:start + per_batch]
+        prod = spectra[[row_of[a] for a, _ in batch]]
+        prod *= spectra[[row_of[b] for _, b in batch]]
+        counts = np.rint(_walsh_hadamard(prod, n), out=prod).astype(np.int64)
+        counts >>= n
+        yield batch, counts
+
+
+def _product_tables(n: int, pairs: list[tuple[int, int]]) -> list[QuantityVector]:
+    """The multiplicity table of G_n(a) * G_n(b) for each pair in order.
 
     Every member of a touched weight class must appear the same number of
-    times; a non-uniform count raises RingAxiomViolation since it can only
-    come from an indexing bug, never from the ring itself.
+    times; the first pair with a non-uniform count raises
+    RingAxiomViolation, since that can only come from an indexing bug,
+    never from the ring itself.
     """
+    check_positive_length(n)
     if n > ORACLE_MAX_N:
         raise ScaleExceeded(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
-    xs = class_members_array(n, a)
-    ys = class_members_array(n, b)
-    lo, hi = cell_product_range(xs, ys, *group_cells(n - _popcount(np.arange(1 << n))))
-    bad = np.flatnonzero(lo != hi)
-    if bad.size:
-        w = int(bad[0])
-        raise RingAxiomViolation(
-            f"nonuniform multiplicity on G_{n}({w}) in G_{n}({a})*G_{n}({b}):"
-            f" min {lo[w]}, max {hi[w]}"
-        )
-    return QuantityVector(n, tuple(lo.tolist()))
+    order, starts = group_cells(n - _popcount(np.arange(1 << n)))
+    tables = []
+    for batch, counts in _word_multiplicities(n, pairs):
+        counts = counts[:, order]
+        los = np.minimum.reduceat(counts, starts, axis=1)
+        his = np.maximum.reduceat(counts, starts, axis=1)
+        bad = np.argwhere(los != his)
+        if bad.size:
+            row, w = bad[0].tolist()
+            a, b = batch[row]
+            raise RingAxiomViolation(
+                f"nonuniform multiplicity on G_{n}({w}) in G_{n}({a})*G_{n}({b}):"
+                f" min {los[row, w]}, max {his[row, w]}"
+            )
+        tables += [QuantityVector(n, tuple(lo)) for lo in los.tolist()]
+    return tables
+
+
+def product_multiplicity_table(n: int, a: int, b: int) -> QuantityVector:
+    """Brute-force multiset G_n(a) * G_n(b) as per-class multiplicities,
+    checked uniform on every class; refuses n < 1 and n > ORACLE_MAX_N."""
+    return _product_tables(n, [(a, b)])[0]
 
 
 def structure_constant_oracle(n: int, i: int, j: int, k: int) -> int:
@@ -277,12 +337,12 @@ def is_sgroup(n: int, s: WeightClassSet | frozenset[int] | set[int]) -> bool:
 def _class_pair_tables(n: int) -> dict[tuple[int, int], QuantityVector]:
     """The multiplicity table of every class pair a <= b, in (a, b) order.
 
-    Only the pairs a <= b <= floor(n/2) are enumerated; complementing a
+    Only the pairs a <= b <= floor(n/2) are counted; complementing a
     factor above n/2 reverses the table, so two such factors cancel.
     """
     half = n // 2
-    base = {(a, b): product_multiplicity_table(n, a, b)
-            for a in range(half + 1) for b in range(a, half + 1)}
+    pairs = [(a, b) for a in range(half + 1) for b in range(a, half + 1)]
+    base = dict(zip(pairs, _product_tables(n, pairs)))
     tables = {}
     for a in range(n + 1):
         for b in range(a, n + 1):
@@ -299,15 +359,15 @@ def verify_ring(n: int) -> dict:
 
     One multiplicity table per unordered class pair serves both checks: its
     support against `class_product`, its entries against
-    `structure_constant_closed`.  Only the pairs a <= b <= floor(n/2) are
-    enumerated, each with the uniformity check; the rest follow from the
-    complement identities G_n(n-a) * G_n(n-b) = G_n(a) * G_n(b) and
-    G_n(a) * G_n(n-b) = the same table read at class n - k.  Returns a
-    report dict with product_ok / lambda_ok flags and explicit
-    counterexamples (empty on success), products first, then structure
-    constants in (i, j, k) order.  Refuses n < 1.
+    `structure_constant_closed`.  The pairs a <= b <= floor(n/2) are counted
+    word by word in one batched transform call, each with the uniformity
+    check; the rest follow from the complement identities
+    G_n(n-a) * G_n(n-b) = G_n(a) * G_n(b) and G_n(a) * G_n(n-b) = the same
+    table read at class n - k.  Returns a report dict with product_ok /
+    lambda_ok flags and explicit counterexamples (empty on success),
+    products first, then structure constants in (i, j, k) order.  Refuses
+    n < 1 and n > ORACLE_MAX_N.
     """
-    check_positive_length(n)
     tables = _class_pair_tables(n)
     products = []
     for (a, b), table in tables.items():

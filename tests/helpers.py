@@ -8,6 +8,7 @@ deliberately share no code with the packed-array implementations under
 test.
 """
 
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
@@ -59,6 +60,18 @@ def str_period(s: str) -> int:
     return n
 
 
+def peak_traced_mb(fn) -> float:
+    """The traced peak of the second call of fn, in MiB.  numpy reports its
+    buffers to tracemalloc; the warm-up call fills the caches first."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def cyclic_orbit(s: str) -> set[str]:
     return {str_rotate(s, i) for i in range(len(s))}
 
@@ -79,6 +92,49 @@ def class_members_recursive(n: int, k: int):
     yield from class_members_recursive(n - 1, k - 1)  # '+' prefix, top bit 0
     for tail in class_members_recursive(n - 1, k):
         yield (1 << (n - 1)) | tail  # '-' prefix
+
+
+# ---------------------------------------------------- weight ring oracle
+# Products of weight classes by the XOR outer product of their member
+# lists, counted by bincount: no transform and no closed form.
+
+def xor_word_counts(xs: np.ndarray, ys: np.ndarray, size: int) -> np.ndarray:
+    """The multiplicity of every word below size in the multiset
+    {x XOR y : x in xs, y in ys} of int64 words."""
+    return np.bincount((xs[:, None] ^ ys[None, :]).ravel(), minlength=size)
+
+
+def cell_product_range(xs: np.ndarray, ys: np.ndarray, order: np.ndarray,
+                       starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of `weight_ring.group_cells`, the least and greatest
+    multiplicity of its words in the XOR multiset of xs and ys.
+
+    The cells are never empty, which `reduceat` relies on: an empty cell
+    would repeat a start and read its neighbour's first count."""
+    counts = xor_word_counts(xs, ys, order.size)[order]
+    return np.minimum.reduceat(counts, starts), np.maximum.reduceat(counts, starts)
+
+
+def class_array(n: int, k: int) -> np.ndarray:
+    """The members of G_n(k) as int64 words; empty for k = -1."""
+    return np.array(words_of_weight(n, k), dtype=np.int64).reshape(-1)
+
+
+def product_word_counts(n: int, a: int, b: int) -> np.ndarray:
+    """The multiplicity of every word of Z_2^n in G_n(a) * G_n(b)."""
+    return xor_word_counts(class_array(n, a), class_array(n, b), 1 << n)
+
+
+@lru_cache(maxsize=None)
+def product_table(n: int, a: int, b: int) -> tuple[int, ...]:
+    """The multiplicity of each weight class in G_n(a) * G_n(b), checked
+    uniform over the class."""
+    weight = n - np.bitwise_count(np.arange(1 << n))
+    order = np.argsort(weight, kind="stable")
+    starts = np.searchsorted(weight[order], np.arange(n + 1))
+    lo, hi = cell_product_range(class_array(n, a), class_array(n, b), order, starts)
+    assert (lo == hi).all(), (n, a, b)
+    return tuple(lo.tolist())
 
 
 # --------------------------------------------------------- group oracle

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from collections import Counter
 from functools import lru_cache, reduce
 
@@ -48,6 +47,7 @@ from helpers import (
     conjugates_walk,
     cyclic_orbit,
     group_closure,
+    peak_traced_mb,
     period_tally,
     rotate_words,
     str_decimate,
@@ -542,18 +542,6 @@ def test_chunked_scans_match_one_block(monkeypatch):
             assert results(n) == whole, n
 
 
-def _peak_traced_mb(fn):
-    # numpy reports its buffers to tracemalloc; the warm-up call fills the
-    # caches of group and permutation tables first.
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 def test_whole_space_scans_stay_in_cache_sized_blocks():
     # canonical_array keeps one 4 MB uint32 table, also where the coset
     # representatives are applied through the byte tables, since the fold
@@ -561,11 +549,11 @@ def test_whole_space_scans_stay_in_cache_sized_blocks():
     # stay at a few _CHUNK-word buffers.  The orbit table adds only per-orbit columns:
     # its representatives are collected block by block, with no sorted
     # copy of the canon.
-    assert _peak_traced_mb(lambda: canonical_array(20, "C")) < 4 + 2
-    assert _peak_traced_mb(lambda: canonical_array(20, "HDC")) < 4 + 2
-    assert _peak_traced_mb(lambda: fd_partition(20)) < 2
-    assert _peak_traced_mb(lambda: census(20, "C")) < 4 + 3
-    assert _peak_traced_mb(lambda: invariance_check(20)) < 4 + 3
+    assert peak_traced_mb(lambda: canonical_array(20, "C")) < 4 + 2
+    assert peak_traced_mb(lambda: canonical_array(20, "HDC")) < 4 + 2
+    assert peak_traced_mb(lambda: fd_partition(20)) < 2
+    assert peak_traced_mb(lambda: census(20, "C")) < 4 + 3
+    assert peak_traced_mb(lambda: invariance_check(20)) < 4 + 3
 
 
 def test_invariance_check_clean_small():

@@ -2,6 +2,7 @@ from collections import Counter
 from itertools import product as iproduct
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +23,12 @@ from z2schur.weight_ring import (
     structure_constant_oracle,
     verify_ring,
 )
-from helpers import class_members_recursive
+from helpers import (
+    class_members_recursive,
+    peak_traced_mb,
+    product_table,
+    product_word_counts,
+)
 
 
 def test_class_size_is_binomial():
@@ -196,20 +202,59 @@ def test_verify_ring_lists_each_counterexample_once_products_first(monkeypatch):
 
 
 def test_verify_ring_derived_tables_match_direct_enumeration(monkeypatch):
-    """Every table derived by complementing equals its own enumeration,
-    and only the pairs a <= b <= n/2 were enumerated to derive them."""
-    real = wr.product_multiplicity_table
-    enumerated = []
-    monkeypatch.setattr(wr, "product_multiplicity_table",
-                        lambda n, a, b: enumerated.append((a, b)) or real(n, a, b))
+    """Every table derived by complementing equals the outer-product
+    oracle, and one kernel call over the pairs a <= b <= n/2 derived them."""
+    real = wr._word_multiplicities
+    calls = []
+    monkeypatch.setattr(wr, "_word_multiplicities",
+                        lambda n, pairs: calls.append(list(pairs)) or real(n, pairs))
     for n in range(1, 13):
         half = n // 2
-        enumerated.clear()
+        calls.clear()
         tables = wr._class_pair_tables(n)
-        assert enumerated == [(a, b) for a in range(half + 1) for b in range(a, half + 1)]
+        assert calls == [[(a, b) for a in range(half + 1) for b in range(a, half + 1)]]
         assert list(tables) == [(a, b) for a in range(n + 1) for b in range(a, n + 1)]
         for (a, b), table in tables.items():
-            assert table == real(n, a, b), (n, a, b)
+            assert table.coeffs == product_table(n, a, b), (n, a, b)
+
+
+def test_transform_tables_match_the_outer_product_oracle():
+    for n in range(1, 13):
+        for a in range(-1, n + 1):
+            for b in range(-1, n + 1):
+                assert product_multiplicity_table(n, a, b).coeffs == \
+                    product_table(n, a, b), (n, a, b)
+
+
+@pytest.mark.parametrize("batch_words", [None, 3, 1])
+def test_word_multiplicities_match_the_outer_product_counts(monkeypatch, batch_words):
+    # A cap of a few rows per batch, or of one, also exercises the batching.
+    for n in range(1, 11):
+        if batch_words is not None:
+            monkeypatch.setattr(wr, "_BATCH_WORDS", batch_words << n)
+        pairs = [(a, b) for a in range(-1, n + 1) for b in range(-1, n + 1)]
+        batches = list(wr._word_multiplicities(n, pairs))
+        assert [p for batch, _ in batches for p in batch] == pairs
+        assert max(len(batch) for batch, _ in batches) == (batch_words or len(pairs))
+        counts = np.concatenate([c for _, c in batches])
+        assert counts.dtype == np.int64
+        for (a, b), row in zip(pairs, counts):
+            assert np.array_equal(row, product_word_counts(n, a, b)), (n, a, b)
+
+
+def test_tables_keep_the_mass_identity_at_the_oracle_cap():
+    # Exactness of the float transform where its partial sums are largest.
+    n = wr.ORACLE_MAX_N
+    for (a, b), table in wr._class_pair_tables(n).items():
+        assert all(type(c) is int for c in table.coeffs)
+        assert sum(c * comb(n, k) for k, c in enumerate(table.coeffs)) == \
+            comb(n, a) * comb(n, b), (a, b)
+
+
+def test_class_pair_tables_stay_in_batch_sized_buffers():
+    # At n = 14 every pair a <= b <= 7 fits one batch: 36 rows of 2^14
+    # float64 words, 4.7 MB per buffer.
+    assert peak_traced_mb(lambda: wr._class_pair_tables(14)) < 24
 
 
 def _first_uneven_class(n, xs, ys):
@@ -254,7 +299,7 @@ def test_verify_ring_rejects_a_broken_partition(monkeypatch):
 
 def test_verify_ring_runs_clean_at_the_oracle_cap():
     rep = verify_ring(wr.ORACLE_MAX_N)
-    assert rep["n"] == wr.ORACLE_MAX_N == 14
+    assert rep["n"] == wr.ORACLE_MAX_N == 16
     assert rep["product_ok"] and rep["lambda_ok"]
     assert rep["counterexamples"] == []
     assert rep["even_union_sgroup"] and not rep["odd_union_sgroup"]
@@ -269,10 +314,24 @@ def test_verify_ring_refuses_lengths_below_one():
     assert rep["product_ok"] and rep["lambda_ok"]
 
 
+def test_oracles_refuse_lengths_below_one():
+    # Refused before any class is built: n = 0 would give a table, and
+    # n < 0 a negative shift or a weight error that blames the wrong input.
+    for n, a, b in ((0, 0, 0), (-1, -1, -1), (-2, -1, -1)):
+        with pytest.raises(InvalidLength):
+            product_multiplicity_table(n, a, b)
+        with pytest.raises(InvalidLength):
+            class_product_oracle(n, a, b)
+        with pytest.raises(InvalidLength):
+            structure_constant_oracle(n, n - a, n - b, n)
+
+
 def test_scale_and_weight_guards():
     with pytest.raises(InvalidWeight):
         class_product(4, 5, 1)
     with pytest.raises(InvalidWeight):
         class_size(3, -2)
     with pytest.raises(ScaleExceeded):
-        product_multiplicity_table(15, 2, 2)
+        product_multiplicity_table(wr.ORACLE_MAX_N + 1, 2, 2)
+    with pytest.raises(ScaleExceeded):
+        verify_ring(wr.ORACLE_MAX_N + 1)

@@ -1,11 +1,13 @@
-"""Time the orbit layer's whole-space kernels at fixed sizes.
+"""Time the orbit and ring layers' kernels at fixed sizes.
 
     python tools/bench_layers.py [--src DIR]
 
-Each kernel is timed best of three in this process: canonical_array(24, "C"),
-census(24, "C"), invariance_check(24) and square_freeness_check(23).  The
-first classify at (256, "HDC") fills the group caches, so it is timed
-best of three fresh processes, the call alone without the import.
+Each kernel is timed REPEAT times in this process: canonical_array(24, "C"),
+census(24, "C"), invariance_check(24), square_freeness_check(23) and
+verify_ring(14).  The first classify at (256, "HDC") fills the group
+caches, so it is timed in REPEAT fresh processes, the call alone without
+the import.  Every repeat's time is stored, with the best and the median:
+on a host whose speed drifts, one best time can mislead.
 
 --src names the source tree to import (default: the src/ next to this
 script), so a checkout of another commit is measured into the same file,
@@ -21,6 +23,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -28,7 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_layers.json"
-REPEAT = 3
+REPEAT = 5
 
 FIRST_CLASSIFY = """
 import random, time
@@ -41,20 +44,20 @@ print(time.perf_counter() - t0)
 """
 
 
-def best_of(fn) -> float:
-    best = float("inf")
+def repeat_times(fn) -> list[float]:
+    times = []
     for _ in range(REPEAT):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    return times
 
 
-def first_classify(src: Path) -> float:
+def first_classify(src: Path) -> list[float]:
     env = dict(os.environ, PYTHONPATH=str(src))
-    return min(float(subprocess.run([sys.executable, "-c", FIRST_CLASSIFY], env=env,
-                                    check=True, capture_output=True, text=True).stdout)
-               for _ in range(REPEAT))
+    return [float(subprocess.run([sys.executable, "-c", FIRST_CLASSIFY], env=env,
+                                 check=True, capture_output=True, text=True).stdout)
+            for _ in range(REPEAT)]
 
 
 def commit_of(src: Path) -> dict:
@@ -72,24 +75,30 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
+    # One thread per numerical pool, set before numpy is imported, as in perfbench.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     import numpy as np
-    from z2schur import orbits
+    from z2schur import orbits, weight_ring
 
     kernels = {
         'canonical_array(24, "C")': lambda: orbits.canonical_array(24, "C"),
         'census(24, "C")': lambda: orbits.census(24, "C"),
         "invariance_check(24)": lambda: orbits.invariance_check(24),
         "square_freeness_check(23)": lambda: orbits.square_freeness_check(23),
+        "verify_ring(14)": lambda: weight_ring.verify_ring(14),
     }
-    best_s = {name: round(best_of(fn), 4) for name, fn in kernels.items()}
-    best_s['first classify(256, "HDC")'] = round(first_classify(src), 4)
+    times_s = {name: repeat_times(fn) for name, fn in kernels.items()}
+    times_s['first classify(256, "HDC")'] = first_classify(src)
     run = {
         **commit_of(src),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "repeat": REPEAT,
-        "best_s": best_s,
+        "best_s": {name: round(min(t), 4) for name, t in times_s.items()},
+        "median_s": {name: round(statistics.median(t), 4) for name, t in times_s.items()},
+        "times_s": {name: [round(x, 4) for x in t] for name, t in times_s.items()},
     }
     runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
     runs = [r for r in runs if r["git_sha"] != run["git_sha"]] + [run]
