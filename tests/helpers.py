@@ -117,7 +117,7 @@ def cell_product_range(xs: np.ndarray, ys: np.ndarray, order: np.ndarray,
 
 def class_array(n: int, k: int) -> np.ndarray:
     """The members of G_n(k) as int64 words; empty for k = -1."""
-    return np.array(words_of_weight(n, k), dtype=np.int64).reshape(-1)
+    return np.array(words_of_weight(n, k), dtype=np.int64)
 
 
 def product_word_counts(n: int, a: int, b: int) -> np.ndarray:
