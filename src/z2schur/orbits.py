@@ -789,6 +789,15 @@ def _below_full_period(arr: np.ndarray, n: int) -> np.ndarray:
     return short
 
 
+def _witness_strings(reps: np.ndarray, n: int, count: int = 10) -> list[str]:
+    """The least `count` distinct rotations of the packed words in reps,
+    ascending, as sign strings; none when reps is empty."""
+    if not reps.size:
+        return []
+    rotations = np.concatenate([rotate_bits_array(reps, n, i) for i in range(n)])
+    return [str(BinarySequence(n, bits)) for bits in np.unique(rotations)[:count].tolist()]
+
+
 def square_freeness_check(n: int) -> dict:
     """Check how freeness behaves under the products X * C^a X.
 
@@ -809,7 +818,8 @@ def square_freeness_check(n: int) -> dict:
     counts are n times the failing representatives, and the witnesses
     per offset are the least ten of their rotations, the same list a scan
     of every free word gives.  Likewise X * C^{n-a} X = C^{n-a}(X * C^a X),
-    so odd n computes offsets a <= (n-1)/2 only and reuses them for n - a.
+    so odd n computes offsets a <= (n-1)/2 only, witness lists included,
+    and reuses them for n - a.
     """
     _check_enum_length(n)
     lyndon = _lyndon_words(n)
@@ -817,22 +827,22 @@ def square_freeness_check(n: int) -> dict:
     if n % 2:
         failing = [lyndon[_below_full_period(lyndon ^ rotate_bits_array(lyndon, n, a), n)]
                    for a in range(1, (n + 1) // 2)]
-        scan = [(a, failing[min(a, n - a) - 1]) for a in range(1, n)]
+        listed = [(reps.size, _witness_strings(reps, n)) for reps in failing]
+        scan = [(a, *listed[min(a, n - a) - 1]) for a in range(1, n)]
         checked = free_count * (n - 1)
     else:
         half = n // 2
         y = lyndon ^ rotate_bits_array(lyndon, n, half)
         # a free X never equals its half-shift, so y != 0; verified all the same
         witnessed = (rotate_bits_array(y, n, half) == y) & (y != 0)
-        scan = [(half, lyndon[~witnessed])]
+        reps = lyndon[~witnessed]
+        scan = [(half, reps.size, _witness_strings(reps, n))]
         checked = free_count
     violations = []
     violation_count = 0
-    for a, reps in scan:
-        violation_count += n * int(reps.size)
-        rotations = np.concatenate([rotate_bits_array(reps, n, i) for i in range(n)])
-        for bits in np.unique(rotations)[:10].tolist():
-            violations.append({"x": str(BinarySequence(n, bits)), "a": a})
+    for a, failing_count, witnesses in scan:
+        violation_count += n * failing_count
+        violations += [{"x": x, "a": a} for x in witnesses]
     return {
         "n": n,
         "free_sequences": free_count,

@@ -63,15 +63,37 @@ def _run(number: int, name: str, fn, *args) -> CriterionResult:
 
 # ------------------------------------------------------------- criteria
 
-def _ring_sweep(cap: int, budget_s: float, kinds: tuple[str, ...]):
+class RingSweep:
+    """`weight_ring.verify_ring` reports for n = 1, 2, ..., each with the
+    seconds its own call took.  A report is computed the first time a
+    criterion asks for its n and read from here after that, so criteria
+    that share one sweep run each verify_ring(n) once.  The reports live
+    as long as the object: `run_all` makes one per call."""
+
+    def __init__(self) -> None:
+        self._timed: list[tuple[dict, float]] = []
+
+    def upto(self, cap: int) -> list[tuple[dict, float]]:
+        for n in range(len(self._timed) + 1, cap + 1):
+            t0 = time.perf_counter()
+            rep = weight_ring.verify_ring(n)
+            self._timed.append((rep, time.perf_counter() - t0))
+        return self._timed[:cap]
+
+
+def _ring_sweep(cap: int, budget_s: float, kinds: tuple[str, ...],
+                sweep: RingSweep | None = None):
     """verify_ring at every n <= cap, keeping the counterexamples of the
-    given kinds; passes when there are none and the sweep beat its budget."""
-    t0 = time.perf_counter()
-    counterexamples = []
-    for n in range(1, cap + 1):
-        rep = weight_ring.verify_ring(n)
-        counterexamples += [c for c in rep["counterexamples"] if c["kind"] in kinds]
-    elapsed = time.perf_counter() - t0
+    given kinds; passes when there are none and the sweep beat its budget.
+
+    The reports come from `sweep` when given (criteria 1 and 2 share one
+    in `run_all`), else from a sweep of this call's own.  Either way
+    `seconds` is the time of the verify_ring calls behind the reports
+    read, n = 1..cap, not the time it took to read them."""
+    timed = (RingSweep() if sweep is None else sweep).upto(cap)
+    counterexamples = [c for rep, _ in timed for c in rep["counterexamples"]
+                       if c["kind"] in kinds]
+    elapsed = sum(seconds for _, seconds in timed)
     return not counterexamples and elapsed < budget_s, {
         "max_n": cap,
         "counterexamples": counterexamples,
@@ -80,12 +102,14 @@ def _ring_sweep(cap: int, budget_s: float, kinds: tuple[str, ...]):
     }
 
 
-def criterion_class_products(max_n: int | None = None):
-    return _ring_sweep(_cap(12, max_n), 30.0, ("product",))
+def criterion_class_products(max_n: int | None = None,
+                             sweep: RingSweep | None = None):
+    return _ring_sweep(_cap(12, max_n), 30.0, ("product",), sweep)
 
 
-def criterion_structure_constants(max_n: int | None = None):
-    return _ring_sweep(_cap(10, max_n), 60.0, ("product", "lambda"))
+def criterion_structure_constants(max_n: int | None = None,
+                                  sweep: RingSweep | None = None):
+    return _ring_sweep(_cap(10, max_n), 60.0, ("product", "lambda"), sweep)
 
 
 EXPECTED_COMPLETE = {
@@ -337,11 +361,19 @@ MODULE_CRITERIA = {
 
 
 def run_all(max_n: int | None = None, seed: int = 0) -> dict:
+    """Run the twelve criteria in order and collect their results.
+
+    Criteria 1 and 2 share one verify_ring sweep per call: criterion 1
+    runs it over n <= 12 (so its runtime_ms holds the sweep) and
+    criterion 2 reads the reports for n <= 10.  Nothing is kept from one
+    call to the next.
+    """
+    ring = RingSweep()
     results = [
         _run(1, "class products match the enumeration oracle",
-             criterion_class_products, max_n),
+             criterion_class_products, max_n, ring),
         _run(2, "structure constants match the enumeration oracle",
-             criterion_structure_constants, max_n),
+             criterion_structure_constants, max_n, ring),
         _run(3, "complete S-set examples and the bundled count rule",
              criterion_complete_ssets, max_n),
         _run(4, "orbit totals match the counting formulas",

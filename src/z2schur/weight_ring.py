@@ -282,7 +282,9 @@ def structure_constant_oracle(n: int, i: int, j: int, k: int) -> int:
     return table.coeffs[n - k]
 
 
-@lru_cache(maxsize=1024)  # every pair a <= b up to n = 16 is 968 entries
+# A reproduce-paper pass asks for 968 + 179 = 1147 keys: every pair a <= b
+# up to n = 16, and the Paley-border normalisations at n = 20 and 24.
+@lru_cache(maxsize=2048)
 def class_product(n: int, a: int, b: int) -> WeightClassSet:
     """Weights appearing in G_n(a) * G_n(b), via the two-branch closed form.
 

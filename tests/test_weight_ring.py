@@ -201,6 +201,30 @@ def test_verify_ring_lists_each_counterexample_once_products_first(monkeypatch):
     assert not passed and details["counterexamples"] == [product, lam]
 
 
+def test_run_all_runs_one_ring_sweep_per_pass(monkeypatch):
+    """Criteria 1 and 2 share one verify_ring call per n <= 12, and the
+    next pass makes the same calls again: no report outlives its pass."""
+    calls = []
+    real = wr.verify_ring
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(wr, "verify_ring", spy)
+    reproduce.run_all(16)
+    assert calls == list(range(1, 13))
+    reproduce.run_all(16)
+    assert calls == 2 * list(range(1, 13))
+
+
+def test_class_product_cache_holds_a_whole_pass():
+    reproduce.run_all(16)
+    misses = class_product.cache_info().misses
+    reproduce.run_all(16)
+    assert class_product.cache_info().misses == misses
+
+
 def test_verify_ring_derived_tables_match_direct_enumeration(monkeypatch):
     """Every table derived by complementing equals the outer-product
     oracle, and one kernel call over the pairs a <= b <= n/2 derived them."""

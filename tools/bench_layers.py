@@ -3,11 +3,12 @@
     python tools/bench_layers.py [--src DIR]
 
 Each kernel is timed REPEAT times in this process: canonical_array(24, "C"),
-census(24, "C"), invariance_check(24), square_freeness_check(23) and
-verify_ring(14).  The first classify at (256, "HDC") fills the group
-caches, so it is timed in REPEAT fresh processes, the call alone without
-the import.  Every repeat's time is stored, with the best and the median:
-on a host whose speed drifts, one best time can mislead.
+census(24, "C"), invariance_check(24), square_freeness_check(23),
+square_freeness_check(21) (the orbit-census size) and verify_ring(14).
+The first classify at (256, "HDC") fills the group caches, so it is timed
+in REPEAT fresh processes, the call alone without the import.  Every
+repeat's time is stored, with the best and the median: on a host whose
+speed drifts, one best time can mislead.
 
 --src names the source tree to import (default: the src/ next to this
 script), so a checkout of another commit is measured into the same file,
@@ -86,6 +87,7 @@ def main(argv=None) -> None:
         'census(24, "C")': lambda: orbits.census(24, "C"),
         "invariance_check(24)": lambda: orbits.invariance_check(24),
         "square_freeness_check(23)": lambda: orbits.square_freeness_check(23),
+        "square_freeness_check(21)": lambda: orbits.square_freeness_check(21),
         "verify_ring(14)": lambda: weight_ring.verify_ring(14),
     }
     times_s = {name: repeat_times(fn) for name, fn in kernels.items()}
