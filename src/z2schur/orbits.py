@@ -789,13 +789,13 @@ def _below_full_period(arr: np.ndarray, n: int) -> np.ndarray:
     return short
 
 
-def _witness_strings(reps: np.ndarray, n: int, count: int = 10) -> list[str]:
-    """The least `count` distinct rotations of the packed words in reps,
+def _witness_strings(reps: np.ndarray, n: int) -> list[str]:
+    """The least ten distinct rotations of the packed words in reps,
     ascending, as sign strings; none when reps is empty."""
     if not reps.size:
         return []
     rotations = np.concatenate([rotate_bits_array(reps, n, i) for i in range(n)])
-    return [str(BinarySequence(n, bits)) for bits in np.unique(rotations)[:count].tolist()]
+    return [str(BinarySequence(n, bits)) for bits in np.unique(rotations)[:10].tolist()]
 
 
 def square_freeness_check(n: int) -> dict:

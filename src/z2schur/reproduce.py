@@ -78,7 +78,7 @@ class RingSweep:
             t0 = time.perf_counter()
             rep = weight_ring.verify_ring(n)
             self._timed.append((rep, time.perf_counter() - t0))
-        return self._timed[:cap]
+        return self._timed[:max(cap, 0)]
 
 
 def _ring_sweep(cap: int, budget_s: float, kinds: tuple[str, ...],
@@ -93,7 +93,7 @@ def _ring_sweep(cap: int, budget_s: float, kinds: tuple[str, ...],
     timed = (RingSweep() if sweep is None else sweep).upto(cap)
     counterexamples = [c for rep, _ in timed for c in rep["counterexamples"]
                        if c["kind"] in kinds]
-    elapsed = sum(seconds for _, seconds in timed)
+    elapsed = sum((seconds for _, seconds in timed), 0.0)
     return not counterexamples and elapsed < budget_s, {
         "max_n": cap,
         "counterexamples": counterexamples,
