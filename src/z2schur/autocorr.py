@@ -31,6 +31,9 @@ from .sequences import (
 )
 
 VERIFY_MAX_N = 16
+# Sign entries per block of random_identity_trials: 256 trials at n = 32,
+# so each float64 trials x n matrix of a block is 64 KiB.
+_TRIAL_BLOCK = 1 << 13
 
 
 def periodic_correlation(x: BinarySequence, y: BinarySequence, k: int) -> int:
@@ -143,31 +146,45 @@ def verify_identities(n: int) -> dict:
     bound P(k) = n - 4a + 4 i_k with 0 <= i_k <= a, and invariance under
     rotation, reversal, negation, and every decimation.
 
-    The words are x = 0 .. 2^n - 1, so column w of the n x 2^n table
+    The words are w = 0 .. 2^n - 1, so column w of the n x 2^n table
     holds P_w at every shift.  The table is built once, in int8 (|P| <=
-    n <= 16), by n rotations into one scratch array.  The peak, symmetry,
-    mod-4, i_k range and sum checks are whole-table masks.  A transform's
-    values are a gather: word w maps to image[w], and P_{image[w]}(k) =
-    table[k, image[w]] is compared with table[k, w], or with
-    table[rk mod n, w] for the decimation d_r.
+    n <= 16), a row per shift k from the popcount of w ^ rotate(w, k).
+    The peak, symmetry, mod-4 and i_k range checks run one shift row at a
+    time through reused row buffers.  A transform's values are a gather
+    into one reused table-sized buffer: word w maps to image[w], and
+    P_{image[w]}(k) = table[k, image[w]] is compared with table[k, w], or
+    with table[rk mod n, w] for the decimation d_r.  The negation maps w
+    to 2^n - 1 - w, so its gather is the table read backwards.  Every word
+    image is built from the images of the 2^h low words and the 2^(n-h)
+    high words, h = n // 2, so no temporary is the size of the word range.
 
     Each check lists at most ten violating sequences, in word order, and
-    only shifts with a failure are visited.  `violation_counts` gives the
-    exact number of failures per kind: failing (word, shift) pairs, or
-    failing words for the peak and the sum.  Refuses n < 1, and n above
-    VERIFY_MAX_N.
+    only masks with a failure are searched for them.  `violation_counts`
+    gives the exact number of failures per kind: failing (word, shift)
+    pairs, or failing words for the peak and the sum.  Refuses n < 1, and
+    n above VERIFY_MAX_N.
     """
     check_positive_length(n)
     if n > VERIFY_MAX_N:
         raise ScaleExceeded(f"exhaustive sweep capped at n <= {VERIFY_MAX_N}")
-    x = np.arange(1 << n, dtype=np.uint32)
-    weights = (n - np.bitwise_count(x)).astype(np.int8)  # the '+' count a
-    table = np.empty((n, x.size), dtype=np.int8)  # |P| <= n <= 16
-    scratch = np.empty_like(x)
+    size, low = 1 << n, 1 << n // 2
+    images = np.arange(size, dtype=np.intp)  # np.take's index type, so no copy
+    weights = np.empty(size, dtype=np.int8)  # the '+' count a
+    np.subtract(n, np.bitwise_count(images), out=weights)
+    # w = hi * low + lo, so a map fn that is linear over xor (a position
+    # permutation, or w ^ rotate(w, k)) has fn(w) = fn(hi * low) ^ fn(lo):
+    # fn runs on these at most 2^9 words, and one outer xor fills images.
+    parts = np.concatenate((images[:low], images[:size // low] * low))
+
+    def image_of(fn) -> np.ndarray:
+        part = fn(parts)
+        np.bitwise_xor(part[low:, None], part[:low], out=images.reshape(-1, low))
+        return images
+
+    table = np.empty((n, size), dtype=np.int8)  # |P| <= n <= 16
     for k in range(n):
-        rotate_bits_array(x, n, k, out=scratch)
-        scratch ^= x
-        np.bitwise_count(scratch, out=table[k])
+        np.bitwise_count(image_of(lambda w: w ^ rotate_bits_array(w, n, k)),
+                         out=table[k])
     table *= -2
     table += n
     violations: list[dict] = []
@@ -176,43 +193,61 @@ def verify_identities(n: int) -> dict:
 
     def check(kind: str, mask: np.ndarray, keys: list[dict]) -> None:
         # One mask row per entry of keys; only rows with a failure are listed.
-        counts[kind] += int(np.count_nonzero(mask))
+        found = int(np.count_nonzero(mask))
+        if not found:
+            return
+        counts[kind] += found
         for row in np.flatnonzero(mask.any(axis=1)).tolist():
             for i in np.flatnonzero(mask[row])[:10].tolist():
                 violations.append(
                     {"kind": kind, "x": str(BinarySequence(n, i)), **keys[row]})
 
-    off = table[1:]
-    num = off - n + 4 * weights  # 4 i_k, at most 64
-    per_shift = {
-        "symmetry": off != table[:0:-1],
-        "mod4": (off - n) & 3 != 0,
-        "ik_range": (num & 3 != 0) | (num < 0) | (num >> 2 > weights),
-    }
-    check("peak", table[:1] != n, [{}])
+    bad, worse = np.empty((2, 1, size), dtype=bool)
+    num, rem = np.empty((2, size), dtype=np.int8)
+    base = 4 * weights - n  # 4a - n, in [-16, 48]
+    four_a = (4 * weights).view(np.uint8)
+    check("peak", np.not_equal(table[:1], n, out=bad), [{}])
     for k in range(1, n):  # the three kinds interleave shift by shift
-        for kind, mask in per_shift.items():
-            check(kind, mask[k - 1:k], [{"k": k}])
-    square = (2 * weights.astype(np.int16) - n) ** 2
-    check("sum", (table.sum(axis=0, dtype=np.int16) != square)[None], [{}])
+        np.not_equal(table[k], table[n - k], out=bad[0])
+        check("symmetry", bad, [{"k": k}])
+        np.add(table[k], base, out=num)  # 4 i_k = P(k) - n + 4a, in [-32, 64]
+        np.bitwise_and(num, 3, out=rem)  # also (P(k) - n) & 3, as 4a = 0 mod 4
+        np.not_equal(rem, 0, out=bad[0])
+        check("mod4", bad, [{"k": k}])
+        # i_k out of [0, a]: read unsigned, a negative 4 i_k is at least
+        # 128 > 4a, and a multiple of 4 above 4a means i_k > a.
+        np.greater(num.view(np.uint8), four_a, out=worse[0])
+        bad |= worse
+        check("ik_range", bad, [{"k": k}])
+    square = 2 * weights.astype(np.int16) - n
+    square *= square
+    np.not_equal(table.sum(axis=0, dtype=np.int16), square, out=bad[0])
+    check("sum", bad, [{}])
 
-    # (kind, r, image): P_{image[w]}(k) must equal P_w(rk), with r = 1
-    # for the rotation, reversal and negation.
+    # (kind, r, fn): P_{fn(w)}(k) must equal P_w(rk), with r = 1 for the
+    # rotation, reversal and negation.  fn None is the negation.
     transforms = [
-        ("rotation", 1, rotate_bits_array(x, n, 1)),
-        ("reversal", 1, permute_bits_array(x, n, reversal_perm(n))),
-        ("negation", 1, x ^ np.uint32((1 << n) - 1)),
+        ("rotation", 1, lambda w: rotate_bits_array(w, n, 1)),
+        ("reversal", 1, lambda w: permute_bits_array(w, n, reversal_perm(n))),
+        ("negation", 1, None),
     ] + [
-        ("decimation", r, permute_bits_array(x, n, decimation_perm(n, r)))
+        ("decimation", r, lambda w, p=decimation_perm(n, r): permute_bits_array(w, n, p))
         for r in units(n) if r != 1
     ]
     keys = [{"k": k} for k in range(n)]
-    moved, expected = np.empty_like(table), np.empty_like(table)
+    moved = np.empty_like(table)
     mask = np.empty(table.shape, dtype=bool)
-    for kind, r, image in transforms:
-        np.take(table, image, axis=1, out=moved)
-        np.take(table, np.arange(n) * r % n, axis=0, out=expected)
-        check(kind, np.not_equal(moved, expected, out=mask), keys)
+    for kind, r, fn in transforms:
+        if fn is None:
+            source = table[:, ::-1]
+        else:  # the indices are in range, and mode "raise" would copy out
+            source = np.take(table, image_of(fn), axis=1, out=moved, mode="wrap")
+        if r == 1:
+            np.not_equal(source, table, out=mask)
+        else:
+            for k in range(n):
+                np.not_equal(source[k], table[r * k % n], out=mask[k])
+        check(kind, mask, keys)
 
     return {"n": n, "checked": 1 << n, "violations": violations,
             "violation_counts": counts, "ok": not violations}
@@ -241,27 +276,27 @@ def correlation_rows(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
 
 def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
     """Seeded random spot checks of the same identities at lengths too
-    large to sweep, for 2 <= n <= MAX_N.
+    large to sweep, for 2 <= n <= MAX_N and trials >= 0.
 
     Each trial draws, from random.Random(seed) and in this order, X =
     getrandbits(n), Y = getrandbits(n), a shift k = randrange(1, n) and a
-    multiplier r = choice(units(n)).  All trials are then evaluated at
-    once on a trials x n sign matrix.  One `correlation_rows` call gives
-    the autocorrelation tables of X and d_r X, the two checked at every
-    shift, and another the cross table of X with Y.  The rotation,
-    reversal and negation of X are checked at k alone, so P(k) of each is
-    summed directly over the columns j and j + k.  Checked per trial: the
-    peak, the symmetry P(k) = P(n-k) and, for even n only, the mod-4
-    congruence at every shift; the sum and cross-sum identities; rotation,
-    reversal and negation invariance at k; and P_{d_r X}(i) = P_X(ri) at
-    every i.
+    multiplier r = choice(units(n)).  All draws are made first; the trials
+    are then checked in blocks of _TRIAL_BLOCK // n trials (at least one),
+    so the sign matrices of a block hold about _TRIAL_BLOCK entries
+    whatever n and the number of trials.  Checked per trial: the peak, the
+    symmetry P(k) = P(n-k) and, for even n only, the mod-4 congruence at
+    every shift; the sum and cross-sum identities; rotation, reversal and
+    negation invariance at k; and P_{d_r X}(i) = P_X(ri) at every i.
     Violations are listed by trial and, within a trial, in that order,
-    keyed by the shift k or the multiplier r they concern.
+    keyed by the shift k or the multiplier r they concern; `trial` counts
+    from the first trial of the call, not of the block.
     """
     if not 2 <= n <= MAX_N:
         raise InvalidLength(
             f"randomized trials need a nonzero shift, so 2 <= n <= {MAX_N}; got {n}"
         )
+    if trials < 0:
+        raise ValueError(f"the number of trials must be at least 0, got {trials}")
     rng = random.Random(seed)
     mults = units(n)
     xs, ys, ks, rs = [], [], [], []
@@ -270,6 +305,26 @@ def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
         ys.append(rng.getrandbits(n))
         ks.append(rng.randrange(1, n))
         rs.append(rng.choice(mults))
+    step = max(1, _TRIAL_BLOCK // n)
+    violations = []
+    for start in range(0, trials, step):
+        block = slice(start, start + step)
+        violations += _trial_block(n, xs[block], ys[block], ks[block], rs[block], start)
+    return {"n": n, "trials": trials, "seed": seed, "violations": violations,
+            "ok": not violations}
+
+
+def _trial_block(n: int, xs: list[int], ys: list[int], ks: list[int],
+                 rs: list[int], first: int) -> list[dict]:
+    """The violations of one block of trials, numbered from trial `first`.
+
+    The block is one trials x n sign matrix.  One `correlation_rows` call
+    gives the autocorrelation tables of X and d_r X, the two checked at
+    every shift, and another the cross table of X with Y.  The rotation,
+    reversal and negation of X are checked at k alone, so P(k) of each is
+    summed directly over the columns j and j + k.
+    """
+    trials = len(xs)
     signs = sign_rows(xs + ys, n)
     x, y = signs[:trials], signs[trials:]
     t = np.arange(trials)
@@ -301,11 +356,9 @@ def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
     failing = np.zeros(trials, dtype=bool)
     for _, mask, _ in checks:
         failing |= mask.any(axis=1)
-    violations = [
-        {"kind": kind, "trial": i, **keys(i, c)}
+    return [
+        {"kind": kind, "trial": first + i, **keys(i, c)}
         for i in np.flatnonzero(failing).tolist()
         for kind, mask, keys in checks
         for c in np.flatnonzero(mask[i]).tolist()
     ]
-    return {"n": n, "trials": trials, "seed": seed, "violations": violations,
-            "ok": not violations}

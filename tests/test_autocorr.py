@@ -25,7 +25,7 @@ from z2schur.autocorr import VERIFY_MAX_N
 from z2schur.errors import InvalidLength, LengthMismatch, ScaleExceeded
 from z2schur.hadamard import paley_core
 from z2schur.sequences import BinarySequence, make_sequence, sign_rows, units
-from helpers import str_autocorr, str_negate, str_permute, str_rotate
+from helpers import peak_traced_mb, str_autocorr, str_negate, str_permute, str_rotate
 
 signs = st.text(alphabet="+-", min_size=1, max_size=16)
 
@@ -409,6 +409,59 @@ def test_random_trials_need_a_nonzero_shift():
     for n in (1, 0, 257):
         with pytest.raises(InvalidLength, match="2 <= n <= 256"):
             random_identity_trials(n, 10)
+
+
+def test_random_trials_refuse_a_negative_count(monkeypatch):
+    # Refused before any draw is made; no trials at all is an empty report.
+    made = []
+    monkeypatch.setattr(autocorr.random, "Random", lambda seed: made.append(seed))
+    with pytest.raises(ValueError, match="at least 0, got -3"):
+        random_identity_trials(32, -3)
+    assert not made
+    monkeypatch.undo()
+    assert random_identity_trials(32, 0) == {
+        "n": 32, "trials": 0, "seed": 0, "violations": [], "ok": True}
+
+
+def test_trial_blocks_match_scalar_loop(monkeypatch):
+    """With blocks of 32 sign entries (16 trials at n = 2, 4 at n = 8, and
+    one trial per block from n = 32 on) the trials still equal the loop,
+    and each block makes its own two correlations, the last one short."""
+    monkeypatch.setattr(autocorr, "_TRIAL_BLOCK", 1 << 5)
+    for n in TRIAL_LENGTHS:
+        trials = 4000 // n + 16
+        assert random_identity_trials(n, trials, 7) == scalar_trials(n, trials, 7), n
+    shapes = []
+    real = autocorr.correlation_rows
+    monkeypatch.setattr(autocorr, "correlation_rows",
+                        lambda x, y=None: shapes.append(len(x)) or real(x, y))
+    assert random_identity_trials(8, 10, 4)["ok"]
+    assert shapes == [8, 4, 8, 4, 4, 2]
+
+
+def test_a_corrupted_decimation_past_the_first_block_keeps_its_trial_index(monkeypatch):
+    class OneBadMultiplier(random.Random):
+        picks = 0
+
+        def choice(self, seq):
+            r = super().choice(seq)
+            OneBadMultiplier.picks += 1
+            return 2 if OneBadMultiplier.picks == 6 else r  # trial 5: gcd(2, 8) = 2
+
+    monkeypatch.setattr(autocorr, "_TRIAL_BLOCK", 1 << 5)  # 4 trials per block
+    monkeypatch.setattr(autocorr.random, "Random", OneBadMultiplier)
+    rep = random_identity_trials(8, 10, 0)  # trial 5 is the second of block 2
+    assert rep["violations"] == [{"kind": "decimation", "trial": 5, "r": 2}]
+
+
+def test_autocorrelation_sweeps_stay_in_cache_sized_blocks():
+    # The trials hold a few blocks of 2^13 sign entries (64 KiB a matrix)
+    # and the draws, whatever n.  verify_identities(16) holds its 1 MiB
+    # table, a gather and a mask buffer of that size, a 512 KiB index
+    # array and 64 KiB rows.
+    for n in (64, 256):
+        assert peak_traced_mb(lambda: random_identity_trials(n, 1000)) < 1.5, n
+    assert peak_traced_mb(lambda: verify_identities(VERIFY_MAX_N)) < 1 + 3.5
 
 
 def test_correlation_rows_is_exact_or_raises():

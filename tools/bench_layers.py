@@ -1,14 +1,17 @@
-"""Time the orbit and ring layers' kernels at fixed sizes.
+"""Time the orbit, ring and autocorrelation layers' kernels at fixed sizes.
 
     python tools/bench_layers.py [--src DIR]
 
 Each kernel is timed REPEAT times in this process: canonical_array(24, "C"),
 census(24, "C"), invariance_check(24), square_freeness_check(23),
-square_freeness_check(21) (the orbit-census size) and verify_ring(14).
-The first classify at (256, "HDC") fills the group caches, so it is timed
-in REPEAT fresh processes, the call alone without the import.  Every
-repeat's time is stored, with the best and the median: on a host whose
-speed drifts, one best time can mislead.
+square_freeness_check(21) (the orbit-census size), verify_ring(14),
+verify_identities(14) (criterion 7's largest), verify_identities(16) and
+random_identity_trials(64, 1000, 0).  The minor page faults of each of
+these repeats (the getrusage ru_minflt delta of this process) are stored
+next to its times.  The first classify at (256, "HDC") fills the group
+caches, so it is timed in REPEAT fresh processes, the call alone without
+the import.  Every repeat's time is stored, with the best and the median:
+on a host whose speed drifts, one best time can mislead.
 
 --src names the source tree to import (default: the src/ next to this
 script), so a checkout of another commit is measured into the same file,
@@ -24,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -45,13 +49,19 @@ print(time.perf_counter() - t0)
 """
 
 
-def repeat_times(fn) -> list[float]:
-    times = []
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def repeat_times(fn) -> tuple[list[float], list[int]]:
+    """The seconds and the minor page faults of each of REPEAT calls."""
+    times, faults = [], []
     for _ in range(REPEAT):
-        t0 = time.perf_counter()
+        f0, t0 = minor_faults(), time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return times
+        faults.append(minor_faults() - f0)
+    return times, faults
 
 
 def first_classify(src: Path) -> list[float]:
@@ -80,7 +90,7 @@ def main(argv=None) -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     import numpy as np
-    from z2schur import orbits, weight_ring
+    from z2schur import autocorr, orbits, weight_ring
 
     kernels = {
         'canonical_array(24, "C")': lambda: orbits.canonical_array(24, "C"),
@@ -89,8 +99,13 @@ def main(argv=None) -> None:
         "square_freeness_check(23)": lambda: orbits.square_freeness_check(23),
         "square_freeness_check(21)": lambda: orbits.square_freeness_check(21),
         "verify_ring(14)": lambda: weight_ring.verify_ring(14),
+        "verify_identities(14)": lambda: autocorr.verify_identities(14),
+        "verify_identities(16)": lambda: autocorr.verify_identities(16),
+        "random_identity_trials(64, 1000, 0)":
+            lambda: autocorr.random_identity_trials(64, 1000, 0),
     }
-    times_s = {name: repeat_times(fn) for name, fn in kernels.items()}
+    measured = {name: repeat_times(fn) for name, fn in kernels.items()}
+    times_s = {name: times for name, (times, _) in measured.items()}
     times_s['first classify(256, "HDC")'] = first_classify(src)
     run = {
         **commit_of(src),
@@ -101,6 +116,7 @@ def main(argv=None) -> None:
         "best_s": {name: round(min(t), 4) for name, t in times_s.items()},
         "median_s": {name: round(statistics.median(t), 4) for name, t in times_s.items()},
         "times_s": {name: [round(x, 4) for x in t] for name, t in times_s.items()},
+        "minor_faults": {name: faults for name, (_, faults) in measured.items()},
     }
     runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
     runs = [r for r in runs if r["git_sha"] != run["git_sha"]] + [run]
