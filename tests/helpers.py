@@ -5,7 +5,8 @@ arithmetic, the group oracle closes position tuples over the generators,
 the period oracle works on uint64 word arrays with its own rotations, and
 the scalar search oracles on one Python int per candidate; all
 deliberately share no code with the packed-array implementations under
-test.
+test.  The census oracle is the exception: it counts on the library's
+2^n orbit table, the other engine, which `census` no longer uses.
 """
 
 import tracemalloc
@@ -15,7 +16,9 @@ from math import gcd
 
 import numpy as np
 
+from z2schur import orbits
 from z2schur.hadamard import SignMatrix, core_partition_verdict, partition_parity_verdict
+from z2schur.sequences import decimation_perm, divisors, fixed_words, units
 
 
 def str_rotate(s: str, i: int) -> str:
@@ -213,6 +216,36 @@ def period_tally(n: int) -> dict[int, int]:
         block = np.arange(start, min(start + (1 << 16), size), dtype=np.uint64)
         counts += np.bincount(word_periods(block, n), minlength=n + 1)
     return {d: int(counts[d]) // d for d in range(1, n + 1) if n % d == 0}
+
+
+# ------------------------------------------------------- census oracle
+
+def table_census(n: int, group: str) -> dict:
+    """`orbits.census` counted on the 2^n orbit table: rows by the table's
+    per-orbit periods and symmetry flags, and an orbit d_r-invariant when
+    the table finds a d_r-fixed word in it."""
+    t = orbits._orbit_table(n, group)
+    reps, periods, sym, asym = t["reps"], t["periods"], t["sym"], t["asym"]
+    rows = []
+    for d in divisors(n):
+        m = periods == d
+        if m.any():
+            rows.append({"period": d, "count": int(m.sum()),
+                         "sym": int((m & sym).sum()), "asym": int((m & asym).sum())})
+    return {
+        "n": n,
+        "group": group,
+        "total": int(reps.size),
+        "by_period": {row["period"]: row["count"] for row in rows},
+        "rows": rows,
+        "sym": int(sym.sum()),
+        "asym": int(asym.sum()),
+        "nonsym": int((~sym & ~asym).sum()),
+        "delta_invariant": {
+            r: int(orbits._meets(t, fixed_words(n, decimation_perm(n, r))).sum())
+            for r in units(n) if r != 1
+        },
+    }
 
 
 # ------------------------------------------ scalar Hadamard search oracles

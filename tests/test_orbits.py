@@ -54,6 +54,7 @@ from helpers import (
     str_period,
     str_reverse,
     str_rotate,
+    table_census,
     word_periods,
 )
 
@@ -389,13 +390,17 @@ def test_scalar_engine_matches_vector_engine(n_bits, group):
 
 def test_vector_engine_matches_classify_at_ceiling_sizes():
     # The hypothesis test above stops at n = 16; sample whole records here,
-    # up to the enumeration cap.
+    # up to the enumeration cap.  The 40 indices per size are drawn against
+    # the orbit count, and one walk of the records keeps only those.
     rng = np.random.default_rng(20)
     for n, group in ((20, "HDC"), (21, "HC"), (22, "DC"), (23, "HC"), (24, "HDC")):
-        orbits = list(enumerate_orbits(n, group))
-        for i in rng.choice(len(orbits), size=40, replace=False).tolist():
-            o = orbits[i]
-            assert classify(BinarySequence(n, o.rep), group) == o, (n, group, o.rep)
+        picked = set(rng.choice(burnside_count(n, group), size=40, replace=False).tolist())
+        checked = 0
+        for i, o in enumerate(enumerate_orbits(n, group)):
+            if i in picked:
+                assert classify(BinarySequence(n, o.rep), group) == o, (n, group, o.rep)
+                checked += 1
+        assert checked == 40, (n, group)
 
 
 def _brute_canonical_array(n, group):
@@ -526,6 +531,16 @@ def test_census_at_twenty_two():
     assert totals["C"] == necklace_count(22)
 
 
+def test_census_stream_matches_the_table_oracle():
+    # The stream counts from orbit representatives alone; the oracle counts
+    # on the 2^n orbit table, at every small size and at the workload and
+    # ceiling sizes.
+    cases = [(n, group) for n in range(1, 17) for group in GROUPS]
+    cases += [(20, "C"), (19, "HC"), (18, "HDC"), (24, "C"), (24, "HDC")]
+    for n, group in cases:
+        assert census(n, group) == table_census(n, group), (n, group)
+
+
 def test_chunked_scans_match_one_block(monkeypatch):
     # Every whole-space scan walks the words in _CHUNK blocks; blocks far
     # smaller than the space must give what one block gives.
@@ -546,13 +561,17 @@ def test_whole_space_scans_stay_in_cache_sized_blocks():
     # canonical_array keeps one 4 MB uint32 table, also where the coset
     # representatives are applied through the byte tables, since the fold
     # is written into it; the blocks around it, and all of fd_partition,
-    # stay at a few _CHUNK-word buffers.  The orbit table adds only per-orbit columns:
-    # its representatives are collected block by block, with no sorted
-    # copy of the canon.
+    # stay at a few _CHUNK-word buffers.  invariance_check reads the orbit
+    # table, which adds only per-orbit columns to the canon: its
+    # representatives are collected block by block, with no sorted copy.
+    # census keeps no table: it streams the representatives block by block
+    # and holds the fixed words and the orbits they meet, about 1 MB at
+    # n = 20 and 8 MB at n = 24, where the table alone is 64 MB.
     assert peak_traced_mb(lambda: canonical_array(20, "C")) < 4 + 2
     assert peak_traced_mb(lambda: canonical_array(20, "HDC")) < 4 + 2
     assert peak_traced_mb(lambda: fd_partition(20)) < 2
-    assert peak_traced_mb(lambda: census(20, "C")) < 4 + 3
+    assert peak_traced_mb(lambda: census(20, "C")) < 3
+    assert peak_traced_mb(lambda: census(24, "C")) < 32
     assert peak_traced_mb(lambda: invariance_check(20)) < 4 + 3
 
 

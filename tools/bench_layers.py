@@ -3,8 +3,10 @@
     python tools/bench_layers.py [--src DIR]
 
 Each kernel is timed REPEAT times in this process: canonical_array(24, "C"),
-census(24, "C"), invariance_check(24), square_freeness_check(23),
-square_freeness_check(21) (the orbit-census size), verify_ring(14),
+census at (24, "C"), (24, "HC") and (24, "D") and at the orbit-census
+sizes (20, "C"), (19, "HC") and (18, "HDC"), invariance_check(24),
+square_freeness_check(23), square_freeness_check(21) (the orbit-census
+size), verify_ring(14),
 verify_identities(14) (criterion 7's largest), verify_identities(16) and
 random_identity_trials(64, 1000, 0).  The minor page faults of each of
 these repeats (the getrusage ru_minflt delta of this process) are stored
@@ -94,7 +96,8 @@ def main(argv=None) -> None:
 
     kernels = {
         'canonical_array(24, "C")': lambda: orbits.canonical_array(24, "C"),
-        'census(24, "C")': lambda: orbits.census(24, "C"),
+        **{f'census({n}, "{g}")': (lambda n=n, g=g: orbits.census(n, g))
+           for n, g in ((24, "C"), (24, "HC"), (24, "D"), (20, "C"), (19, "HC"), (18, "HDC"))},
         "invariance_check(24)": lambda: orbits.invariance_check(24),
         "square_freeness_check(23)": lambda: orbits.square_freeness_check(23),
         "square_freeness_check(21)": lambda: orbits.square_freeness_check(21),
