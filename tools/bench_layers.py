@@ -6,9 +6,8 @@ Each kernel is timed REPEAT times in this process: canonical_array(24, "C"),
 census at (24, "C"), (24, "HC") and (24, "D") and at the orbit-census
 sizes (20, "C"), (19, "HC") and (18, "HDC"), invariance_check(24),
 square_freeness_check(23), square_freeness_check(21) (the orbit-census
-size), verify_ring(14),
-verify_identities(14) (criterion 7's largest), verify_identities(16) and
-random_identity_trials(64, 1000, 0).  The minor page faults of each of
+size), verify_ring(14), verify_identities(14) (criterion 7's largest),
+verify_identities(16) and random_identity_trials(64, 1000, 0).  The minor page faults of each of
 these repeats (the getrusage ru_minflt delta of this process) are stored
 next to its times.  The first classify at (256, "HDC") fills the group
 caches, so it is timed in REPEAT fresh processes, the call alone without
