@@ -166,14 +166,17 @@ def _rotation_canon(n: int) -> np.ndarray:
 def _least_rotations(words: np.ndarray, n: int) -> np.ndarray:
     """Each of the words replaced by its least rotation, in place.
 
-    Up to _CHUNK / 8 words, the n rotations are one n x m array, built by
-    three broadcast operations and reduced by one column minimum: a few
-    calls whatever n is, where the n - 1 steps below would be mostly call
-    overhead.  Larger arrays take one in-place word rotation per step,
-    which costs less per word there: all n rotations at once outgrow the
-    cache (`canonical_array(24, "C")` ran 30 % slower on the broadcast
-    alone)."""
-    if words.size <= _CHUNK >> 3:
+    Up to _CHUNK / 16 words, the n rotations are one n x m array, built
+    by three broadcast operations and reduced by one column minimum: a few
+    calls whatever n is, 2-5x faster there than the n - 1 steps below,
+    which are mostly call overhead at that size.  Larger arrays take one
+    in-place word rotation per step: from 4500-6000 words the n x m
+    temporary made the broadcast 2-4x slower than the steps, at every
+    n from 12 to 24.  Most of the census stream's coset images after the
+    first fall below the bound; the rotation canon's blocks, the first
+    coset image of each necklace block and, from n = 20 on, the batched
+    fixed words lie above it."""
+    if words.size <= _CHUNK >> 4:
         shifts = np.arange(n, dtype=words.dtype)[:, None]
         turned = words << shifts
         turned &= (1 << n) - 1
@@ -194,6 +197,13 @@ def _coset_reps(n: int, group: str) -> tuple[tuple[int, int], ...]:
     if "C" not in group:
         return affine_group(n, group)
     return tuple((u, 0) for u in _multipliers(n, group))
+
+
+@lru_cache(maxsize=None)
+def _coset_perms(n: int, group: str) -> tuple[tuple[int, ...], ...]:
+    """The position permutations of the members of `_coset_reps` other
+    than the identity, the ones the array kernels apply."""
+    return tuple(_positions(n, k) for k in _coset_reps(n, group) if k != (1, 0))
 
 
 def _positions(n: int, g: tuple[int, int]) -> tuple[int, ...]:
@@ -264,7 +274,7 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
     """
     _check_enum_length(n)
     canon = _rotation_canon(n) if "C" in group else np.arange(1 << n, dtype=np.uint32)
-    coset_reps = [_positions(n, k) for k in _coset_reps(n, group) if k != (1, 0)]
+    coset_reps = _coset_perms(n, group)
     if not coset_reps:
         return canon
     for start in range(0, canon.size, _CHUNK):
@@ -716,11 +726,12 @@ def _necklace_blocks(n: int, strict: bool = False):
         yield words
 
 
-def _coset_image(words: np.ndarray, n: int, perm: tuple[int, ...], group: str) -> np.ndarray:
+def _coset_image(words: np.ndarray, n: int, perm: tuple[int, ...],
+                 rotations: bool) -> np.ndarray:
     """perm w for each of the words, replaced by its least rotation when
     the group holds the rotations."""
     image = permute_bits_array(words, n, perm)
-    return _least_rotations(image, n) if "C" in group else image
+    return _least_rotations(image, n) if rotations else image
 
 
 def _orbit_rep_blocks(n: int, group: str):
@@ -734,10 +745,10 @@ def _orbit_rep_blocks(n: int, group: str):
     when x <= g x for every g.  Each block of candidates (the necklaces, or
     every word) keeps only its survivors after each k, so the later k see
     fewer words."""
-    perms = [_positions(n, k) for k in _coset_reps(n, group) if k != (1, 0)]
-    for words in _necklace_blocks(n) if "C" in group else _word_blocks(1 << n):
-        for perm in perms:
-            words = words[words <= _coset_image(words, n, perm, group)]
+    rotations = "C" in group
+    for words in _necklace_blocks(n) if rotations else _word_blocks(1 << n):
+        for perm in _coset_perms(n, group):
+            words = words[words <= _coset_image(words, n, perm, rotations)]
         yield words
 
 
@@ -754,17 +765,17 @@ def _orbits_met(sets: list[np.ndarray], n: int, group: str) -> list[np.ndarray]:
     def per_set(words, sizes):
         return [_distinct(part) for part in np.split(words, np.cumsum(sizes[:-1]))]
 
+    rotations = "C" in group
     words = np.concatenate(sets).astype(np.uint32)
-    if "C" in group:
+    if rotations:
         _least_rotations(words, n)
     met = per_set(words, [s.size for s in sets])
-    perms = [_positions(n, k) for k in _coset_reps(n, group) if k != (1, 0)]
-    if not perms:
+    if not _coset_perms(n, group):
         return met
     words = np.concatenate(met)
     best = words.copy()
-    for perm in perms:
-        np.minimum(best, _coset_image(words, n, perm, group), out=best)
+    for perm in _coset_perms(n, group):
+        np.minimum(best, _coset_image(words, n, perm, rotations), out=best)
     return per_set(best, [m.size for m in met])
 
 
