@@ -169,11 +169,12 @@ def _least_rotations(words: np.ndarray, n: int) -> np.ndarray:
     Up to _CHUNK / 16 words, the n rotations are one n x m array, built
     by three broadcast operations and reduced by one column minimum: a few
     calls whatever n is, 2-5x faster there than the n - 1 steps below,
-    which are mostly call overhead at that size.  Larger arrays take one
-    in-place word rotation per step: from 4500-6000 words the n x m
-    temporary made the broadcast 2-4x slower than the steps, at every
-    n from 12 to 24.  Most of the census stream's coset images after the
-    first fall below the bound; the rotation canon's blocks, the first
+    which are mostly call overhead at that size, once the allocator has
+    room for the temporary (a census makes that room itself).  Larger
+    arrays take one in-place word rotation per step: from 4500-6000 words
+    the n x m temporary made the broadcast 2-4x slower than the steps, at
+    every n from 12 to 24.  Most of the census stream's coset images after
+    the first fall below the bound; the rotation canon's blocks, the first
     coset image of each necklace block and, from n = 20 on, the batched
     fixed words lie above it."""
     if words.size <= _CHUNK >> 4:
