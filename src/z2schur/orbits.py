@@ -46,9 +46,13 @@ by a rank in a bitmap of those words, two gathers and a popcount with no
 search; the symmetric, antisymmetric and decimation-invariant orbits are
 those that meet Fix(R), the words R negates, or Fix(d_r)
 (`sequences.fixed_words`).  Only `enumerate_orbits` counts orbit sizes.
-The stream engine, which `census` uses, holds no 2^n table: it filters
-the necklaces block by block down to the least member of each orbit,
-and finds the orbits that the fixed words meet from those words alone.
+The stream engine, which `census` and `square_freeness_check` use, holds
+no 2^n table: it grows the necklaces (or the Lyndon words) a letter at a
+time as prenecklaces, by the fundamental theorem of necklaces of Ruskey,
+Savage and Wang, in blocks of at most _CHUNK words with no rotation and
+no filter; `census` then filters each block down to the least member of
+each orbit, and finds the orbits that the fixed words meet from those
+words alone.
 Counts go through the stream, lookups through the table.  Burnside and
 necklace counts give third-party totals to check the engines against.
 """
@@ -687,44 +691,77 @@ def fd_partition_check(n: int) -> dict:
 # --------------------------------------------------------------- census
 
 def _necklace_blocks(n: int, strict: bool = False):
-    """Ascending blocks of the packed words no greater than each of their
-    n - 1 nontrivial rotations, the least member of every rotation orbit;
-    when strict, less than each, the least member of every free rotation
-    orbit (the Lyndon words).
+    """Ascending uint32 blocks of the packed words no greater than each of
+    their n - 1 nontrivial rotations, the least member of every rotation
+    orbit (the necklaces); when strict, less than each, the least member
+    of every free rotation orbit (the Lyndon words).
 
-    For n >= 2 such a word is 0, all ones, or has top bit 0 and bottom
-    bit 1: a top 1 loses to the rotation that starts at any 0, and a bottom
-    0 to the right rotation x >> 1, unless the word is 0 or all ones.  Those
-    two are fixed by every rotation, so they are necklaces and, being
-    periodic, no Lyndon words.  So only the 2^(n-2) words (i << 1) | 1,
-    i < 2^(n-2), are filtered, one _CHUNK block at a time; at n = 1 both
-    words qualify either way.
+    The words are grown a letter at a time, with no rotation and no
+    filter.  A prenecklace is a prefix of some necklace, and
+    lyn(a_1 .. a_t) is the length p of its longest Lyndon prefix.  By the
+    fundamental theorem of necklaces (Ruskey, Savage & Wang, "Generating
+    necklaces", J. Algorithms 13, 1992; Cattell, Ruskey, Sawada, Serra &
+    Miers, J. Algorithms 37, 2000), a_1 .. a_t b is a prenecklace exactly
+    when b >= a_(t+1-p); its lyn is p again when b = a_(t+1-p) and t + 1
+    when b is greater; and a prenecklace of length n is a necklace exactly
+    when p divides n, a Lyndon word exactly when p = n.  So every
+    prenecklace of length t + 1 is a child of one of length t, each level
+    holds them all, and the last one keeps exactly the words asked for.
+    The empty word counts as p = 1 with a_0 = 0, which makes 0 and 1 the
+    prenecklaces of length 1, both with p = 1, so n = 1 needs no case of
+    its own.
 
-    Two rotations never reject such a word.  Top bit 0 makes the left
-    rotation by 1 the word 2x, and 2x > x since x >= 1; bottom bit 1 makes
-    the rotation by n - 1 (right by 1) start with that 1, above every word
-    with top bit 0.  So only the rotations by 2 .. n - 2 are tested, each
-    straight from the survivors into one buffer, and each block keeps only
-    the survivors after each rotation, so the work shrinks towards the
-    2^n / n words that are left.  uint32, like every whole-space word up to
+    A word packs a_1 into its top bit, so packed order is lexicographic
+    order and a_(t+1-p) is bit p - 1 of the t-bit word x; `q` holds
+    p - 1, a uint8.  So a level takes a few whole-array
+    operations and no rotation: x has the child 2x + 1, since b = 1 is
+    never below a_(t+1-p), and the child 2x exactly when bit q of x is 0,
+    and `_children` lists them in order, so each level is ascending when
+    the one before is.  Where the next level could pass _CHUNK words, the
+    level is split in halves, each grown to the end before the next: no
+    array passes _CHUNK words at any level, the blocks come out
+    ascending, and besides the level being grown only the pending halves,
+    copied off their parents, stay alive.  uint32 holds every word up to
     MAX_ENUM_N.
     """
-    if n == 1:
-        yield np.arange(2, dtype=np.uint32)
-        return
-    size = 1 << (n - 2)
-    below = np.less if strict else np.less_equal
-    turned = np.empty(min(_CHUNK, size), dtype=np.uint32)
-    for start in range(0, size, _CHUNK):
-        stop = min(start + _CHUNK, size)
-        words = np.arange(start, stop, dtype=np.uint32) << 1 | 1
-        for i in range(2, n - 1):
-            words = words[below(words, rotate_bits_array(words, n, i, out=turned[:words.size]))]
-        if not strict:
-            head = [0] if start == 0 else []
-            tail = [(1 << n) - 1] if stop == size else []
-            words = np.concatenate((np.array(head, np.uint32), words, np.array(tail, np.uint32)))
-        yield words
+    one, two = np.uint32(1), np.intp(2)
+    stack = [(np.zeros(1, np.uint32), np.zeros(1, np.uint8), 0)]
+    while stack:
+        words, q, t = stack.pop()
+        if 2 * words.size > _CHUNK:
+            half = words.size // 2
+            stack += [(words[half:].copy(), q[half:].copy(), t), (words[:half], q[:half], t)]
+            continue
+        # a = a_(t+1-p) = bit q of x: b = a keeps p, b = 1 > a makes it t + 1
+        if t + 1 == n:
+            # a child that keeps p ends a necklace when p | n, a Lyndon word
+            # when p = n; a child whose p became t + 1 = n ends both
+            same = q == n - 1 if strict else n % (q + one) == 0
+            yield _children(words, same + (two - one) - (words >> q & one))[0]
+            continue
+        counts = two - (words >> q & one)
+        kids, second = _children(words, counts)
+        q = q.repeat(counts)
+        np.putmask(q[1:], second, t)
+        stack.append((kids, q, t + 1))
+
+
+def _children(words: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The children of the uint32 words x: 2x + 1 where the count is 1, the
+    pair 2x, 2x + 1 where it is 2, none where it is 0; ascending when the
+    words are.  With them, for each child after the first, whether it is
+    the second of a pair.  One repeat and two whole-array steps, with no
+    branch on the level's bits: compacting every pair 2x, 2x + 1 by a mask
+    took about twice as long.  The counts are intp, which the repeat
+    takes as they are: on the few-word levels of a short n the calls, not
+    the words, are the cost."""
+    one = np.uint32(1)
+    kids = words << one
+    kids |= one
+    kids = kids.repeat(counts)
+    second = kids[1:] == kids[:-1]
+    kids[:-1] -= second
+    return kids, second
 
 
 def _coset_image(words: np.ndarray, n: int, perm: tuple[int, ...],
@@ -889,12 +926,6 @@ def invariance_check(n: int) -> dict:
     }
 
 
-def _lyndon_words(n: int) -> np.ndarray:
-    """The least member of every free rotation orbit, ascending: the strict
-    case of `_necklace_blocks`."""
-    return np.concatenate(list(_necklace_blocks(n, strict=True)))
-
-
 def _below_full_period(arr: np.ndarray, n: int) -> np.ndarray:
     """period < n for every packed word in arr: the period divides n, so
     it is short exactly when it divides some maximal proper divisor n/p."""
@@ -938,33 +969,42 @@ def square_freeness_check(n: int) -> dict:
     of every free word gives.  Likewise X * C^{n-a} X = C^{n-a}(X * C^a X),
     so odd n computes offsets a <= (n-1)/2 only, witness lists included,
     and reuses them for n - a.
+
+    The Lyndon words come from `_necklace_blocks`, grown letter by letter
+    by the fundamental theorem of necklaces (Ruskey, Savage & Wang,
+    1992): the prenecklaces of length n - 1 give every Lyndon word of
+    length n once, and nothing else.  Every offset runs on each block
+    while the block is in cache, and only the failing words are kept, so
+    no array of all the Lyndon words is built.
     """
     _check_enum_length(n)
-    lyndon = _lyndon_words(n)
-    free_count = n * int(lyndon.size)
-    if n % 2:
-        failing = [lyndon[_below_full_period(lyndon ^ rotate_bits_array(lyndon, n, a), n)]
-                   for a in range(1, (n + 1) // 2)]
-        listed = [(reps.size, _witness_strings(reps, n)) for reps in failing]
-        scan = [(a, *listed[min(a, n - a) - 1]) for a in range(1, n)]
-        checked = free_count * (n - 1)
-    else:
-        half = n // 2
-        y = lyndon ^ rotate_bits_array(lyndon, n, half)
-        # a free X never equals its half-shift, so y != 0; verified all the same
-        witnessed = (rotate_bits_array(y, n, half) == y) & (y != 0)
-        reps = lyndon[~witnessed]
-        scan = [(half, reps.size, _witness_strings(reps, n))]
-        checked = free_count
+    half = n // 2
+    offsets = range(1, half + 1) if n % 2 else (half,)
+    failing: list[list[np.ndarray]] = [[] for _ in offsets]
+    free_count = 0
+    for lyndon in _necklace_blocks(n, strict=True):
+        free_count += n * lyndon.size
+        turned = np.empty_like(lyndon)
+        for found, a in zip(failing, offsets):
+            y = lyndon ^ rotate_bits_array(lyndon, n, a, out=turned)
+            if n % 2:
+                bad = _below_full_period(y, n)
+            else:
+                # a free X never equals its half-shift, so y != 0; verified all the same
+                bad = (rotate_bits_array(y, n, half, out=turned) != y) | (y == 0)
+            found.append(lyndon[bad])
+    listed = {a: (reps.size, _witness_strings(reps, n))
+              for a, reps in zip(offsets, map(np.concatenate, failing))}
     violations = []
     violation_count = 0
-    for a, failing_count, witnesses in scan:
+    for a in range(1, n) if n % 2 else offsets:
+        failing_count, witnesses = listed[min(a, n - a)]
         violation_count += n * failing_count
         violations += [{"x": x, "a": a} for x in witnesses]
     return {
         "n": n,
         "free_sequences": free_count,
-        "checked": checked,
+        "checked": free_count * (n - 1 if n % 2 else 1),
         "violations": violations,
         "violation_count": violation_count,
         "ok": not violations,

@@ -476,22 +476,40 @@ def test_orbit_index_matches_binary_search(monkeypatch):
     check()
 
 
-def _plain_lyndon(n):
-    # Every word, kept when it is less than each nontrivial rotation.
+def _plain_filter(n, below):
+    # Every word, kept when it is below each nontrivial rotation.
     words, turns = _every_rotation(n)
     keep = np.ones(words.size, dtype=bool)
     for turned in turns:
-        keep &= words < turned
+        keep &= below(words, turned)
     return words[keep].astype(np.uint32)
+
+
+def _stream(n, strict):
+    return np.concatenate(list(ob._necklace_blocks(n, strict)))
 
 
 def test_lyndon_words_match_the_plain_filter(monkeypatch):
     for n in range(1, 19):
-        got = ob._lyndon_words(n)
-        assert got.dtype == np.uint32 and np.array_equal(got, _plain_lyndon(n)), n
+        got = _stream(n, strict=True)
+        assert got.dtype == np.uint32 and np.array_equal(got, _plain_filter(n, np.less)), n
     monkeypatch.setattr(ob, "_CHUNK", 1 << 4)
     for n in range(1, 13):
-        assert np.array_equal(ob._lyndon_words(n), _plain_lyndon(n)), n
+        assert np.array_equal(_stream(n, strict=True), _plain_filter(n, np.less)), n
+
+
+def test_necklaces_match_the_plain_filter(monkeypatch):
+    # The non-strict stream: 0 and the all-ones word are necklaces of every
+    # length, and the periodic words come from prenecklaces whose Lyndon
+    # prefix length divides n.
+    for n in range(1, 19):
+        got = _stream(n, strict=False)
+        assert got.dtype == np.uint32, n
+        assert np.array_equal(got, _plain_filter(n, np.less_equal)), n
+        assert got[0] == 0 and got[-1] == (1 << n) - 1, n
+    monkeypatch.setattr(ob, "_CHUNK", 1 << 4)
+    for n in range(1, 13):
+        assert np.array_equal(_stream(n, strict=False), _plain_filter(n, np.less_equal)), n
 
 
 def _mobius(n):
@@ -511,8 +529,15 @@ def test_lyndon_words_count_by_the_mobius_formula():
     # Past the plain filter's n <= 18: (1/n) sum over d | n of
     # mu(d) 2^(n/d) aperiodic necklaces, each listed once, ascending.
     for n in range(19, MAX_ENUM_N + 1):
-        got = ob._lyndon_words(n)
+        got = _stream(n, strict=True)
         assert got.size == sum(_mobius(d) << (n // d) for d in divisors(n)) // n, n
+        assert np.all(got[1:] > got[:-1]), n
+
+
+def test_necklaces_count_by_the_closed_form():
+    for n in range(19, MAX_ENUM_N + 1):
+        got = _stream(n, strict=False)
+        assert got.size == necklace_count(n), n
         assert np.all(got[1:] > got[:-1]), n
 
 
@@ -573,6 +598,10 @@ def test_whole_space_scans_stay_in_cache_sized_blocks():
     assert peak_traced_mb(lambda: census(20, "C")) < 3
     assert peak_traced_mb(lambda: census(24, "C")) < 32
     assert peak_traced_mb(lambda: invariance_check(20)) < 4 + 3
+    # square_freeness_check grows the Lyndon words in blocks of at most
+    # _CHUNK words and keeps only the failing ones, with no array of them
+    # all (5.9 MB at n = 23 when it held one).
+    assert peak_traced_mb(lambda: square_freeness_check(23)) < 2.5
 
 
 def test_invariance_check_clean_small():

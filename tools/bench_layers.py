@@ -1,25 +1,35 @@
 """Time the orbit, ring and autocorrelation layers' kernels at fixed sizes.
 
-    python tools/bench_layers.py [--src DIR]
+    python tools/bench_layers.py [--src DIR] [--src DIR]
 
-Each kernel is timed REPEAT times in this process: canonical_array(24, "C"),
-census at (24, "C"), (24, "HC") and (24, "D") and at the orbit-census
-sizes (20, "C"), (19, "HC") and (18, "HDC"), invariance_check(24),
+Each kernel is timed REPEAT times: canonical_array(24, "C"), census at
+(24, "C"), (24, "HC") and (24, "D") and at the orbit-census sizes
+(20, "C"), (19, "HC") and (18, "HDC"), invariance_check(24),
 square_freeness_check(23), square_freeness_check(21) (the orbit-census
 size), verify_ring(14), verify_identities(14) (criterion 7's largest),
-verify_identities(16) and random_identity_trials(64, 1000, 0).  The minor page faults of each of
-these repeats (the getrusage ru_minflt delta of this process) are stored
-next to its times.  The first classify at (256, "HDC") fills the group
-caches, so it is timed in REPEAT fresh processes, the call alone without
-the import.  Every repeat's time is stored, with the best and the median:
-on a host whose speed drifts, one best time can mislead.
+verify_identities(16) and random_identity_trials(64, 1000, 0).  The minor
+page faults of each of these repeats (the getrusage ru_minflt delta of the
+process that ran it) are stored next to its times.  The first classify at
+(256, "HDC") fills the group caches, so it is timed in REPEAT fresh
+processes, the call alone without the import.  Every repeat's time is
+stored, with the best and the median: on a host whose speed drifts, one
+best time can mislead.
 
---src names the source tree to import (default: the src/ next to this
-script), so a checkout of another commit is measured into the same file,
-BENCH_layers.json at the repository root.  The run is stored under the
-commit of that tree, with the Python and numpy versions and the host,
-and replaces an earlier run of the same commit; the runs of other
-commits stay in the file.
+--src names a source tree to import (default: the src/ next to this
+script); give it twice to measure two trees, say a parent commit and a
+change, side by side.  Each tree runs in a worker process of its own,
+which imports that tree once, and the repeats of every kernel alternate
+between the workers, the first tree first on even repeats and the second
+on odd ones; the fresh classify processes alternate the same way.  So a
+change of the host's speed during the run reaches both trees alike,
+where two runs one after the other can straddle it and show a gain or a
+regression that is not there.
+
+Every tree's run is stored in BENCH_layers.json at the repository root,
+under the commit of that tree, with the Python and numpy versions, the
+host, and the commit it alternated with; it replaces an earlier run of
+the same commit and dirty state, and the runs of other commits stay in
+the file.
 """
 
 from __future__ import annotations
@@ -38,6 +48,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_layers.json"
 REPEAT = 5
+# One thread per numerical pool, set before numpy is imported, as in perfbench.
+THREADS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+# Each name is the call itself, evaluated in a worker against `NAMESPACE`.
+KERNELS = (
+    'canonical_array(24, "C")',
+    *(f'census({n}, "{g}")'
+      for n, g in ((24, "C"), (24, "HC"), (24, "D"), (20, "C"), (19, "HC"), (18, "HDC"))),
+    "invariance_check(24)",
+    "square_freeness_check(23)",
+    "square_freeness_check(21)",
+    "verify_ring(14)",
+    "verify_identities(14)",
+    "verify_identities(16)",
+    "random_identity_trials(64, 1000, 0)",
+)
+NAMESPACE = {
+    "orbits": ("canonical_array", "census", "invariance_check", "square_freeness_check"),
+    "weight_ring": ("verify_ring",),
+    "autocorr": ("verify_identities", "random_identity_trials"),
+}
 
 FIRST_CLASSIFY = """
 import random, time
@@ -54,22 +85,64 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def repeat_times(fn) -> tuple[list[float], list[int]]:
-    """The seconds and the minor page faults of each of REPEAT calls."""
-    times, faults = [], []
-    for _ in range(REPEAT):
+def serve(src: Path) -> None:
+    """Worker side: import the tree at src, report the numpy version, then
+    run each kernel named on stdin once and answer with its seconds and
+    minor page faults, one JSON line per call."""
+    sys.path.insert(0, str(src))
+    import importlib
+
+    import numpy as np
+
+    names = {}
+    for module, functions in NAMESPACE.items():
+        mod = importlib.import_module(f"z2schur.{module}")
+        names.update({f: getattr(mod, f) for f in functions})
+    print(json.dumps({"numpy": np.__version__}), flush=True)
+    for line in sys.stdin:
         f0, t0 = minor_faults(), time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-        faults.append(minor_faults() - f0)
-    return times, faults
+        eval(line.strip(), {"__builtins__": {}}, names)
+        seconds = time.perf_counter() - t0
+        print(json.dumps({"s": seconds, "faults": minor_faults() - f0}), flush=True)
 
 
-def first_classify(src: Path) -> list[float]:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    return [float(subprocess.run([sys.executable, "-c", FIRST_CLASSIFY], env=env,
-                                 check=True, capture_output=True, text=True).stdout)
-            for _ in range(REPEAT)]
+class Worker:
+    """One tree's worker process, which keeps its imports between calls."""
+
+    def __init__(self, src: Path):
+        self.src = src
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--serve", str(src)], env=dict(os.environ, **THREADS),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.numpy = self._reply()["numpy"]
+
+    def _reply(self) -> dict:
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the worker for {self.src} exited with {self.proc.wait()}")
+        return json.loads(line)
+
+    def run(self, name: str) -> dict:
+        self.proc.stdin.write(name + "\n")
+        self.proc.stdin.flush()
+        return self._reply()
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait(timeout=60)
+
+
+def first_classify(src: Path) -> float:
+    env = dict(os.environ, PYTHONPATH=str(src), **THREADS)
+    return float(subprocess.run([sys.executable, "-c", FIRST_CLASSIFY], env=env,
+                                check=True, capture_output=True, text=True).stdout)
+
+
+def alternating(count: int, repeat: int):
+    """The tree of each call in the order they run: every tree once per
+    repeat, in reverse order on odd repeats."""
+    for r in range(repeat):
+        yield from reversed(range(count)) if r % 2 else range(count)
 
 
 def commit_of(src: Path) -> dict:
@@ -83,47 +156,55 @@ def commit_of(src: Path) -> dict:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--src", type=Path, action="append",
+                        help="a source tree to measure; at most two (default: src/)")
+    parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    # One thread per numerical pool, set before numpy is imported, as in perfbench.
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    import numpy as np
-    from z2schur import autocorr, orbits, weight_ring
-
-    kernels = {
-        'canonical_array(24, "C")': lambda: orbits.canonical_array(24, "C"),
-        **{f'census({n}, "{g}")': (lambda n=n, g=g: orbits.census(n, g))
-           for n, g in ((24, "C"), (24, "HC"), (24, "D"), (20, "C"), (19, "HC"), (18, "HDC"))},
-        "invariance_check(24)": lambda: orbits.invariance_check(24),
-        "square_freeness_check(23)": lambda: orbits.square_freeness_check(23),
-        "square_freeness_check(21)": lambda: orbits.square_freeness_check(21),
-        "verify_ring(14)": lambda: weight_ring.verify_ring(14),
-        "verify_identities(14)": lambda: autocorr.verify_identities(14),
-        "verify_identities(16)": lambda: autocorr.verify_identities(16),
-        "random_identity_trials(64, 1000, 0)":
-            lambda: autocorr.random_identity_trials(64, 1000, 0),
-    }
-    measured = {name: repeat_times(fn) for name, fn in kernels.items()}
-    times_s = {name: times for name, (times, _) in measured.items()}
-    times_s['first classify(256, "HDC")'] = first_classify(src)
-    run = {
-        **commit_of(src),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "host": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "repeat": REPEAT,
-        "best_s": {name: round(min(t), 4) for name, t in times_s.items()},
-        "median_s": {name: round(statistics.median(t), 4) for name, t in times_s.items()},
-        "times_s": {name: [round(x, 4) for x in t] for name, t in times_s.items()},
-        "minor_faults": {name: faults for name, (_, faults) in measured.items()},
-    }
-    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
-    runs = [r for r in runs if r["git_sha"] != run["git_sha"]] + [run]
-    OUT.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
-    print(json.dumps(run, indent=2))
+    if args.serve:
+        serve(args.serve)
+        return
+    srcs = [s.resolve() for s in args.src or [ROOT / "src"]]
+    if len(srcs) > 2:
+        parser.error("give --src at most twice")
+    commits = [commit_of(src) for src in srcs]
+    times = [{name: [] for name in KERNELS} for _ in srcs]
+    faults = [{name: [] for name in KERNELS} for _ in srcs]
+    workers = []
+    try:
+        workers += [Worker(src) for src in srcs]
+        for name in KERNELS:
+            for i in alternating(len(srcs), REPEAT):
+                reply = workers[i].run(name)
+                times[i][name].append(reply["s"])
+                faults[i][name].append(reply["faults"])
+    finally:
+        for worker in workers:
+            worker.close()
+    classify_name = 'first classify(256, "HDC")'
+    for t in times:
+        t[classify_name] = []
+    for i in alternating(len(srcs), REPEAT):
+        times[i][classify_name].append(first_classify(srcs[i]))
+    runs = []
+    for i, worker in enumerate(workers):
+        other = commits[1 - i]["git_sha"] if len(srcs) == 2 else None
+        runs.append({
+            **commits[i],
+            "python": platform.python_version(),
+            "numpy": worker.numpy,
+            "host": f"{platform.machine()}, {os.cpu_count()} CPUs",
+            "repeat": REPEAT,
+            "alternated_with": other,
+            "best_s": {name: round(min(t), 4) for name, t in times[i].items()},
+            "median_s": {name: round(statistics.median(t), 4) for name, t in times[i].items()},
+            "times_s": {name: [round(x, 4) for x in t] for name, t in times[i].items()},
+            "minor_faults": faults[i],
+        })
+    kept = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
+    replaced = {(run["git_sha"], run["dirty"]) for run in runs}
+    kept = [r for r in kept if (r["git_sha"], r["dirty"]) not in replaced]
+    OUT.write_text(json.dumps({"runs": kept + runs}, indent=2) + "\n")
+    print(json.dumps(runs, indent=2))
 
 
 if __name__ == "__main__":
