@@ -926,15 +926,21 @@ def invariance_check(n: int) -> dict:
     }
 
 
+@lru_cache(maxsize=None)
+def _maximal_divisors(n: int) -> tuple[int, ...]:
+    """The proper divisors of n that divide no other proper divisor: n/p
+    for each prime p | n."""
+    proper = divisors(n)[:-1]
+    return tuple(d for d in proper if not any(e % d == 0 for e in proper if e > d))
+
+
 def _below_full_period(arr: np.ndarray, n: int) -> np.ndarray:
     """period < n for every packed word in arr: the period divides n, so
     it is short exactly when it divides some maximal proper divisor n/p."""
-    proper = divisors(n)[:-1]
     short = np.zeros(arr.shape, dtype=bool)
     turned = np.empty_like(arr)
-    for d in proper:
-        if not any(e % d == 0 for e in proper if e > d):
-            short |= rotate_bits_array(arr, n, d, out=turned) == arr
+    for d in _maximal_divisors(n):
+        short |= rotate_bits_array(arr, n, d, out=turned) == arr
     return short
 
 
@@ -968,7 +974,12 @@ def square_freeness_check(n: int) -> dict:
     per offset are the least ten of their rotations, the same list a scan
     of every free word gives.  Likewise X * C^{n-a} X = C^{n-a}(X * C^a X),
     so odd n computes offsets a <= (n-1)/2 only, witness lists included,
-    and reuses them for n - a.
+    and reuses them for n - a.  The period of X * C^a X divides d exactly
+    when Z = X * C^d X is fixed by C^a, since the rotations commute and
+    distribute over the product: C^d(X * C^a X) = X * C^a X exactly when
+    X * C^d X = C^a(X * C^d X).  So Z is formed once per maximal proper
+    divisor d of n and block, and each offset costs one rotation and one
+    comparison per d.
 
     The Lyndon words come from `_necklace_blocks`, grown letter by letter
     by the fundamental theorem of necklaces (Ruskey, Savage & Wang,
@@ -985,14 +996,19 @@ def square_freeness_check(n: int) -> dict:
     for lyndon in _necklace_blocks(n, strict=True):
         free_count += n * lyndon.size
         turned = np.empty_like(lyndon)
-        for found, a in zip(failing, offsets):
-            y = lyndon ^ rotate_bits_array(lyndon, n, a, out=turned)
-            if n % 2:
-                bad = _below_full_period(y, n)
-            else:
-                # a free X never equals its half-shift, so y != 0; verified all the same
-                bad = (rotate_bits_array(y, n, half, out=turned) != y) | (y == 0)
-            found.append(lyndon[bad])
+        if n % 2:
+            zs = [lyndon ^ rotate_bits_array(lyndon, n, d, out=turned)
+                  for d in _maximal_divisors(n)]
+            for found, a in zip(failing, offsets):
+                bad = np.zeros(lyndon.size, dtype=bool)
+                for z in zs:
+                    bad |= rotate_bits_array(z, n, a, out=turned) == z
+                found.append(lyndon[bad])
+        else:
+            y = lyndon ^ rotate_bits_array(lyndon, n, half, out=turned)
+            # a free X never equals its half-shift, so y != 0; verified all the same
+            bad = (rotate_bits_array(y, n, half, out=turned) != y) | (y == 0)
+            failing[0].append(lyndon[bad])
     listed = {a: (reps.size, _witness_strings(reps, n))
               for a, reps in zip(offsets, map(np.concatenate, failing))}
     violations = []
