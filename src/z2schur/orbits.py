@@ -712,12 +712,12 @@ def _necklace_blocks(n: int, strict: bool = False):
     its own.
 
     A word packs a_1 into its top bit, so packed order is lexicographic
-    order and a_(t+1-p) is bit p - 1 of the t-bit word x; `q` holds
-    p - 1, a uint8.  So a level takes a few whole-array
-    operations and no rotation: x has the child 2x + 1, since b = 1 is
-    never below a_(t+1-p), and the child 2x exactly when bit q of x is 0,
-    and `_children` lists them in order, so each level is ascending when
-    the one before is.  Where the next level could pass _CHUNK words, the
+    order and a_(t+1-p) is bit p - 1 of the t-bit word x; `q` holds p - 1
+    as a uint8.  So a level takes a few whole-array operations and no
+    rotation: x has the child 2x + 1, since b = 1 is never below
+    a_(t+1-p), and the child 2x exactly when bit q of x is 0, and
+    `_children` lists them in order, so each level is ascending when the
+    one before is.  Where the next level could pass _CHUNK words, the
     level is split in halves, each grown to the end before the next: no
     array passes _CHUNK words at any level, the blocks come out
     ascending, and besides the level being grown only the pending halves,
@@ -737,7 +737,7 @@ def _necklace_blocks(n: int, strict: bool = False):
             # a child that keeps p ends a necklace when p | n, a Lyndon word
             # when p = n; a child whose p became t + 1 = n ends both
             same = q == n - 1 if strict else n % (q + one) == 0
-            yield _children(words, same + (two - one) - (words >> q & one))[0]
+            yield _children(words, same + np.intp(1) - (words >> q & one))[0]
             continue
         counts = two - (words >> q & one)
         kids, second = _children(words, counts)

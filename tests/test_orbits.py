@@ -599,8 +599,8 @@ def test_whole_space_scans_stay_in_cache_sized_blocks():
     assert peak_traced_mb(lambda: census(24, "C")) < 32
     assert peak_traced_mb(lambda: invariance_check(20)) < 4 + 3
     # square_freeness_check grows the Lyndon words in blocks of at most
-    # _CHUNK words and keeps only the failing ones, with no array of them
-    # all (5.9 MB at n = 23 when it held one).
+    # _CHUNK words and keeps only the failing ones, so it holds no array
+    # of them all.
     assert peak_traced_mb(lambda: square_freeness_check(23)) < 2.5
 
 
