@@ -23,17 +23,23 @@ generators.
 
 Orbit enumeration runs three independent engines.  The scalar engine
 handles one orbit at a time, on the pairs: `orbit_members` and
-`canonical_rep` take every image of x, and `classify` builds the members
-as rotations of the images of x under the position-0 stabiliser, then
-decides each fixed-point flag on x alone against the conjugates of the
-fixing map.  Each permutes the string of x once per multiplier u it
-needs, at most phi(n) times, and does the rest with integer rotations.
-`classify` decides each fixed-point flag by shift residues: if x has
-period p and d_u x = rotate(x, s1), then rotate(d_u x, s) = x exactly
-when s = -s1 mod p, so x is fixed by some conjugate (u, s) of the fixing
-map exactly when -s1 mod p is among the conjugates' shifts mod p; one
-lookup among the rotations of x and one in a cached set, with no walk
-over the conjugates.  The vectorized engine (`canonical_array`), which
+`canonical_rep` take every image of x, and `classify` decides the whole
+orbit from x and its decimations d_u x, permuting the string of x once
+per unit u and doing the rest with integer rotations.  With the
+rotations it builds no member set: by G = C K (K the stabiliser of
+position 0, decimations d_m) the orbit is the disjoint union of the
+rotation classes of the d_m x, each of size p, the period of x, since
+decimation keeps the period, so the rep is the least of their least
+rotations and the size is p times the number of distinct ones.  Its
+fixed-point flags go by shift residues: if d_u x = rotate(x, s1), then
+rotate(d_u x, s) = x exactly when s = -s1 mod p, so x is fixed by some
+conjugate (u, s) of the fixing map exactly when -s1 mod p is among the
+conjugates' shifts mod p; one lookup among the rotations of x and one in
+a cached set, with no walk over the conjugates.  Its closure flags need
+no image for a map in the group, and otherwise, with the rotations, |K|
+lookups among the rotations of x: h = (u, s) maps the orbit onto itself
+exactly when some d_(m^-1 u) x is a rotation of x.  "D" and "H" keep
+their |G| images as a set.  The vectorized engine (`canonical_array`), which
 the invariance sweeps and the per-word lookups use, canonicalizes every
 packed sequence at once by coset decomposition: the rotation canon
 first, by word rotations on the words that two necklace symmetries
@@ -63,6 +69,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from math import gcd
+from operator import itemgetter
 
 import numpy as np
 
@@ -108,6 +115,11 @@ def _reflection(n: int) -> tuple[int, int]:
     return units(n)[-1], 1 % n
 
 
+def _check_group(group: str) -> None:
+    if group not in GROUPS:
+        raise ValueError(f"unknown group {group!r}, expected one of {GROUPS}")
+
+
 @lru_cache(maxsize=None)
 def affine_group(n: int, group: str = "C") -> tuple[tuple[int, int], ...]:
     """Every element of the named group as a pair (u, s), sorted: the
@@ -120,8 +132,7 @@ def affine_group(n: int, group: str = "C") -> tuple[tuple[int, int], ...]:
     and "HDC" are (u, s) for every unit u (one group, since j -> -j is
     d_(n-1)), "D" is (u, 0), and "H" is the identity and R.
     """
-    if group not in GROUPS:
-        raise ValueError(f"unknown group {group!r}, expected one of {GROUPS}")
+    _check_group(group)
     if group == "H":
         return tuple(sorted({(1, 0), _reflection(n)}))
     shifts = range(n) if "C" in group else (0,)
@@ -130,9 +141,23 @@ def affine_group(n: int, group: str = "C") -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _multipliers(n: int, group: str) -> tuple[int, ...]:
-    """The units u of the pairs (u, s) in every group but "H": 1 for "C",
-    +-1 for "HC", and every unit for the groups with decimations."""
-    return {"C": (1,), "HC": tuple(sorted({1, _reflection(n)[0]}))}.get(group, units(n))
+    """The units u of the group's pairs (u, s): 1 for "C", +-1 for "H"
+    and "HC", and every unit for the groups with decimations.  This and
+    `affine_group` refuse an unknown group code, so every reader of the
+    group tables does."""
+    _check_group(group)
+    if "D" in group:
+        return units(n)
+    return (1,) if group == "C" else tuple(sorted({1, _reflection(n)[0]}))
+
+
+def _in_group(n: int, group: str, h: tuple[int, int]) -> bool:
+    """Whether the pair h = (u, s) lies in the group: u is one of its
+    multipliers, and s is 0 unless it holds the rotations; "H" is its two
+    pairs, the only group whose pairs do not split that way."""
+    if group == "H":
+        return h in affine_group(n, group)
+    return h[0] in _multipliers(n, group) and ("C" in group or h[1] == 0)
 
 
 # ------------------------------------------------------- canonical forms
@@ -278,8 +303,8 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
     words; refuses n < 1, and n beyond MAX_ENUM_N instead of thrashing.
     """
     _check_enum_length(n)
-    canon = _rotation_canon(n) if "C" in group else np.arange(1 << n, dtype=np.uint32)
     coset_reps = _coset_perms(n, group)
+    canon = _rotation_canon(n) if "C" in group else np.arange(1 << n, dtype=np.uint32)
     if not coset_reps:
         return canon
     for start in range(0, canon.size, _CHUNK):
@@ -402,100 +427,170 @@ class Orbit:
         }
 
 
-@lru_cache(maxsize=None)
-def _closure_pairs(n: int, group: str, h: tuple[int, int],
-                   every: bool) -> tuple[tuple[int, int], ...]:
-    """The pairs h k whose images of x decide whether h maps the orbit of
-    x onto itself: h k x must be a member for every k of `_coset_reps`,
-    and h x alone decides when h normalises the group (h G x = G h x);
-    `every` says that h does not."""
-    return tuple(_after(n, k, h) for k in (_coset_reps(n, group) if every else ((1, 0),)))
+def _flag_maps(n: int) -> tuple[tuple[int, int], ...]:
+    """The maps whose fixed points and closure `classify` decides: R, then
+    d_r for every unit r, ascending."""
+    return (_reflection(n), *((r, 0) for r in units(n)))
 
 
 @lru_cache(maxsize=None)
+def _classify_plan(n: int, group: str) -> tuple:
+    """What `classify` needs of (n, group) besides x, built on its first
+    call there, as four entries:
+
+    * per unit u, in `units` order, an itemgetter that reads d_u x off the
+      binary string of x, since position j of d_u x is position u j of x;
+      None for u = 1;
+    * with the rotations, the unit indices of the multipliers of K, else
+      None;
+    * without them, every pair (u, s) of the group as (unit index, s),
+      else None;
+    * per map h = (u, s) of `_flag_maps`, None when h lies in the group,
+      which then maps each of its orbits onto itself.  Else, with the
+      rotations, the unit index of m^-1 u for each multiplier m of K;
+      without them, each pair h g, g in the group, as (unit index, shift).
+    """
+    mults = units(n)
+    at = {u: i for i, u in enumerate(mults)}
+    getters = tuple(None if u == 1 else itemgetter(*decimation_perm(n, u)) for u in mults)
+    if "C" in group:
+        ks = _multipliers(n, group)
+        cosets, images = tuple(at[m] for m in ks), None
+
+        def row(h):
+            return tuple(at[pow(m, -1, n) * h[0] % n or 1] for m in ks)
+    else:
+        pairs = affine_group(n, group)
+        cosets, images = None, tuple((at[u], s) for u, s in pairs)
+
+        def row(h):
+            return tuple((at[u], s) for u, s in (_after(n, g, h) for g in pairs))
+    closing = tuple(None if _in_group(n, group, h) else row(h) for h in _flag_maps(n))
+    return getters, cosets, images, closing
+
+
 def _shift_residues(n: int, group: str, h: tuple[int, int], p: int) -> frozenset[int]:
     """The shifts s of the conjugates (u, s) of h in the group, mod p."""
     return frozenset(s % p for _, s in _conjugates(n, group, h))
 
 
+@lru_cache(maxsize=None)
+def _residue_rows(n: int, group: str, p: int) -> tuple[frozenset[int], ...]:
+    """`_shift_residues` of every map of `_flag_maps`, for words of
+    period p: built per period on first use, so a call builds only the
+    rows of the periods it meets."""
+    return tuple(_shift_residues(n, group, h, p) for h in _flag_maps(n))
+
+
+def _least_rotation(y: int, n: int) -> int:
+    """The least rotation of the packed word y.
+
+    It starts where a longest cyclic run of '+' (0 bits) starts: a rotation
+    that starts with more '+' signs is less.  w marks the positions j at
+    which positions j .. j + k - 1 are all '+', for k = 1, 2, ...: each
+    step ANDs w with its rotation by one, and the last nonzero w marks the
+    starts of the longest runs.  That is about log2 n steps for a random
+    word, and only the rotations at those starts are compared, where the
+    minimum over all n rotations compared n of them."""
+    mask = (1 << n) - 1
+    if y in (0, mask):
+        return y
+    w = ~y & mask
+    while step := w & (w << 1 | w >> (n - 1)):
+        w = step
+    best = mask
+    while w:  # a start at position n - b, so rotate(y, n - b)
+        b = w.bit_length()
+        w ^= 1 << (b - 1)
+        turned = (y << (n - b) | y >> b) & mask
+        if turned < best:
+            best = turned
+    return best
+
+
 def classify(x: BinarySequence, group: str = "C") -> Orbit:
-    """Classify the orbit of x, deciding each fixed-point flag on x alone.
+    """Classify the orbit of x from x and its decimations d_u x, with no
+    member set when the group holds the rotations.
 
-    The members are the rotations of the images k x, k in the stabiliser K
-    of position 0 (G = C K; K is all of G for "D" and "H").  A member g x
-    is fixed by h exactly when x is fixed by g^-1 h g, so `symmetric`,
-    `antisymmetric` and `delta_invariant` test x against the G-conjugates
-    of R and of each d_r, a handful of affine pairs cached per group.
-    R normalises every group with rotations or the reversal, so there
-    `reversal_closed` tests R x alone; it does not normalise "D"
-    (d_r R = R d_r C^(r-1)), so under "D" every member is checked.  By
-    the same relation each d_r normalises every group but "H", so
-    `delta_closed` tests d_r x alone there and both members under "H"
-    (`_closure_pairs`).
+    Rep and size.  With the rotations, G = C K, K the stabiliser of
+    position 0, so the orbit is the disjoint union of the rotation classes
+    of the k x, k in K.  Each k is a decimation d_m, which keeps the
+    period p of x, so each class has p members: the rep is the least of
+    the least rotations of the d_m x, and the size is p times the number of
+    distinct ones.  A d_m x that is a rotation of x has the least rotation
+    of x; the others go through `_least_rotation`.  "D" and "H" have no
+    rotations, and their orbit is the set of the |G| images g x.
 
-    Every group element, and every conjugate of R and of d_r, is an affine
-    pair (u, s) of `affine_group`, which sends x to rotate(d_u x, s).  So
-    x is permuted once per unit u, into d_u x, and every image after that
-    is an integer rotation.  The n rotations of x are read off one doubled
-    word: the period p of x is n over the number of them equal to x, and
-    a dict maps each of them to a shift that gives it.
-
-    A fixed-point flag then takes one lookup in that dict and one in a
-    set, whatever the group.  Every conjugate of h = (u, s) has the
-    multiplier u, since the units commute.  Say the target y is x, or -x
-    for `antisymmetric`; -x has the period p, and its rotations are the
-    negated rotations of x.  d_u x is a rotation of y exactly when d_u x,
-    or -d_u x, is in the dict; then d_u x = rotate(y, s1) for its shift
+    Fixed points.  A member g x is fixed by h exactly when x is fixed by
+    g^-1 h g, so `symmetric`, `antisymmetric` and `delta_invariant` test
+    x against the G-conjugates of R and of each d_r.  Every conjugate of
+    h = (u, s) has the multiplier u, since the units commute.  Say the
+    target y is x, or -x for `antisymmetric`; -x has the period p, and its
+    rotations are the negated rotations of x.  d_u x is a rotation of y
+    exactly when d_u x, or -d_u x, is among the rotations of x, which a
+    dict maps to their shifts; then d_u x = rotate(y, s1) for its shift
     s1, and rotate(d_u x, s) = rotate(y, s1 + s) is y exactly when
     s = -s1 mod p.  So some conjugate sends x to y exactly when -s1 mod p
-    is among the conjugates' shifts mod p, a set cached per (n, group, h,
-    p) by `_shift_residues`, so no conjugate is rotated one at a time.
+    is among the conjugates' shifts mod p, a set cached per
+    (n, group, p) by `_residue_rows`, so no conjugate is rotated one at a
+    time.
+
+    Closure.  A map in the group maps every orbit onto itself, so its flag
+    needs no image.  Every affine map h normalises a group with the
+    rotations: conjugation keeps the multipliers, and the group has every
+    shift.  So h G x = G h x, and h = (u, s) maps the orbit onto itself
+    exactly when h x = rotate(d_u x, s) is a member, that is when d_u x
+    is a rotation of some d_m x, m in K; applying d_m^-1, exactly when
+    d_(m^-1 u) x is a rotation of x: |K| lookups in the same dict.  "D"
+    and "H" test every h g x, g in the group, against the member set.
+
+    x is permuted once per unit u, into d_u x, by one itemgetter per unit
+    on one binary string of x (`_classify_plan`, cached per (n, group));
+    every other image is an integer rotation.
     """
     n, bits = x.n, x.bits
     mask = (1 << n) - 1
-    mults = units(n)
-    # d_u x for every unit u; `delta_invariant` asks for each of them.
-    dec = dict(zip(mults, (bits if u == 1 else decimate_bits(bits, n, u) for u in mults)))
-
-    def image(g: tuple[int, int]) -> int:
-        return rotate_bits(dec[g[0]], n, g[1])
-
-    def rotations(t: int) -> list[int]:
-        # t << n | t: its n-bit windows are the rotations of t.
-        doubled = t * (mask + 2)
-        return [(doubled >> (n - s)) & mask for s in range(n)]
-
-    own = rotations(bits)
+    getters, cosets, images, closing = _classify_plan(n, group)
+    text = bin(bits | 1 << n)[3:]  # positions 0 .. n - 1
+    dec = [bits if get is None else int("".join(get(text)), 2) for get in getters]
+    # t << n | t: its n-bit windows are the rotations of t.
+    doubled = bits * (mask + 2)
+    own = [(doubled >> (n - s)) & mask for s in range(n)]
     period = n // own.count(bits)
     shift_of = dict(zip(own, range(n)))
+    found = list(map(shift_of.get, dec))  # s1 with d_u x = rotate(x, s1), or None
+    flip, *rows = _residue_rows(n, group, period)
 
-    def sent_to(h: tuple[int, int], negate: int) -> bool:
-        s = shift_of.get(dec[h[0]] ^ negate)
-        return s is not None and -s % period in _shift_residues(n, group, h, period)
+    def sent(s: int | None, residues: frozenset[int]) -> bool:
+        return s is not None and -s % period in residues
 
-    ks = _coset_reps(n, group)
-    if "C" in group:
-        members = set(own).union(*(rotations(dec[u]) for u, _ in ks if u != 1))
+    if cosets is not None:
+        least = {min(own)}
+        least.update(_least_rotation(dec[i], n) for i in cosets if found[i] is None)
+        rep, size = min(least), period * len(least)
+
+        def closed(row) -> bool:
+            return row is None or any(found[i] is not None for i in row)
     else:
-        members = set(map(image, ks))
-    flip = _reflection(n)
+        members = {rotate_bits(dec[i], n, s) for i, s in images}
+        rep, size = min(members), len(members)
 
+        def closed(row) -> bool:
+            return row is None or all(rotate_bits(dec[i], n, s) in members for i, s in row)
+
+    mults = units(n)
     return Orbit(
         n=n,
-        rep=min(members),
+        rep=rep,
         group=group,
-        size=len(members),
+        size=size,
         period=period,
-        symmetric=sent_to(flip, 0),
-        antisymmetric=sent_to(flip, mask),
-        reversal_closed=all(image(g) in members
-                            for g in _closure_pairs(n, group, flip, group == "D")),
-        delta_invariant=tuple(r for r in mults if sent_to((r, 0), 0)),
-        delta_closed=tuple(
-            r for r in mults
-            if all(image(g) in members
-                   for g in _closure_pairs(n, group, (r, 0), group == "H"))
-        ),
+        # R's multiplier n - 1 is the last unit
+        symmetric=sent(found[-1], flip),
+        antisymmetric=sent(shift_of.get(dec[-1] ^ mask), flip),
+        reversal_closed=closed(closing[0]),
+        delta_invariant=tuple(r for r, s, res in zip(mults, found, rows) if sent(s, res)),
+        delta_closed=tuple(r for r, row in zip(mults, closing[1:]) if closed(row)),
     )
 
 
@@ -790,31 +885,61 @@ def _orbit_rep_blocks(n: int, group: str):
         yield words
 
 
-def _orbits_met(sets: list[np.ndarray], n: int, group: str) -> list[np.ndarray]:
-    """For each array of words, the least members of the orbits that its
-    words meet, ascending and distinct.
+def _orbits_met(sets, n: int, group: str) -> list[np.ndarray]:
+    """For each of the arrays of words, taken once in order, the least
+    members of the orbits that its words meet, ascending and distinct.
 
     The least member of the orbit of w is min over k in `_coset_reps` of
     `_coset_image`.  The identity's image, the least rotation of w (w
     itself without rotations), is taken first and deduplicated per array,
     so the other k are applied only to the distinct necklaces left, far
-    fewer than the words.  Each stage is one batched call over all the
-    arrays, since n = 19 alone asks for 19 of them."""
-    def per_set(words, sizes):
+    fewer than the words.  Each stage is one batched call over the words
+    of a `_batches` batch, at most _CHUNK of them: many small arrays share
+    one batch, since n = 19 alone asks for 19 of them, and an array larger
+    than _CHUNK is split across batches, the minima of its pieces merged
+    at the end."""
+    def per_piece(words, sizes):
         return [_distinct(part) for part in np.split(words, np.cumsum(sizes[:-1]))]
 
     rotations = "C" in group
-    words = np.concatenate(sets).astype(np.uint32)
-    if rotations:
-        _least_rotations(words, n)
-    met = per_set(words, [s.size for s in sets])
-    if not _coset_perms(n, group):
-        return met
-    words = np.concatenate(met)
-    best = words.copy()
-    for perm in _coset_perms(n, group):
-        np.minimum(best, _coset_image(words, n, perm, rotations), out=best)
-    return per_set(best, [m.size for m in met])
+    perms = _coset_perms(n, group)
+    met: list[list[np.ndarray]] = []  # per array, the minima of its pieces
+    for batch in _batches(sets):
+        owners, pieces = zip(*batch)
+        words = np.concatenate(pieces).astype(np.uint32)
+        if rotations:
+            _least_rotations(words, n)
+        parts = per_piece(words, [p.size for p in pieces])
+        if perms:
+            words = np.concatenate(parts)
+            best = words.copy()
+            for perm in perms:
+                np.minimum(best, _coset_image(words, n, perm, rotations), out=best)
+            parts = per_piece(best, [p.size for p in parts])
+        for i, part in zip(owners, parts):
+            if i == len(met):
+                met.append([])
+            met[i].append(part)
+    return [found[0] if len(found) == 1 else _distinct(np.concatenate(found))
+            for found in met]
+
+
+def _batches(sets):
+    """Batches of (array index, piece) of at most _CHUNK words in all: each
+    array in order, split into pieces of at most _CHUNK words (an empty
+    array is one empty piece), a batch taking pieces until the next would
+    pass _CHUNK."""
+    batch, size = [], 0
+    for i, words in enumerate(sets):
+        for start in range(0, max(words.size, 1), _CHUNK):
+            piece = words[start:start + _CHUNK]
+            if batch and size + piece.size > _CHUNK:
+                yield batch
+                batch, size = [], 0
+            batch.append((i, piece))
+            size += piece.size
+    if batch:
+        yield batch
 
 
 def _distinct(words: np.ndarray) -> np.ndarray:
@@ -852,16 +977,18 @@ def census(n: int, group: str = "C") -> dict:
 
     The symmetric, antisymmetric and d_r-invariant orbits are those that
     meet Fix(R), the words R negates, or Fix(d_r): the distinct orbit
-    minima of those few words (`sequences.fixed_words`), found for all the
-    sets at once by `_orbits_met`.  An orbit is nonsymmetric when it is
-    neither, counted by inclusion-exclusion.
+    minima of those few words (`sequences.fixed_words`), found by
+    `_orbits_met` in batches of at most _CHUNK words, one set of fixed
+    words made at a time.  An orbit is nonsymmetric when it is neither,
+    counted by inclusion-exclusion.
     """
     _check_enum_length(n)
     by_period = sum(_period_tally(reps, n) for reps in _orbit_rep_blocks(n, group))
     flip = reversal_perm(n)
     multipliers = [r for r in units(n) if r != 1]
-    sets = [fixed_words(n, flip), fixed_words(n, flip, negated=True)]
-    sets += [fixed_words(n, decimation_perm(n, r)) for r in multipliers]
+    maps = [(flip, False), (flip, True), *((decimation_perm(n, r), False) for r in multipliers)]
+    # made one at a time, as _orbits_met reaches them
+    sets = (fixed_words(n, perm, negated) for perm, negated in maps)
     sym, asym, *invariant = _orbits_met(sets, n, group)
     sym_by, asym_by = _period_tally(sym, n), _period_tally(asym, n)
     rows = [{"period": d, "count": int(by_period[d]), "sym": int(sym_by[d]),

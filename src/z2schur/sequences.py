@@ -21,8 +21,10 @@ names group elements by affine pairs instead and builds a tuple only
 for the array kernels and the cycle counts.  `permute_bits` applies one permutation
 to a single packed word by reordering its n-digit binary string, which
 needs no per-permutation state: `decimate_bits` runs on it, once per
-multiplier of each scalar orbit query, and tables built per permutation
-would rarely be reused there.
+multiplier of `canonical_rep` and `orbit_members`, and tables built per
+permutation would rarely be reused there.  `orbits.classify`, which
+decimates by every unit on each call, keeps one getter per unit and
+length instead, applied to one binary string per call.
 `permute_bits_array` applies one to a numpy array of words, n <= 64, by
 byte tables: per (n, permutation), built on first use and cached,
 ceil(n/8) tables of 256 entries map each byte of the input to the output

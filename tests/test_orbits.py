@@ -133,6 +133,28 @@ def test_affine_group_rejects_unknown_groups():
         affine_group(5, "R")
 
 
+@pytest.mark.parametrize("group", ["XC", "CD", "HCD", "c"])
+def test_orbit_functions_reject_unknown_groups(group):
+    # Codes holding "C" passed the rotation-only checks and ran as "DC".
+    x = BinarySequence(6, 0b001011)
+    calls = [lambda: classify(x, group), lambda: canonical_rep(x, group),
+             lambda: census(6, group), lambda: canonical_array(6, group),
+             lambda: list(enumerate_orbits(6, group))]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_group_membership_matches_the_pair_lists():
+    # classify decides a closure flag with no image when the map lies in
+    # the group.
+    for n in range(1, 41):
+        every = affine_group(n, "HDC")
+        for group in GROUPS:
+            pairs = set(affine_group(n, group))
+            assert all(ob._in_group(n, group, h) == (h in pairs) for h in every), (n, group)
+
+
 def test_canonical_rep_is_least_string():
     assert str(canonical_rep(make_sequence("---+"), "C")) == "+---"
     assert str(canonical_rep(make_sequence("-+-+"), "HC")) == "+-+-"
@@ -172,11 +194,16 @@ def test_classify_flags_match_string_oracle(s):
     assert tuple(r for r in o.delta_invariant if r != 1) == expect_fixed
 
 
+@lru_cache(maxsize=None)
+def _closure(n, group):
+    return group_closure(n, group)
+
+
 def _walk_every_member(x, group):
     # Every member built from every group element, every flag tested on
     # every member.
     n = x.n
-    members = sorted({permute_bits(x.bits, n, p) for p in group_closure(n, group)})
+    members = sorted({permute_bits(x.bits, n, p) for p in _closure(n, group)})
     memberset = set(members)
     mask = (1 << n) - 1
     decimated = {r: [(t, decimate_bits(t, n, r)) for t in members] for r in units(n)}
@@ -243,6 +270,23 @@ def test_classify_matches_member_walk_at_large_n():
             assert classify(x, group) == _walk_every_member(x, group), (str(x), group)
     for n in (12, 18, 24, 30):
         words = [BinarySequence(n, bits) for bits in _periodic_words(n, 6)]
+        for group in GROUPS:
+            for x in words:
+                assert classify(x, group) == _walk_every_member(x, group), (str(x), group)
+
+
+def test_classify_matches_member_walk_where_classes_collide():
+    # A word fixed by an affine pair (u, s), u != 1, has d_u x =
+    # rotate(x, -s): its coset images d_m x fall into fewer rotation
+    # classes than there are m, which random words past n = 12 almost
+    # never do.  Two such words per pair, for s = 0 and s = 1.
+    rng = np.random.default_rng(24)
+    for n in (15, 18, 21, 24, 30):
+        words = []
+        for u in units(n)[1:]:
+            for s in (0, 1):
+                fixed = fixed_words(n, ob._positions(n, (u, s)))
+                words += [BinarySequence(n, int(b)) for b in rng.choice(fixed, size=2)]
         for group in GROUPS:
             for x in words:
                 assert classify(x, group) == _walk_every_member(x, group), (str(x), group)
@@ -589,14 +633,16 @@ def test_whole_space_scans_stay_in_cache_sized_blocks():
     # stay at a few _CHUNK-word buffers.  invariance_check reads the orbit
     # table, which adds only per-orbit columns to the canon: its
     # representatives are collected block by block, with no sorted copy.
-    # census keeps no table: it streams the representatives block by block
-    # and holds the fixed words and the orbits they meet, about 1 MB at
-    # n = 20 and 8 MB at n = 24, where the table alone is 64 MB.
+    # census keeps no table: it streams the representatives block by block,
+    # makes one set of fixed words at a time and finds the orbits they meet
+    # in batches of at most _CHUNK words, about 1.4 MB at n = 20 and 4.5 MB
+    # at n = 24 (the 2^18 words that d_13 fixes), where the table alone is
+    # 64 MB.
     assert peak_traced_mb(lambda: canonical_array(20, "C")) < 4 + 2
     assert peak_traced_mb(lambda: canonical_array(20, "HDC")) < 4 + 2
     assert peak_traced_mb(lambda: fd_partition(20)) < 2
     assert peak_traced_mb(lambda: census(20, "C")) < 3
-    assert peak_traced_mb(lambda: census(24, "C")) < 32
+    assert peak_traced_mb(lambda: census(24, "C")) < 6
     assert peak_traced_mb(lambda: invariance_check(20)) < 4 + 3
     # square_freeness_check grows the Lyndon words in blocks of at most
     # _CHUNK words and keeps only the failing ones, so it holds no array

@@ -7,8 +7,11 @@ Each kernel is timed REPEAT times: canonical_array(24, "C"), census at
 (20, "C"), (19, "HC") and (18, "HDC"), invariance_check(24),
 square_freeness_check(23), square_freeness_check(21) (the orbit-census
 size), verify_ring(14), verify_identities(14) (criterion 7's largest),
-verify_identities(16) and random_identity_trials(64, 1000, 0).  The minor
-page faults of each of these repeats (the getrusage ru_minflt delta of the
+verify_identities(16), random_identity_trials(64, 1000, 0), and warm
+classify over seeded words: the 300 words of the orbit-census workload
+at (18, "HDC") and seed 1, and 10 words at (256, "HDC"), each set one
+call, its caches filled before the first repeat.  The minor page
+faults of each of these repeats (the getrusage ru_minflt delta of the
 process that ran it) are stored next to its times.  The first classify at
 (256, "HDC") fills the group caches, so it is timed in REPEAT fresh
 processes, the call alone without the import.  Every repeat's time is
@@ -38,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -51,7 +55,11 @@ REPEAT = 5
 # One thread per numerical pool, set before numpy is imported, as in perfbench.
 THREADS = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
-# Each name is the call itself, evaluated in a worker against `NAMESPACE`.
+# (n, group, count) of the seeded words that a classify kernel runs through;
+# the first is the orbit-census workload's set at seed 1.
+CLASSIFY_WORDS = ((18, "HDC", 300), (256, "HDC", 10))
+# Each name is the call itself, evaluated in a worker against `NAMESPACE`
+# and `classify_words`.
 KERNELS = (
     'canonical_array(24, "C")',
     *(f'census({n}, "{g}")'
@@ -63,9 +71,11 @@ KERNELS = (
     "verify_identities(14)",
     "verify_identities(16)",
     "random_identity_trials(64, 1000, 0)",
+    *(f'classify_words({n}, "{g}", {count})' for n, g, count in CLASSIFY_WORDS),
 )
 NAMESPACE = {
-    "orbits": ("canonical_array", "census", "invariance_check", "square_freeness_check"),
+    "orbits": ("canonical_array", "census", "classify", "invariance_check",
+               "square_freeness_check"),
     "weight_ring": ("verify_ring",),
     "autocorr": ("verify_identities", "random_identity_trials"),
 }
@@ -86,18 +96,32 @@ def minor_faults() -> int:
 
 
 def serve(src: Path) -> None:
-    """Worker side: import the tree at src, report the numpy version, then
-    run each kernel named on stdin once and answer with its seconds and
-    minor page faults, one JSON line per call."""
+    """Worker side: import the tree at src, seed the classify words and
+    warm classify on them, report the numpy version, then run each kernel
+    named on stdin once and answer with its seconds and minor page faults,
+    one JSON line per call."""
     sys.path.insert(0, str(src))
     import importlib
 
     import numpy as np
 
+    from z2schur.sequences import BinarySequence
+
     names = {}
     for module, functions in NAMESPACE.items():
         mod = importlib.import_module(f"z2schur.{module}")
         names.update({f: getattr(mod, f) for f in functions})
+    words = {}
+    for n, group, count in CLASSIFY_WORDS:
+        rng = random.Random(1)
+        words[n, group, count] = [BinarySequence(n, rng.getrandbits(n)) for _ in range(count)]
+        names["classify"](words[n, group, count][0], group)
+
+    def classify_words(n: int, group: str, count: int) -> None:
+        for x in words[n, group, count]:
+            names["classify"](x, group)
+
+    names["classify_words"] = classify_words
     print(json.dumps({"numpy": np.__version__}), flush=True)
     for line in sys.stdin:
         f0, t0 = minor_faults(), time.perf_counter()
