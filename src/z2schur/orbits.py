@@ -559,7 +559,7 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
     period = n // own.count(bits)
     shift_of = dict(zip(own, range(n)))
     found = list(map(shift_of.get, dec))  # s1 with d_u x = rotate(x, s1), or None
-    flip, *rows = _residue_rows(n, group, period)
+    reversal, *decimations = _residue_rows(n, group, period)
 
     def sent(s: int | None, residues: frozenset[int]) -> bool:
         return s is not None and -s % period in residues
@@ -586,10 +586,10 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
         size=size,
         period=period,
         # R's multiplier n - 1 is the last unit
-        symmetric=sent(found[-1], flip),
-        antisymmetric=sent(shift_of.get(dec[-1] ^ mask), flip),
+        symmetric=sent(found[-1], reversal),
+        antisymmetric=sent(shift_of.get(dec[-1] ^ mask), reversal),
         reversal_closed=closed(closing[0]),
-        delta_invariant=tuple(r for r, s, res in zip(mults, found, rows) if sent(s, res)),
+        delta_invariant=tuple(r for r, s, res in zip(mults, found, decimations) if sent(s, res)),
         delta_closed=tuple(r for r, row in zip(mults, closing[1:]) if closed(row)),
     )
 
