@@ -893,35 +893,41 @@ def _orbits_met(sets, n: int, group: str) -> list[np.ndarray]:
     `_coset_image`.  The identity's image, the least rotation of w (w
     itself without rotations), is taken first and deduplicated per array,
     so the other k are applied only to the distinct necklaces left, far
-    fewer than the words.  Each stage is one batched call over the words
-    of a `_batches` batch, at most _CHUNK of them: many small arrays share
-    one batch, since n = 19 alone asks for 19 of them, and an array larger
-    than _CHUNK is split across batches, the minima of its pieces merged
-    at the end."""
-    def per_piece(words, sizes):
-        return [_distinct(part) for part in np.split(words, np.cumsum(sizes[:-1]))]
-
+    fewer than the words.  Each stage goes through `_distinct_images`, in
+    batches of at most _CHUNK words."""
     rotations = "C" in group
     perms = _coset_perms(n, group)
-    met: list[list[np.ndarray]] = []  # per array, the minima of its pieces
+
+    def least_rotations(words):
+        return _least_rotations(words, n) if rotations else words
+
+    def orbit_minima(words):
+        best = words.copy()
+        for perm in perms:
+            np.minimum(best, _coset_image(words, n, perm, rotations), out=best)
+        return best
+
+    necklaces = _distinct_images(sets, least_rotations)
+    return _distinct_images(necklaces, orbit_minima) if perms else necklaces
+
+
+def _distinct_images(sets, image) -> list[np.ndarray]:
+    """For each of the arrays of words, taken once in order, the distinct
+    images of its words, ascending.  image maps a uint32 array of words to
+    their images, one call per batch of `_batches`: many small arrays
+    share one batch, since n = 19 alone asks for 19 of them, and an array
+    larger than _CHUNK is split across batches, the distinct images of
+    its pieces merged at the end."""
+    found: list[list[np.ndarray]] = []  # per array, the images of its pieces
     for batch in _batches(sets):
         owners, pieces = zip(*batch)
-        words = np.concatenate(pieces).astype(np.uint32)
-        if rotations:
-            _least_rotations(words, n)
-        parts = per_piece(words, [p.size for p in pieces])
-        if perms:
-            words = np.concatenate(parts)
-            best = words.copy()
-            for perm in perms:
-                np.minimum(best, _coset_image(words, n, perm, rotations), out=best)
-            parts = per_piece(best, [p.size for p in parts])
+        images = image(np.concatenate(pieces).astype(np.uint32, copy=False))
+        parts = np.split(images, np.cumsum([p.size for p in pieces[:-1]]))
         for i, part in zip(owners, parts):
-            if i == len(met):
-                met.append([])
-            met[i].append(part)
-    return [found[0] if len(found) == 1 else _distinct(np.concatenate(found))
-            for found in met]
+            if i == len(found):
+                found.append([])
+            found[i].append(_distinct(part))
+    return [f[0] if len(f) == 1 else _distinct(np.concatenate(f)) for f in found]
 
 
 def _batches(sets):
