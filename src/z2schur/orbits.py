@@ -490,8 +490,7 @@ def _least_rotation(y: int, n: int) -> int:
     which positions j .. j + k - 1 are all '+', for k = 1, 2, ...: each
     step ANDs w with its rotation by one, and the last nonzero w marks the
     starts of the longest runs.  That is about log2 n steps for a random
-    word, and only the rotations at those starts are compared, where the
-    minimum over all n rotations compared n of them."""
+    word, and only the rotations at those starts are compared."""
     mask = (1 << n) - 1
     if y in (0, mask):
         return y
