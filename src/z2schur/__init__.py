@@ -26,11 +26,9 @@ from .weight_ring import (
     QuantityVector,
     WeightClassSet,
     class_product,
-    class_size,
     even_odd_unions,
     is_sgroup,
     structure_constant_closed,
-    structure_constant_oracle,
     verify_ring,
 )
 from .ssets import (
@@ -39,32 +37,25 @@ from .ssets import (
     count_theorem_checks,
     find_complete_ssets,
     maximal_target_weights,
-    member_interval,
     predicted_profile,
 )
 from .orbits import (
     GROUPS,
     Orbit,
     burnside_count,
-    canonical_rep,
     census,
     classify,
-    cyclic_period,
     enumerate_orbits,
     fd_partition,
     fd_partition_check,
     invariance_check,
     necklace_count,
-    orbit_members,
     orbit_product_decomposition,
     spartition_axiom_check,
     square_freeness_check,
 )
 from .autocorr import (
     AutocorrVector,
-    cross_sum_identity,
-    cross_theta,
-    decimation_permutes,
     flat_offpeak,
     periodic_autocorrelation,
     periodic_correlation,

@@ -78,10 +78,6 @@ def theta(x: BinarySequence) -> AutocorrVector:
     )
 
 
-def cross_theta(x: BinarySequence, y: BinarySequence) -> tuple[int, ...]:
-    return tuple(periodic_correlation(x, y, k) for k in range(x.n))
-
-
 def flat_offpeak_indices(words: np.ndarray, n: int, level: int = 0) -> np.ndarray:
     """Indices of the packed length-n words with P(k) = level at every k != 0.
 
@@ -118,24 +114,6 @@ def sum_identity(x: BinarySequence) -> dict:
     expected = (2 * a - x.n) ** 2
     return {"n": x.n, "weight": a, "sum": total, "expected": expected,
             "ok": total == expected}
-
-
-def cross_sum_identity(x: BinarySequence, y: BinarySequence) -> dict:
-    """sum_k P_{X,Y}(k) = (2a - n)(2b - n) for weights a, b."""
-    a, b = x.weight, y.weight
-    total = sum(periodic_correlation(x, y, k) for k in range(x.n))
-    expected = (2 * a - x.n) * (2 * b - x.n)
-    return {"n": x.n, "weights": (a, b), "sum": total, "expected": expected,
-            "ok": total == expected}
-
-
-def decimation_permutes(x: BinarySequence, r: int) -> bool:
-    """P_{d_r X}(i) = P_X(ri mod n)."""
-    t = theta(x).values
-    dx = x.decimate(r)
-    return all(
-        periodic_autocorrelation(dx, i) == t[(r * i) % x.n] for i in range(x.n)
-    )
 
 
 def verify_identities(n: int) -> dict:

@@ -21,11 +21,10 @@ u a unit, which sends x to rotate(d_u x, s); `affine_group` lists each
 group as those pairs (u, s) in closed form, with no closure over the
 generators.
 
-Orbit enumeration runs three independent engines.  The scalar engine
-handles one orbit at a time, on the pairs: `orbit_members` and
-`canonical_rep` take every image of x, and `classify` decides the whole
-orbit from x and its decimations d_u x, permuting the string of x once
-per unit u and doing the rest with integer rotations.  With the
+Orbit enumeration runs three engines.  The scalar engine, `classify`,
+handles one orbit at a time, on the pairs: it decides the whole orbit
+from x and its decimations d_u x, permuting the string of x once per
+unit u and doing the rest with integer rotations.  With the
 rotations it builds no member set: by G = C K (K the stabiliser of
 position 0, decimations d_m) the orbit is the disjoint union of the
 rotation classes of the d_m x, each of size p, the period of x, since
@@ -77,7 +76,6 @@ from .errors import ScaleExceeded
 from .sequences import (
     BinarySequence,
     check_positive_length,
-    decimate_bits,
     decimation_perm,
     divisors,
     fixed_words,
@@ -333,40 +331,7 @@ def _self_mapped(canon: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]
     return words[fixed], fixed
 
 
-def _imager(x: BinarySequence):
-    """g -> g x for affine pairs g = (u, s): x is decimated once per
-    multiplier u asked for, and each image is then an integer rotation."""
-    decimated: dict[int, int] = {}
-
-    def image(g: tuple[int, int]) -> int:
-        u, s = g
-        if u not in decimated:
-            decimated[u] = decimate_bits(x.bits, x.n, u)
-        return rotate_bits(decimated[u], x.n, s)
-
-    return image
-
-
-def canonical_rep(x: BinarySequence, group: str = "C") -> BinarySequence:
-    """Least orbit member in packed order, which is least in sign-string
-    lexicographic order ('+' < '-')."""
-    return BinarySequence(x.n, min(map(_imager(x), affine_group(x.n, group))))
-
-
-def orbit_members(x: BinarySequence, group: str = "C") -> list[BinarySequence]:
-    bits = sorted(set(map(_imager(x), affine_group(x.n, group))))
-    return [BinarySequence(x.n, b) for b in bits]
-
-
 # ----------------------------------------------------------- one orbit
-
-def cyclic_period(x: BinarySequence) -> int:
-    """Least d | n with rotate(X, d) = X; the rotation orbit has size d."""
-    for d in divisors(x.n):
-        if rotate_bits(x.bits, x.n, d) == x.bits:
-            return d
-    raise AssertionError("unreachable: period n always matches")
-
 
 def periods_array(arr: np.ndarray, n: int) -> np.ndarray:
     """Least rotation period of every packed sequence in arr.

@@ -20,9 +20,9 @@ tuples that `fixed_words` and the array kernels take; the orbit module
 names group elements by affine pairs instead and builds a tuple only
 for the array kernels and the cycle counts.  `permute_bits` applies one permutation
 to a single packed word by reordering its n-digit binary string, which
-needs no per-permutation state: `decimate_bits` runs on it, once per
-multiplier of `canonical_rep` and `orbit_members`, and tables built per
-permutation would rarely be reused there.  `orbits.classify`, which
+needs no per-permutation state: `decimate_bits` runs on it for
+`BinarySequence.decimate`, one word at a time, where tables built per
+permutation would rarely be reused.  `orbits.classify`, which
 decimates by every unit on each call, keeps one getter per unit and
 length instead, applied to one binary string per call.
 `permute_bits_array` applies one to a numpy array of words, n <= 64, by
@@ -112,21 +112,27 @@ def fixed_words(n: int, perm: tuple[int, ...], negated: bool = False) -> np.ndar
 
     A fixed word is constant on each cycle of perm, so it is a union of
     cycle masks.  A negated one alternates along each cycle, so it takes
-    the even steps of every cycle, XOR any union of cycle masks; an odd
+    the odd steps of every cycle, XOR any union of cycle masks; an odd
     cycle admits none.  Refuses more than 22 cycles (4M words).
+
+    The words fill one array of 2^c words, c the number of cycles, with
+    no sort: a cycle's top bit is its least position, so taken from the
+    last cycle to the first the masks rise in top bit, and each doubling
+    ORs a mask above every earlier word onto the words so far.  The odd
+    steps never hold a cycle's top bit, so XORing them keeps the order.
     """
     cycles = perm_cycles(perm)
     if len(cycles) > 22:
         raise ScaleExceeded(f"permutation of {n} positions has {len(cycles)} cycles")
     if negated and any(len(c) % 2 for c in cycles):
         return np.empty(0, dtype=np.uint64)
-    out = np.zeros(1, dtype=np.uint64)
-    for cycle in cycles:
+    out = np.zeros(1 << len(cycles), dtype=np.uint64)
+    for i, cycle in enumerate(reversed(cycles)):
         mask = np.uint64(sum(1 << (n - 1 - j) for j in cycle))
-        out = np.concatenate([out, out | mask])
+        np.bitwise_or(out[:1 << i], mask, out=out[1 << i:2 << i])
     if negated:
-        out ^= np.uint64(sum(1 << (n - 1 - j) for c in cycles for j in c[::2]))
-    return np.sort(out)
+        out ^= np.uint64(sum(1 << (n - 1 - j) for c in cycles for j in c[1::2]))
+    return out
 
 
 def permute_bits(bits: int, n: int, perm: tuple[int, ...]) -> int:

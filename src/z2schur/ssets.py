@@ -85,13 +85,6 @@ def find_complete_ssets(n: int, a: int) -> list[CompleteSSet]:
     return out
 
 
-def member_interval(n: int, a: int) -> tuple[int, int]:
-    """Every member weight of a complete S-set lies in this closed interval."""
-    if (n - a) % 2:
-        raise InvalidWeight(f"no complete S-sets exist for n={n}, a={a}")
-    return ((n - a) // 2, (n + a) // 2)
-
-
 def predicted_profile(n: int, a: int) -> dict:
     """Count and orders claimed by the counting rule.
 

@@ -12,8 +12,12 @@ ones: transform the 0/1 indicator rows of the two classes, multiply,
 transform back and divide by 2^n.  The transform uses only the +-1
 characters (-1)^popcount(u & z) of Z_2^n, never a binomial or Krawtchouk
 value, so it is independent of the closed forms it checks.  One batched
-kernel serves every class pair of an n; `group_cells` reads the least and
-greatest count of each class, equal when the S-ring axiom holds.
+kernel serves every class pair of an n.  `group_cells` sorts the words
+of Z_2^n by weight once per n: each class's slice of that order sets its
+indicator row, and the same order reads the least and greatest count of
+each class, equal when the S-ring axiom holds.  `class_members_bits`
+lists a class on its own, by Gosper's hack, for the block searches of
+`hadamard`.
 `orbits.spartition_axiom_check` shares `group_cells` for its own cells.
 
 Complement symmetry.  Complementing every sign, x -> ~x = x XOR 1...1, maps
@@ -47,8 +51,6 @@ ORACLE_MAX_N = 16
 # Words per batch of class pairs in the kernel: 8 MB per float64 buffer.
 _BATCH_WORDS = 1 << 20
 
-_popcount = np.bitwise_count
-
 
 def _binom0(m: int, t: int) -> int:
     return comb(m, t) if 0 <= t <= m else 0
@@ -57,11 +59,6 @@ def _binom0(m: int, t: int) -> int:
 def _check_weight(n: int, k: int) -> None:
     if not -1 <= k <= n:
         raise InvalidWeight(f"weight {k} outside [-1, {n}]")
-
-
-def class_size(n: int, k: int) -> int:
-    _check_weight(n, k)
-    return 0 if k == -1 else comb(n, k)
 
 
 def gosper_next(v: int) -> int:
@@ -88,15 +85,6 @@ def class_members_bits(n: int, k: int) -> Iterator[int]:
     while v < limit:
         yield v
         v = gosper_next(v)
-
-
-def class_members_array(n: int, k: int) -> np.ndarray:
-    """Members of G_n(k) ascending, as int64 so XOR products feed bincount."""
-    _check_weight(n, k)
-    if k == -1:
-        return np.empty(0, dtype=np.int64)
-    x = np.arange(1 << n, dtype=np.int64)
-    return x[_popcount(x) == n - k]
 
 
 def group_cells(cell_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,21 +203,24 @@ def _walsh_hadamard(rows: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
-def _word_multiplicities(n: int, pairs: list[tuple[int, int]]
+def _word_multiplicities(n: int, pairs: list[tuple[int, int]],
+                         classes: dict[int, np.ndarray]
                          ) -> Iterator[tuple[list, np.ndarray]]:
     """The multiplicity of every word of Z_2^n in G_n(a) * G_n(b), for each
     pair in order: batches of pairs, each with an int64 array of shape
     (len(batch), 2^n), one row per pair, at most _BATCH_WORDS words.
+    classes[k] holds the words of G_n(k), for -1 <= k <= n.
 
     The characters of Z_2^n turn XOR convolution into a product: the
     transform of the indicator rows of G_n(a) and G_n(b), multiplied
     entrywise and transformed again, is 2^n times the count of each word.
     """
-    classes = sorted({k for pair in pairs for k in pair})
-    row_of = {k: i for i, k in enumerate(classes)}
-    spectra = np.zeros((len(classes), 1 << n))
-    for k, row in zip(classes, spectra):
-        row[class_members_array(n, k)] = 1.0
+    weights = sorted({k for pair in pairs for k in pair})
+    row_of = {k: i for i, k in enumerate(weights)}
+    spectra = np.zeros((len(weights), 1 << n))
+    for k, row in zip(weights, spectra):
+        _check_weight(n, k)
+        row[classes[k]] = 1.0
     _walsh_hadamard(spectra, n)
     per_batch = max(1, _BATCH_WORDS >> n)
     for start in range(0, len(pairs), per_batch):
@@ -252,9 +243,10 @@ def _product_tables(n: int, pairs: list[tuple[int, int]]) -> list[QuantityVector
     check_positive_length(n)
     if n > ORACLE_MAX_N:
         raise ScaleExceeded(f"oracle capped at n <= {ORACLE_MAX_N}, got {n}")
-    order, starts = group_cells(n - _popcount(np.arange(1 << n)))
+    order, starts = group_cells(n - np.bitwise_count(np.arange(1 << n)))
+    classes = {-1: order[:0]} | dict(enumerate(np.split(order, starts[1:])))
     tables = []
-    for batch, counts in _word_multiplicities(n, pairs):
+    for batch, counts in _word_multiplicities(n, pairs, classes):
         counts = counts[:, order]
         los = np.minimum.reduceat(counts, starts, axis=1)
         his = np.maximum.reduceat(counts, starts, axis=1)
@@ -274,12 +266,6 @@ def product_multiplicity_table(n: int, a: int, b: int) -> QuantityVector:
     """Brute-force multiset G_n(a) * G_n(b) as per-class multiplicities,
     checked uniform on every class; refuses n < 1 and n > ORACLE_MAX_N."""
     return _product_tables(n, [(a, b)])[0]
-
-
-def structure_constant_oracle(n: int, i: int, j: int, k: int) -> int:
-    """lambda_{i,j,k} recomputed by enumeration, in the T_i = G_n(n-i) indexing."""
-    table = product_multiplicity_table(n, n - i, n - j)
-    return table.coeffs[n - k]
 
 
 # A reproduce-paper pass asks for 968 + 179 = 1147 keys: every pair a <= b

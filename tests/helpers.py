@@ -49,10 +49,15 @@ def str_negate(s: str) -> str:
     return "".join("-" if c == "+" else "+" for c in s)
 
 
-def str_autocorr(s: str, k: int) -> int:
+def str_cross(s: str, t: str, k: int) -> int:
     n = len(s)
-    vals = [1 if c == "+" else -1 for c in s]
-    return sum(vals[j] * vals[(j + k) % n] for j in range(n))
+    vs = [1 if c == "+" else -1 for c in s]
+    vt = [1 if c == "+" else -1 for c in t]
+    return sum(vs[j] * vt[(j + k) % n] for j in range(n))
+
+
+def str_autocorr(s: str, k: int) -> int:
+    return str_cross(s, s, k)
 
 
 def str_period(s: str) -> int:

@@ -9,9 +9,6 @@ from z2schur import autocorr
 from z2schur.autocorr import (
     AutocorrVector,
     correlation_rows,
-    cross_sum_identity,
-    cross_theta,
-    decimation_permutes,
     flat_offpeak,
     flat_offpeak_indices,
     periodic_autocorrelation,
@@ -25,7 +22,15 @@ from z2schur.autocorr import VERIFY_MAX_N
 from z2schur.errors import InvalidLength, LengthMismatch, ScaleExceeded
 from z2schur.hadamard import paley_core
 from z2schur.sequences import BinarySequence, make_sequence, sign_rows, units
-from helpers import peak_traced_mb, str_autocorr, str_negate, str_permute, str_rotate
+from helpers import (
+    peak_traced_mb,
+    str_autocorr,
+    str_cross,
+    str_decimate,
+    str_negate,
+    str_permute,
+    str_rotate,
+)
 
 signs = st.text(alphabet="+-", min_size=1, max_size=16)
 
@@ -40,11 +45,7 @@ def test_cross_correlation_matches_string_oracle(s, data):
     t = data.draw(st.text(alphabet="+-", min_size=len(s), max_size=len(s)))
     k = data.draw(st.integers(0, len(s)))
     x, y = make_sequence(s), make_sequence(t)
-    vx = [1 if c == "+" else -1 for c in s]
-    vy = [1 if c == "+" else -1 for c in t]
-    n = len(s)
-    want = sum(vx[j] * vy[(j + k) % n] for j in range(n))
-    assert periodic_correlation(x, y, k) == want
+    assert periodic_correlation(x, y, k) == str_cross(s, t, k)
 
 
 def test_cross_correlation_length_mismatch():
@@ -148,16 +149,22 @@ def test_sum_identity(s):
 
 @given(signs, st.data())
 def test_cross_sum_identity(s, data):
+    # sum_k P_{X,Y}(k) = (2a - n)(2b - n) for weights a, b.
     t = data.draw(st.text(alphabet="+-", min_size=len(s), max_size=len(s)))
-    assert cross_sum_identity(make_sequence(s), make_sequence(t))["ok"]
+    x, y = make_sequence(s), make_sequence(t)
+    total = sum(periodic_correlation(x, y, k) for k in range(x.n))
+    assert total == (2 * x.weight - x.n) * (2 * y.weight - x.n)
+    assert total == sum(str_cross(s, t, k) for k in range(x.n))
 
 
 @given(st.integers(1, 16), st.data())
 def test_decimation_permutes_autocorrelation(n, data):
-    bits = data.draw(st.integers(0, (1 << n) - 1))
+    # P_{d_r X}(i) = P_X(ri mod n), on the string oracles.
+    s = data.draw(st.text(alphabet="+-", min_size=n, max_size=n))
     r = data.draw(st.sampled_from(units(n)))
-    x = make_sequence(format(bits, f"0{n}b").translate(str.maketrans("01", "+-")))
-    assert decimation_permutes(x, r)
+    dx = make_sequence(str_decimate(s, r))
+    assert [periodic_autocorrelation(dx, i) for i in range(n)] == \
+        [str_autocorr(s, r * i % n) for i in range(n)]
 
 
 @given(signs)
@@ -170,10 +177,11 @@ def test_invariance_under_symmetries(s):
 
 
 def test_cross_theta_shape():
+    # The cross-correlation vector of two rotations of one word is its
+    # autocorrelation vector, rotated.
     x, y = make_sequence("++-+"), make_sequence("+-++")
-    vals = cross_theta(x, y)
-    assert len(vals) == 4
-    assert vals[1] == periodic_correlation(x, y, 1)
+    assert [periodic_correlation(x, y, k) for k in range(4)] == [0, 0, 0, 4]
+    assert [str_cross("++-+", "+-++", k) for k in range(4)] == [0, 0, 0, 4]
 
 
 def test_verify_identities_exhaustive_small():
@@ -300,7 +308,8 @@ def scalar_trials(n, trials=1000, seed=0, rng=None):
         vec = theta(x)  # peak, symmetry, and even-n mod 4 enforced here
         if sum(vec.values) != (2 * x.weight - n) ** 2:
             violations.append({"kind": "sum", "trial": t})
-        if not cross_sum_identity(x, y)["ok"]:
+        if sum(periodic_correlation(x, y, j) for j in range(n)) != \
+                (2 * x.weight - n) * (2 * y.weight - n):
             violations.append({"kind": "cross_sum", "trial": t})
         k = rng.randrange(1, n)
         if periodic_autocorrelation(x.rotate(1), k) != vec[k]:
@@ -310,7 +319,8 @@ def scalar_trials(n, trials=1000, seed=0, rng=None):
         if periodic_autocorrelation(-x, k) != vec[k]:
             violations.append({"kind": "negation", "trial": t, "k": k})
         r = rng.choice(mults)
-        if not decimation_permutes(x, r):
+        dx = x.decimate(r)
+        if any(periodic_autocorrelation(dx, i) != vec[r * i % n] for i in range(n)):
             violations.append({"kind": "decimation", "trial": t, "r": r})
     return {"n": n, "trials": trials, "seed": seed, "violations": violations,
             "ok": not violations}
@@ -474,7 +484,7 @@ def test_correlation_rows_is_exact_or_raises():
         assert cross.dtype == np.int64
         for i, (a, b) in enumerate(zip(xs, ys)):
             x, y = BinarySequence(n, a), BinarySequence(n, b)
-            assert cross[i].tolist() == list(cross_theta(x, y))
+            assert cross[i].tolist() == [periodic_correlation(x, y, k) for k in range(n)]
             assert auto[i].tolist() == list(theta(x).values)
     with pytest.raises(FloatingPointError):
         correlation_rows(np.array([[0.5, 0.0, 0.0, 0.0]]))

@@ -1,6 +1,7 @@
 """Package boundaries: modules reach each other only through public names,
-importing the package loads no process machinery and no numpy.fft, and
-every function the benchmark tracer wraps still exists."""
+importing the package loads no process machinery and no numpy.fft, every
+function the benchmark tracer wraps still exists, and every exported
+name has a reader."""
 
 import ast
 import importlib.util
@@ -77,13 +78,18 @@ def test_import_leaves_numpy_fft_unloaded():
     assert loaded_after_import(("numpy.fft",)) == "[]"
 
 
-def test_tracer_targets_exist_and_are_restored():
-    """`perfbench/run.py --trace 1` and `--smoke` wrap these functions by
-    name and break when one is renamed or removed."""
+def _tracer_targets():
+    """The (module, attribute) pairs that the benchmark tracer wraps."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    targets = [(module, attr) for module, attr, *_ in tracing.SPANNED + tracing.COUNTED]
+    return tracing, [(module, attr) for module, attr, *_ in tracing.SPANNED + tracing.COUNTED]
+
+
+def test_tracer_targets_exist_and_are_restored():
+    """`perfbench/run.py --trace 1` and `--smoke` wrap these functions by
+    name and break when one is renamed or removed."""
+    tracing, targets = _tracer_targets()
     missing = [f"{m.__name__}.{a}" for m, a in targets if not hasattr(m, a)]
     assert missing == []
     originals = [getattr(m, a) for m, a in targets]
@@ -95,3 +101,41 @@ def test_tracer_targets_exist_and_are_restored():
         tracer.remove()
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert [getattr(m, a) for m, a in targets] == originals
+
+
+# Exported with no reader in src/, each for a stated reason.
+EXPORT_ALLOWLIST = {
+    "enumerate_orbits": "the at-scale oracle of classify, with every orbit's size",
+    "spartition_axiom_check": "the oracle that the S-ring criterion will stand on",
+    "orbit_product_decomposition": "a refuted claim, kept until a criterion pins it",
+}
+
+
+def _exports() -> dict[str, str]:
+    """Each name that __init__ re-exports, with the module it comes from."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name: node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def _read_names(path: Path) -> set[str]:
+    """Every name the module reads as a bare name or an attribute; a
+    definition binds its name without reading it, and docstrings are
+    strings, not names."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_export_has_a_reader():
+    """An exported name is read somewhere in src/ besides its own
+    definition and the re-export, or the benchmark tracer wraps it, or it
+    is allowlisted with its reason."""
+    read = set().union(*(_read_names(p) for p in PACKAGE.glob("*.py")
+                         if p.name != "__init__.py"))
+    traced = {attr for _, attr in _tracer_targets()[1]}
+    unread = sorted(name for name in _exports()
+                    if name not in read | traced | EXPORT_ALLOWLIST.keys())
+    assert unread == []
+    assert set(EXPORT_ALLOWLIST) <= _exports().keys() - read - traced

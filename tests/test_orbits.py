@@ -17,16 +17,13 @@ from z2schur.orbits import (
     asym_square_check,
     burnside_count,
     canonical_array,
-    canonical_rep,
     census,
     classify,
-    cyclic_period,
     enumerate_orbits,
     fd_partition,
     fd_partition_check,
     invariance_check,
     necklace_count,
-    orbit_members,
     orbit_product_decomposition,
     spartition_axiom_check,
     square_freeness_check,
@@ -137,9 +134,8 @@ def test_affine_group_rejects_unknown_groups():
 def test_orbit_functions_reject_unknown_groups(group):
     # Codes holding "C" passed the rotation-only checks and ran as "DC".
     x = BinarySequence(6, 0b001011)
-    calls = [lambda: classify(x, group), lambda: canonical_rep(x, group),
-             lambda: census(6, group), lambda: canonical_array(6, group),
-             lambda: list(enumerate_orbits(6, group))]
+    calls = [lambda: classify(x, group), lambda: census(6, group),
+             lambda: canonical_array(6, group), lambda: list(enumerate_orbits(6, group))]
     for call in calls:
         with pytest.raises(ValueError):
             call()
@@ -155,25 +151,32 @@ def test_group_membership_matches_the_pair_lists():
             assert all(ob._in_group(n, group, h) == (h in pairs) for h in every), (n, group)
 
 
-def test_canonical_rep_is_least_string():
-    assert str(canonical_rep(make_sequence("---+"), "C")) == "+---"
-    assert str(canonical_rep(make_sequence("-+-+"), "HC")) == "+-+-"
+def _members(x, group):
+    # Every member of the orbit of x, ascending: x permuted by every
+    # element of the generator closure.
+    return sorted({permute_bits(x.bits, x.n, p) for p in group_closure(x.n, group)})
+
+
+def test_classify_rep_is_least_string():
+    assert str(classify(make_sequence("---+"), "C").representative) == "+---"
+    assert str(classify(make_sequence("-+-+"), "HC").representative) == "+-+-"
 
 
 @given(signs, st.sampled_from(GROUPS))
-def test_canonical_rep_constant_on_orbit(s, group):
+def test_classify_rep_constant_on_orbit(s, group):
     x = make_sequence(s)
-    rep = canonical_rep(x, group)
-    for member in orbit_members(x, group):
-        assert canonical_rep(member, group) == rep
-    assert str(rep) == min(str(m) for m in orbit_members(x, group))
+    members = [BinarySequence(x.n, m) for m in _members(x, group)]
+    for member in members:
+        assert classify(member, group).rep == members[0].bits
+    assert str(classify(x, group).representative) == min(str(m) for m in members)
 
 
 @given(signs)
 def test_cyclic_orbit_matches_string_oracle(s):
-    got = {str(m) for m in orbit_members(make_sequence(s), "C")}
+    x = make_sequence(s)
+    got = {str(BinarySequence(x.n, m)) for m in _members(x, "C")}
     assert got == cyclic_orbit(s)
-    assert cyclic_period(make_sequence(s)) == str_period(s)
+    assert str(classify(x, "C").representative) == min(cyclic_orbit(s))
 
 
 @given(signs)
@@ -194,16 +197,11 @@ def test_classify_flags_match_string_oracle(s):
     assert tuple(r for r in o.delta_invariant if r != 1) == expect_fixed
 
 
-@lru_cache(maxsize=None)
-def _closure(n, group):
-    return group_closure(n, group)
-
-
 def _walk_every_member(x, group):
     # Every member built from every group element, every flag tested on
     # every member.
     n = x.n
-    members = sorted({permute_bits(x.bits, n, p) for p in _closure(n, group)})
+    members = _members(x, group)
     memberset = set(members)
     mask = (1 << n) - 1
     decimated = {r: [(t, decimate_bits(t, n, r)) for t in members] for r in units(n)}
@@ -212,7 +210,7 @@ def _walk_every_member(x, group):
         rep=members[0],
         group=group,
         size=len(members),
-        period=cyclic_period(x),
+        period=str_period(format(x.bits, f"0{n}b")),
         symmetric=any(reverse_bits(t, n) == t for t in memberset),
         antisymmetric=any(reverse_bits(t, n) == t ^ mask for t in memberset),
         reversal_closed=all(reverse_bits(t, n) in memberset for t in memberset),
@@ -424,9 +422,10 @@ def _records(n, group):
 def test_scalar_engine_matches_vector_engine(n_bits, group):
     n, bits = n_bits
     x = BinarySequence(n, bits)
-    rep = canonical_rep(x, group)
-    assert rep.bits == int(_canon(n, group)[bits])
-    direct, record = classify(x, group), _records(n, group)[rep.bits]
+    rep = _members(x, group)[0]
+    assert rep == int(_canon(n, group)[bits])
+    direct, record = classify(x, group), _records(n, group)[rep]
+    assert direct.rep == rep
     for field in ("size", "period", "symmetric", "antisymmetric",
                   "reversal_closed", "delta_invariant", "delta_closed"):
         assert getattr(direct, field) == getattr(record, field), field
@@ -591,7 +590,7 @@ def test_canonical_array_sampled_at_twenty():
     for group in ("C", "HC", "HDC"):
         canon = canonical_array(20, group)
         for bits in xs:
-            assert canonical_rep(BinarySequence(20, bits), group).bits == canon[bits]
+            assert _members(BinarySequence(20, bits), group)[0] == canon[bits]
 
 
 def test_census_at_twenty_two():
@@ -635,15 +634,19 @@ def test_whole_space_scans_stay_in_cache_sized_blocks():
     # representatives are collected block by block, with no sorted copy.
     # census keeps no table: it streams the representatives block by block,
     # makes one set of fixed words at a time and finds the orbits they meet
-    # in batches of at most _CHUNK words, about 1.4 MB at n = 20 and 4.5 MB
-    # at n = 24 (the 2^18 words that d_13 fixes), where the table alone is
-    # 64 MB.
+    # in batches of at most _CHUNK words, about 1.4 MB at n = 20 and 3.8 MB
+    # at n = 24 (2 MB of it the 2^18 words that d_13 fixes), where the table
+    # alone is 64 MB.
     assert peak_traced_mb(lambda: canonical_array(20, "C")) < 4 + 2
     assert peak_traced_mb(lambda: canonical_array(20, "HDC")) < 4 + 2
     assert peak_traced_mb(lambda: fd_partition(20)) < 2
     assert peak_traced_mb(lambda: census(20, "C")) < 3
     assert peak_traced_mb(lambda: census(24, "C")) < 6
     assert peak_traced_mb(lambda: invariance_check(20)) < 4 + 3
+    # fixed_words fills its one array of 2^c words in place, with no
+    # concatenated halves and no sorted copy: 16 MB for the 2^21 words
+    # that d_15 fixes at n = 28.
+    assert peak_traced_mb(lambda: fixed_words(28, decimation_perm(28, 15))) < 20
     # square_freeness_check grows the Lyndon words in blocks of at most
     # _CHUNK words and keeps only the failing ones, so it holds no array
     # of them all.
@@ -687,8 +690,8 @@ def test_square_freeness_breaks_at_fifteen():
     assert rep["violations"][0] == {"x": "++++++--+---+--", "a": 3}
     assert len(rep["violations"]) == 60
     x = make_sequence("++++++--+---+--")
-    assert cyclic_period(x) == 15
-    assert cyclic_period(x * x.rotate(3)) == 5
+    assert str_period(str(x)) == 15
+    assert str_period(str(x * x.rotate(3))) == 5
 
 
 def test_square_freeness_counts_past_the_witness_cap():

@@ -1,13 +1,9 @@
-import pytest
-
-from z2schur.errors import InvalidWeight
 from z2schur.ssets import (
     CompleteSSet,
     complete_maximal,
     count_theorem_checks,
     find_complete_ssets,
     maximal_target_weights,
-    member_interval,
     predicted_profile,
 )
 from z2schur.weight_ring import class_product
@@ -60,15 +56,17 @@ def test_every_found_set_is_maximal():
 def test_members_stay_inside_the_interval():
     for n in range(2, 15):
         for a in range(n % 2, n + 1, 2):
-            lo, hi = member_interval(n, a)
-            assert (lo, hi) == ((n - a) // 2, (n + a) // 2)
             for s in find_complete_ssets(n, a):
-                assert all(lo <= m <= hi for m in s.members)
+                assert all((n - a) // 2 <= m <= (n + a) // 2 for m in s.members)
 
 
-def test_member_interval_rejects_odd_gap():
-    with pytest.raises(InvalidWeight):
-        member_interval(5, 2)
+def test_an_odd_gap_has_no_complete_ssets():
+    # Every product weight is congruent to n - b - c mod 2, so a target
+    # weight a with n - a odd lies in no square G_n(b) * G_n(b).
+    for n in range(1, 15):
+        for a in range(1 - n % 2, n + 1, 2):
+            assert find_complete_ssets(n, a) == [], (n, a)
+            assert predicted_profile(n, a) == {"count": 0, "orders": []}
 
 
 def test_parity_split_is_real():

@@ -15,15 +15,14 @@ from z2schur.weight_ring import (
     class_members_bits,
     class_product,
     class_product_oracle,
-    class_size,
     even_odd_unions,
     is_sgroup,
     product_multiplicity_table,
     structure_constant_closed,
-    structure_constant_oracle,
     verify_ring,
 )
 from helpers import (
+    class_array,
     class_members_recursive,
     peak_traced_mb,
     product_table,
@@ -32,10 +31,12 @@ from helpers import (
 
 
 def test_class_size_is_binomial():
+    # The weight cells that the ring's kernel reads its classes from.
     for n in range(1, 10):
-        for k in range(n + 1):
-            assert class_size(n, k) == comb(n, k)
-    assert class_size(3, -1) == 0
+        order, starts = wr.group_cells(n - np.bitwise_count(np.arange(1 << n)))
+        sizes = np.diff(np.append(starts, order.size))
+        assert sizes.tolist() == [comb(n, k) for k in range(n + 1)]
+    assert list(class_members_bits(3, -1)) == []
 
 
 def test_class_members_sorted_and_complete():
@@ -72,7 +73,7 @@ def test_structure_constants_match_oracle_exhaustively():
     for n in range(1, 9):
         for i, j, k in iproduct(range(n + 1), repeat=3):
             assert structure_constant_closed(n, i, j, k) == \
-                structure_constant_oracle(n, i, j, k)
+                product_table(n, n - i, n - j)[n - k]
 
 
 @given(st.integers(1, 10), st.data())
@@ -80,7 +81,7 @@ def test_multiplicity_table_mass(n, data):
     a = data.draw(st.integers(0, n))
     b = data.draw(st.integers(0, n))
     table = product_multiplicity_table(n, a, b)
-    assert table.mass == class_size(n, a) * class_size(n, b)
+    assert table.mass == comb(n, a) * comb(n, b)
 
 
 @given(st.integers(1, 10), st.data())
@@ -231,7 +232,8 @@ def test_verify_ring_derived_tables_match_direct_enumeration(monkeypatch):
     real = wr._word_multiplicities
     calls = []
     monkeypatch.setattr(wr, "_word_multiplicities",
-                        lambda n, pairs: calls.append(list(pairs)) or real(n, pairs))
+                        lambda n, pairs, classes:
+                        calls.append(list(pairs)) or real(n, pairs, classes))
     for n in range(1, 13):
         half = n // 2
         calls.clear()
@@ -257,7 +259,8 @@ def test_word_multiplicities_match_the_outer_product_counts(monkeypatch, batch_w
         if batch_words is not None:
             monkeypatch.setattr(wr, "_BATCH_WORDS", batch_words << n)
         pairs = [(a, b) for a in range(-1, n + 1) for b in range(-1, n + 1)]
-        batches = list(wr._word_multiplicities(n, pairs))
+        classes = {k: class_array(n, k) for k in range(-1, n + 1)}
+        batches = list(wr._word_multiplicities(n, pairs, classes))
         assert [p for batch, _ in batches for p in batch] == pairs
         assert max(len(batch) for batch, _ in batches) == (batch_words or len(pairs))
         counts = np.concatenate([c for _, c in batches])
@@ -293,9 +296,12 @@ def _first_uneven_class(n, xs, ys):
 
 
 def _drop_first_member_of_class_2(monkeypatch):
-    real = wr.class_members_array
-    monkeypatch.setattr(wr, "class_members_array",
-                        lambda n, k: real(n, k)[1:] if k == 2 else real(n, k))
+    real = wr._word_multiplicities
+
+    def broken(n, pairs, classes):
+        return real(n, pairs, {k: c[1:] if k == 2 else c for k, c in classes.items()})
+
+    monkeypatch.setattr(wr, "_word_multiplicities", broken)
 
 
 def test_multiplicity_table_rejects_a_broken_partition(monkeypatch):
@@ -346,15 +352,13 @@ def test_oracles_refuse_lengths_below_one():
             product_multiplicity_table(n, a, b)
         with pytest.raises(InvalidLength):
             class_product_oracle(n, a, b)
-        with pytest.raises(InvalidLength):
-            structure_constant_oracle(n, n - a, n - b, n)
 
 
 def test_scale_and_weight_guards():
     with pytest.raises(InvalidWeight):
         class_product(4, 5, 1)
     with pytest.raises(InvalidWeight):
-        class_size(3, -2)
+        list(class_members_bits(3, -2))
     with pytest.raises(ScaleExceeded):
         product_multiplicity_table(wr.ORACLE_MAX_N + 1, 2, 2)
     with pytest.raises(ScaleExceeded):
