@@ -50,7 +50,6 @@ from helpers import (
     str_decimate,
     str_period,
     str_reverse,
-    str_rotate,
     table_census,
     word_periods,
 )

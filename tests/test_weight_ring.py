@@ -359,6 +359,9 @@ def test_scale_and_weight_guards():
         class_product(4, 5, 1)
     with pytest.raises(InvalidWeight):
         list(class_members_bits(3, -2))
+    for a, b in ((7, 0), (0, -2)):
+        with pytest.raises(InvalidWeight):
+            product_multiplicity_table(6, a, b)
     with pytest.raises(ScaleExceeded):
         product_multiplicity_table(wr.ORACLE_MAX_N + 1, 2, 2)
     with pytest.raises(ScaleExceeded):
