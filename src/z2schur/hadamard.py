@@ -263,7 +263,7 @@ class SearchResult:
             "found": list(self.found),
             "candidates_tested": self.candidates_tested,
             "runtime_ms": self.runtime_ms,
-            # Kept until ROADMAP item 5 regenerates perfbench/frozen/.
+            # Kept until ROADMAP item 11 regenerates perfbench/frozen/.
             "workers": 1,
         }
 

@@ -45,12 +45,13 @@ first, by word rotations on the words that two necklace symmetries
 (x -> x >> 1 for even x, and the left rotation 2x + 1 - 2^n for odd x
 with top bit 1) do not already decide, then one table lookup per coset
 representative of C, a decimation possibly times a reflection, applied
-to the rotation orbits' least members.  Its table has one row per orbit, keyed by the
-words the canon fixes, and answers every "which orbit holds this word?"
-by a rank in a bitmap of those words, two gathers and a popcount with no
-search; the symmetric, antisymmetric and decimation-invariant orbits are
-those that meet Fix(R), the words R negates, or Fix(d_r)
-(`sequences.fixed_words`).  Only `enumerate_orbits` counts orbit sizes.
+to the rotation orbits' least members.  canon[x] is the least member q
+of x's orbit, so it keys every per-orbit flag with no second table: a
+flag lives at q in a 2^n array, and "which orbit holds this word?" is
+one gather.  The symmetric, antisymmetric and decimation-invariant
+orbits are those that meet Fix(R), the words R negates, or Fix(d_r)
+(`sequences.fixed_words`), marked at canon of those words.  Only
+`enumerate_orbits` counts orbit sizes.
 The stream engine, which `census` and `square_freeness_check` use, holds
 no 2^n table: it grows the necklaces (or the Lyndon words) a letter at a
 time as prenecklaces, by the fundamental theorem of necklaces of Ruskey,
@@ -58,7 +59,7 @@ Savage and Wang, in blocks of at most _CHUNK words with no rotation and
 no filter; `census` then filters each block down to the least member of
 each orbit, and finds the orbits that the fixed words meet from those
 words alone.
-Counts go through the stream, lookups through the table.  Burnside and
+Counts go through the stream, lookups through the canon.  Burnside and
 necklace counts give third-party totals to check the engines against.
 """
 
@@ -86,7 +87,6 @@ from .sequences import (
     rotate_bits_array,
     units,
 )
-from .weight_ring import group_cells
 
 MAX_ENUM_N = 24
 # Words per block of a whole-space scan: 256 KB of uint32, so a block and
@@ -306,7 +306,7 @@ def canonical_array(n: int, group: str = "C") -> np.ndarray:
     if not coset_reps:
         return canon
     for start in range(0, canon.size, _CHUNK):
-        block = _self_mapped(canon, start)[0]
+        block = _self_mapped(canon, start)
         best = block.copy()
         for perm in coset_reps:
             np.minimum(best, canon[permute_bits_array(block, n, perm)], out=best)
@@ -323,12 +323,11 @@ def _word_blocks(size: int):
             for start in range(0, size, _CHUNK))
 
 
-def _self_mapped(canon: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+def _self_mapped(canon: np.ndarray, start: int) -> np.ndarray:
     """The words x in [start, start + _CHUNK) with canon[x] == x,
-    ascending, and the mask that picks them from the block."""
+    ascending."""
     words = np.arange(start, min(start + _CHUNK, canon.size), dtype=np.uint32)
-    fixed = canon[start:start + _CHUNK] == words
-    return words[fixed], fixed
+    return words[canon[start:start + _CHUNK] == words]
 
 
 # ----------------------------------------------------------- one orbit
@@ -558,50 +557,34 @@ def classify(x: BinarySequence, group: str = "C") -> Orbit:
     )
 
 
-# ----------------------------------------------------------- the table
+# ------------------------------------------------------ per-orbit flags
 
-def _orbit_table(n: int, group: str) -> dict:
-    """One row per orbit, ascending by `reps`: the words `canon` maps to
-    themselves, collected block by block, so nothing sorts the space.
-
-    The same pass packs the mask canon[x] == x into a bitmap, `marked`,
-    64 words to a uint64, and `through` counts the marked words up to the
-    end of each uint64 (a running sum of popcounts).  The row of the orbit
-    with least member q is the number of reps below q, so `_orbit_index`
-    reads it from one uint64 and one count.  `marked` takes 2^n / 8 bytes
-    and `through`, a uint32 since no count reaches 2^MAX_ENUM_N, 2^n / 16,
-    together 3/64 of the canon.  Sizes are left to `enumerate_orbits`."""
-    canon = canonical_array(n, group)
-    marked = np.zeros(-(-canon.size // 64), dtype="<u8")
-    packed = marked.view(np.uint8)
-    reps = []
-    for start in range(0, canon.size, _CHUNK):
-        block, fixed = _self_mapped(canon, start)
-        reps.append(block)
-        bits = np.packbits(fixed, bitorder="little")
-        packed[start // 8:start // 8 + bits.size] = bits
-    reps = np.concatenate(reps)
-    t = {"n": n, "group": group, "canon": canon, "reps": reps, "marked": marked,
-         "through": np.cumsum(np.bitwise_count(marked), dtype=np.uint32),
-         "periods": periods_array(reps, n)}
-    flip = reversal_perm(n)
-    t["sym"] = _meets(t, fixed_words(n, flip))
-    t["asym"] = _meets(t, fixed_words(n, flip, negated=True))
-    return t
+def _least_members(canon: np.ndarray) -> np.ndarray:
+    """The least member of every orbit, ascending: the words canon maps to
+    themselves, collected block by block, so nothing sorts the space."""
+    return np.concatenate([_self_mapped(canon, start) for start in range(0, canon.size, _CHUNK)])
 
 
-def _reversal_closed(t: dict) -> np.ndarray:
-    """Per table row, whether the reversal maps the orbit onto itself.
+def _marks(canon: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """A mask over the 2^n words, true at the least member of every orbit
+    that holds any of the words."""
+    hit = np.zeros(canon.size, dtype=bool)
+    hit[canon[words]] = True
+    return hit
+
+
+def _reversal_closed(canon: np.ndarray, reps: np.ndarray, n: int, group: str) -> np.ndarray:
+    """Per least member in reps, whether the reversal maps its orbit onto
+    itself.
 
     Reversal normalises every group but "D", so there the reversal of the
     rep decides for the whole orbit; under decimations alone,
     d_r R = R d_r C^(r-1), it does not, and every member is checked, one
     more pass over the space.  Only the readers of the flag pay for it;
     `census` reports none."""
-    n, canon, reps = t["n"], t["canon"], t["reps"]
     flip = reversal_perm(n)
     closed = canon[permute_bits_array(reps, n, flip)] == reps
-    if t["group"] == "D":
+    if group == "D":
         stray = np.zeros(canon.size, dtype=bool)  # indexed by orbit rep
         for start in range(0, canon.size, _CHUNK):
             own = canon[start:start + _CHUNK]
@@ -612,59 +595,32 @@ def _reversal_closed(t: dict) -> np.ndarray:
     return closed
 
 
-def _orbit_index(t: dict, words: np.ndarray) -> np.ndarray:
-    """The table row of the orbit that holds each of the 1-d words.
-
-    With q = canon[x], the row is the rank of q among the reps: through[w]
-    for the uint64 w = q >> 6 that holds q's mark, less the marks at bit
-    q & 63 and above in it, one shift and one popcount of marked[w].  That
-    is two gathers per word, where a binary search over the reps took
-    about 30 gathers' time.  The words run in blocks of _CHUNK / 16, in
-    place, so the temporaries (a uint64 and three uint32 per word) stay at
-    about 90 KB however many words are asked for."""
-    canon, marked, through = t["canon"], t["marked"], t["through"]
-    rows = np.empty(len(words), dtype=np.intp)
-    step = max(_CHUNK >> 4, 1)
-    for start in range(0, rows.size, step):
-        q = canon[words[start:start + step]]
-        w = q >> 6
-        bits = marked[w]
-        bits >>= np.bitwise_and(q, 63, out=q)
-        np.subtract(through[w], np.bitwise_count(bits), out=rows[start:start + step])
-    return rows
-
-
-def _meets(t: dict, words: np.ndarray) -> np.ndarray:
-    """Per table row, whether the orbit holds any of the words."""
-    hit = np.zeros(t["reps"].size, dtype=bool)
-    hit[_orbit_index(t, words)] = True
-    return hit
-
-
 def enumerate_orbits(n: int, group: str = "C"):
     """Yield every orbit once, representatives ascending.
 
-    Flags come from the vectorized table; the per-multiplier flags are
-    filled only here in the streaming path, far fewer calls than one
-    classify per orbit: delta_invariant from the orbits that the d_r-fixed
-    words meet, as in `census`, delta_closed from one canon lookup per
-    decimated rep (and per decimated reversed rep under "H", the one group
-    d_r does not normalise).  d_1 fixes every sequence, so 1 joins both
-    flags of every orbit.  Sizes, needed only here, count the canon values.
+    Flags come from the canon, keyed by each orbit's least member; the
+    per-multiplier flags are filled only here in the streaming path, far
+    fewer calls than one classify per orbit: delta_invariant from the
+    orbits that the d_r-fixed words meet, as in `census`, delta_closed
+    from one canon lookup per decimated rep (and per decimated reversed
+    rep under "H", the one group d_r does not normalise).  d_1 fixes every
+    sequence, so 1 joins both flags of every orbit.  The reps and their
+    sizes, needed only here, are the distinct canon values and their
+    counts.
     """
-    t = _orbit_table(n, group)
-    canon, reps = t["canon"], t["reps"]
-    sizes = np.unique(canon, return_counts=True)[1]
+    canon = canonical_array(n, group)
+    reps, sizes = np.unique(canon, return_counts=True)
+    flip = reversal_perm(n)
     members = [reps]
     if group == "H":
-        members.append(permute_bits_array(reps, n, reversal_perm(n)))
+        members.append(permute_bits_array(reps, n, flip))
     mults = units(n)
     # Bit b of a mask stands for mults[b]; bit 0, for d_1, is always set.
     invariant = np.ones(reps.size, dtype=np.int64)
     closed = np.ones(reps.size, dtype=np.int64)
     for b, r in enumerate(mults[1:], 1):
         perm = decimation_perm(n, r)
-        invariant |= _meets(t, fixed_words(n, perm)).astype(np.int64) << b
+        invariant |= _marks(canon, fixed_words(n, perm))[reps].astype(np.int64) << b
         hit = np.ones(reps.size, dtype=bool)
         for m in members:
             hit &= canon[permute_bits_array(m, n, perm)] == reps
@@ -676,8 +632,10 @@ def enumerate_orbits(n: int, group: str = "C"):
             subsets[mask] = tuple(r for b, r in enumerate(mults) if mask >> b & 1)
         return subsets[mask]
 
-    columns = zip(reps.tolist(), sizes.tolist(), t["periods"].tolist(),
-                  t["sym"].tolist(), t["asym"].tolist(), _reversal_closed(t).tolist(),
+    columns = zip(reps.tolist(), sizes.tolist(), periods_array(reps, n).tolist(),
+                  _marks(canon, fixed_words(n, flip))[reps].tolist(),
+                  _marks(canon, fixed_words(n, flip, negated=True))[reps].tolist(),
+                  _reversal_closed(canon, reps, n, group).tolist(),
                   invariant.tolist(), closed.tolist())
     for rep, size, period, sym, asym, rev_closed, inv, cl in columns:
         yield Orbit(
@@ -980,37 +938,47 @@ def census(n: int, group: str = "C") -> dict:
 
 # ------------------------------------------------------ invariance sweeps
 
+# Each flag of `invariance_check` as (name, shift, width mask, type) in its
+# packed uint8 code; the period takes five bits, enough below 32.
+_FLAG_FIELDS = (("period", 3, 31, int), ("sym", 0, 1, bool), ("asym", 1, 1, bool),
+                ("rev_closed", 2, 1, bool))
+
+
 def invariance_check(n: int) -> dict:
     """Exhaustively verify that every decimation preserves the period,
     both symmetry flags, and reversal closure of every rotation orbit.
 
-    The report keeps at most ten witnesses per multiplier and flag, and
+    Each orbit's flags are packed into one uint8 at its least member q,
+    period << 3 | rev_closed << 2 | asym << 1 | sym, so an orbit and its
+    d_r image compare by one gather code[canon[d_r q]] and one XOR.  The
+    report keeps at most ten witnesses per multiplier and flag, and
     `violation_count` counts them all.
     """
-    t = _orbit_table(n, "C")
-    reps = t["reps"]
-    flags = {
-        "period": t["periods"],
-        "sym": t["sym"],
-        "asym": t["asym"],
-        "rev_closed": _reversal_closed(t),
-    }
+    canon = canonical_array(n, "C")
+    reps = _least_members(canon)
+    flip = reversal_perm(n)
+    code = _marks(canon, fixed_words(n, flip)).view(np.uint8)
+    code[canon[fixed_words(n, flip, negated=True)]] |= 2
+    code[reps] |= (periods_array(reps, n).astype(np.uint8) << 3
+                   | _reversal_closed(canon, reps, n, "C").astype(np.uint8) << 2)
+    own = code[reps]
     violations = []
     violation_count = 0
     multipliers = [r for r in units(n) if r != 1]
     for r in multipliers:
-        j = _orbit_index(t, permute_bits_array(reps, n, decimation_perm(n, r)))
-        for name, arr in flags.items():
-            bad = np.nonzero(arr != arr[j])[0]
+        image = code[canon[permute_bits_array(reps, n, decimation_perm(n, r))]]
+        differ = own ^ image
+        for name, shift, mask, kind in _FLAG_FIELDS:
+            bad = np.flatnonzero(differ >> shift & mask)
             violation_count += int(bad.size)
-            for i in bad[:10]:
+            for i in bad[:10].tolist():
                 violations.append(
                     {
                         "r": r,
                         "flag": name,
                         "rep": str(BinarySequence(n, int(reps[i]))),
-                        "value": arr[i].item(),
-                        "mapped_value": arr[j[i]].item(),
+                        "value": kind(int(own[i]) >> shift & mask),
+                        "mapped_value": kind(int(image[i]) >> shift & mask),
                     }
                 )
     return {
@@ -1135,18 +1103,19 @@ def asym_square_check(n: int) -> dict:
     """
     if n > 12:
         raise ScaleExceeded(f"pairwise product sweep capped at n <= 12, got {n}")
-    t = _orbit_table(n, "C")
+    canon = canonical_array(n, "C")
+    flip = reversal_perm(n)
     x = np.arange(1 << n, dtype=np.int64)
-    asym_members = x[t["asym"][_orbit_index(t, x)]]
+    asym_members = x[_marks(canon, fixed_words(n, flip, negated=True))[canon]]
     prods = np.unique((asym_members[:, None] ^ asym_members[None, :]).ravel())
-    rev = permute_bits_array(prods, n, reversal_perm(n))
-    rows = _orbit_index(t, prods)
+    rev = permute_bits_array(prods, n, flip)
+    least = canon[prods]
     return {
         "n": n,
         "asym_nonempty": bool(asym_members.size),
         "set_reversal_closed": bool(np.array_equal(np.sort(rev), prods)),
-        "subset_palindromic": bool(t["sym"][rows].all()),
-        "subset_reversal_closed": bool(_reversal_closed(t)[rows].all()),
+        "subset_palindromic": bool(_marks(canon, fixed_words(n, flip))[least].all()),
+        "subset_reversal_closed": bool(_reversal_closed(canon, least, n, "C").all()),
     }
 
 
@@ -1203,8 +1172,10 @@ def spartition_axiom_check(n: int, group: str = "DC") -> dict:
     sweep stops at 21 violations, reported in (i, j, k) order."""
     if n > 14:
         raise ScaleExceeded(f"cell product sweep capped at n <= 14, got {n}")
-    t = _orbit_table(n, group)
-    order, starts = group_cells(_orbit_index(t, np.arange(1 << n)))
+    canon = canonical_array(n, group)
+    # The cells are the orbits, keyed by their least members.
+    order = np.argsort(canon, kind="stable")
+    starts = _run_starts(canon[order])
     ends = np.append(starts[1:], order.size)
     cell_sizes = ends - starts
     # Keys stay below 2^(2n) <= 2^28, so int32 sorts them.

@@ -199,8 +199,6 @@ def criterion_freeness(max_n: int | None = None):
     violations = []
     checked = 0
     for n in range(2, cap + 1):
-        if n % 2 == 0 and n > 16:
-            continue
         rep = orbits.square_freeness_check(n)
         violations += rep["violations"]
         checked += rep["checked"]

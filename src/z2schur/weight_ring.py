@@ -18,7 +18,6 @@ indicator row, and the same order reads the least and greatest count of
 each class, equal when the S-ring axiom holds.  `class_members_bits`
 lists a class on its own, by Gosper's hack, for the block searches of
 `hadamard`.
-`orbits.spartition_axiom_check` shares `group_cells` for its own cells.
 
 Complement symmetry.  Complementing every sign, x -> ~x = x XOR 1...1, maps
 G_n(k) onto G_n(n - k).  Since ~x XOR ~y = x XOR y, the multiset

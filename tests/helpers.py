@@ -6,7 +6,8 @@ the period oracle works on uint64 word arrays with its own rotations, and
 the scalar search oracles on one Python int per candidate; all
 deliberately share no code with the packed-array implementations under
 test.  The census oracle is the exception: it counts on the library's
-2^n orbit table, the other engine, which `census` no longer uses.
+2^n canon, the other engine, which `census` no longer uses, read only
+through the public `canonical_array`.
 """
 
 import tracemalloc
@@ -226,11 +227,19 @@ def period_tally(n: int) -> dict[int, int]:
 # ------------------------------------------------------- census oracle
 
 def table_census(n: int, group: str) -> dict:
-    """`orbits.census` counted on the 2^n orbit table: rows by the table's
-    per-orbit periods and symmetry flags, and an orbit d_r-invariant when
-    the table finds a d_r-fixed word in it."""
-    t = orbits._orbit_table(n, group)
-    reps, periods, sym, asym = t["reps"], t["periods"], t["sym"], t["asym"]
+    """`orbits.census` counted on the 2^n canon: the orbits are the words
+    the canon maps to themselves, rows go by their `word_periods`, and an
+    orbit is symmetric, antisymmetric or d_r-invariant when the canon of
+    some word that R fixes, R negates or d_r fixes is its rep."""
+    canon = orbits.canonical_array(n, group)
+    reps = np.flatnonzero(canon == np.arange(canon.size, dtype=canon.dtype))
+    periods = word_periods(reps.astype(np.uint64), n)
+
+    def meets(perm, negated=False):
+        return np.isin(reps, canon[fixed_words(n, perm, negated)])
+
+    flip = tuple(range(n - 1, -1, -1))
+    sym, asym = meets(flip), meets(flip, negated=True)
     rows = []
     for d in divisors(n):
         m = periods == d
@@ -246,10 +255,8 @@ def table_census(n: int, group: str) -> dict:
         "sym": int(sym.sum()),
         "asym": int(asym.sum()),
         "nonsym": int((~sym & ~asym).sum()),
-        "delta_invariant": {
-            r: int(orbits._meets(t, fixed_words(n, decimation_perm(n, r))).sum())
-            for r in units(n) if r != 1
-        },
+        "delta_invariant": {r: int(meets(decimation_perm(n, r)).sum())
+                            for r in units(n) if r != 1},
     }
 
 

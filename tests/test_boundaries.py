@@ -1,7 +1,7 @@
-"""Package boundaries: modules reach each other only through public names,
-importing the package loads no process machinery and no numpy.fft, every
-function the benchmark tracer wraps still exists, and every exported
-name has a reader."""
+"""Package boundaries: modules, and the shared test oracles, reach each
+other only through public names, importing the package loads no process
+machinery and no numpy.fft, every function the benchmark tracer wraps
+still exists, and every exported name has a reader."""
 
 import ast
 import importlib.util
@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "z2schur"
+HELPERS = Path(__file__).resolve().parent / "helpers.py"
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 
 
@@ -44,9 +45,11 @@ def _crossings(path: Path) -> list[str]:
 
 
 def test_no_module_reaches_into_another_private_name():
+    # The shared test oracles too: they read the library through its
+    # public names only.
     files = sorted(PACKAGE.glob("*.py"))
     assert len(files) >= 9
-    assert [c for f in files for c in _crossings(f)] == []
+    assert [c for f in [*files, HELPERS] for c in _crossings(f)] == []
 
 
 def test_scan_flags_a_private_crossing(tmp_path):

@@ -49,6 +49,7 @@ from helpers import (
     rotate_words,
     str_decimate,
     str_period,
+    str_permute,
     str_reverse,
     table_census,
     word_periods,
@@ -488,36 +489,6 @@ def test_rotation_canon_over_full_blocks(monkeypatch):
         assert np.array_equal(ob._rotation_canon(n), _plain_rotation_canon(n)), n
 
 
-def _binary_search_index(t, words):
-    # The row of each word's orbit by binary search over the sorted reps.
-    return np.searchsorted(t["reps"], t["canon"][words])
-
-
-def test_orbit_index_matches_binary_search(monkeypatch):
-    rng = np.random.default_rng(17)
-    sampled = [(ob._orbit_table(n, group), rng.integers(0, 1 << n, size=10**4))
-               for n, group in ((20, "C"), (19, "HC"))]
-
-    def check():
-        for n in range(1, 13):
-            for group in GROUPS:
-                t = ob._orbit_table(n, group)
-                words = np.arange(1 << n)
-                got = ob._orbit_index(t, words)
-                assert got.dtype == np.intp, (n, group)
-                assert np.array_equal(got, _binary_search_index(t, words)), (n, group)
-        for t, words in sampled:
-            assert np.array_equal(ob._orbit_index(t, words),
-                                  _binary_search_index(t, words)), t["n"]
-
-    check()
-    # Small blocks pack many bitmap pieces per table at n <= 12 and split
-    # the sampled queries; the two large tables are kept, since building
-    # them in 16-word blocks takes seconds.
-    monkeypatch.setattr(ob, "_CHUNK", 1 << 4)
-    check()
-
-
 def _plain_filter(n, below):
     # Every word, kept when it is below each nontrivial rotation.
     words, turns = _every_rotation(n)
@@ -628,9 +599,10 @@ def test_whole_space_scans_stay_in_cache_sized_blocks():
     # canonical_array keeps one 4 MB uint32 table, also where the coset
     # representatives are applied through the byte tables, since the fold
     # is written into it; the blocks around it, and all of fd_partition,
-    # stay at a few _CHUNK-word buffers.  invariance_check reads the orbit
-    # table, which adds only per-orbit columns to the canon: its
-    # representatives are collected block by block, with no sorted copy.
+    # stay at a few _CHUNK-word buffers.  invariance_check keys every flag
+    # by the orbit's least member, packed in one 2^n uint8 code beside the
+    # canon (1 MB at n = 20); its representatives are collected block by
+    # block, with no sorted copy.
     # census keeps no table: it streams the representatives block by block,
     # makes one set of fixed words at a time and finds the orbits they meet
     # in batches of at most _CHUNK words, about 1.4 MB at n = 20 and 3.8 MB
@@ -668,6 +640,53 @@ def test_invariance_check_counts_past_the_witness_cap(monkeypatch):
     kept = Counter((v["r"], v["flag"]) for v in rep["violations"])
     assert max(kept.values()) == 10
     assert rep["violation_count"] > len(rep["violations"])
+
+
+def _necklace_flags(n):
+    # Per rotation orbit, from its member strings: rep -> (period, sym,
+    # asym, rev_closed), reps as sign strings, whose order is packed order.
+    negate = str.maketrans("+-", "-+")
+    flags = {}
+    for bits in range(1 << n):
+        orbit = cyclic_orbit(format(bits, f"0{n}b").translate(str.maketrans("01", "+-")))
+        rep = min(orbit)
+        if rep not in flags:
+            mirrored = {str_reverse(m) for m in orbit}
+            flags[rep] = (str_period(rep), any(str_reverse(m) == m for m in orbit),
+                          any(str_reverse(m) == m.translate(negate) for m in orbit),
+                          mirrored == orbit)
+    return dict(sorted(flags.items()))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_invariance_check_full_report_under_a_fault(monkeypatch, n):
+    # Swapping positions 0 and 1 stands in for every d_r.  Each witness is
+    # checked against the flags of the rep's necklace and of its swapped
+    # image's necklace, built from member walks; the witnesses run in rep
+    # order, ten at most per multiplier and flag.  invariance_check packs
+    # the period into five bits.
+    assert MAX_ENUM_N < 32
+    swap = (1, 0) + tuple(range(2, n))
+    monkeypatch.setattr(ob, "decimation_perm", lambda n, r: swap)
+    flags = _necklace_flags(n)
+    names = ("period", "sym", "asym", "rev_closed")
+    multipliers = [r for r in units(n) if r != 1]
+    violations, count = [], 0
+    for r in multipliers:
+        for f, name in enumerate(names):
+            bad = []
+            for rep, mine in flags.items():
+                theirs = flags[min(cyclic_orbit(str_permute(rep, swap)))]
+                if mine[f] != theirs[f]:
+                    bad.append({"r": r, "flag": name, "rep": rep,
+                                "value": mine[f], "mapped_value": theirs[f]})
+            count += len(bad)
+            violations += bad[:10]
+    rep = invariance_check(n)
+    assert rep == {"n": n, "orbits": len(flags), "multipliers": multipliers,
+                   "violations": violations, "violation_count": count, "ok": False}
+    for got, want in zip(rep["violations"], violations):
+        assert type(got["value"]) is type(want["value"]), got
 
 
 def test_square_freeness_even_witness():
@@ -779,12 +798,11 @@ def spartition_loop(n, group):
     count[i, j, w] is the number of pairs (x, y), x in cell i and y in cell
     j, with x * y = w, and cells i, j cover cell k uniformly when that
     count has one value over the words w of cell k."""
-    t = ob._orbit_table(n, group)
-    reps, canon = t["reps"], t["canon"]
+    cell_values, cell_of = np.unique(ob.canonical_array(n, group), return_inverse=True)
     size = 1 << n
     x = np.arange(size, dtype=np.int64)
-    cell_of = np.searchsorted(reps, canon).astype(np.int64)
-    m = reps.size
+    cell_of = cell_of.astype(np.int64)
+    m = cell_values.size
     cells = [x[cell_of == i] for i in range(m)]
     keys = (cell_of[:, None] * m + cell_of[None, :]) * size + (x[:, None] ^ x[None, :])
     count = np.bincount(keys.ravel(), minlength=m * m * size).reshape(m, m, size)
@@ -820,15 +838,14 @@ def test_spartition_check_matches_cell_loop(group):
 ])
 def test_spartition_check_matches_cell_loop_on_broken_partitions(
         monkeypatch, n, group, word, into, count):
-    real = ob._orbit_table
+    real = ob.canonical_array
 
-    def moved(n, group):
-        t = dict(real(n, group))
-        t["canon"] = t["canon"].copy()
-        t["canon"][word] = t["canon"][into]
-        return t
+    def moved(n, group="C"):
+        canon = real(n, group)
+        canon[word] = canon[into]
+        return canon
 
-    monkeypatch.setattr(ob, "_orbit_table", moved)
+    monkeypatch.setattr(ob, "canonical_array", moved)
     rep = spartition_axiom_check(n, group)
     assert rep == spartition_loop(n, group)
     assert not rep["is_spartition"] and len(rep["violations"]) == count

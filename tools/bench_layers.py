@@ -4,13 +4,14 @@
 
 Each kernel is timed REPEAT times: canonical_array(24, "C"), census at
 (24, "C"), (24, "HC") and (24, "D") and at the orbit-census sizes
-(20, "C"), (19, "HC") and (18, "HDC"), invariance_check(24),
-square_freeness_check(23), square_freeness_check(21) (the orbit-census
-size), verify_ring(14), verify_identities(14) (criterion 7's largest),
-verify_identities(16), random_identity_trials(64, 1000, 0), and warm
-classify over seeded words: the 300 words of the orbit-census workload
-at (18, "HDC") and seed 1, and 10 words at (256, "HDC"), each set one
-call, its caches filled before the first repeat.  The minor page
+(20, "C"), (19, "HC") and (18, "HDC"), invariance_check(24) and (18)
+(the orbit-census size), square_freeness_check(23),
+square_freeness_check(21) (the orbit-census size), verify_ring(14),
+verify_identities(14) (criterion 7's largest), verify_identities(16),
+random_identity_trials(64, 1000, 0), and warm classify over seeded
+words: the 300 words of the orbit-census workload at (18, "HDC") and
+seed 1, and 10 words at (256, "HDC"), each set one call, its caches
+filled before the first repeat.  The minor page
 faults of each of these repeats (the getrusage ru_minflt delta of the
 process that ran it) are stored next to its times.  The first classify at
 (256, "HDC") fills the group caches, so it is timed in REPEAT fresh
@@ -65,6 +66,7 @@ KERNELS = (
     *(f'census({n}, "{g}")'
       for n, g in ((24, "C"), (24, "HC"), (24, "D"), (20, "C"), (19, "HC"), (18, "HDC"))),
     "invariance_check(24)",
+    "invariance_check(18)",
     "square_freeness_check(23)",
     "square_freeness_check(21)",
     "verify_ring(14)",
