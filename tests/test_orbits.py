@@ -571,7 +571,7 @@ def test_census_at_twenty_two():
 
 def test_census_stream_matches_the_table_oracle():
     # The stream counts from orbit representatives alone; the oracle counts
-    # on the 2^n orbit table, at every small size and at the workload and
+    # on the 2^n canon, at every small size and at the workload and
     # ceiling sizes.
     cases = [(n, group) for n in range(1, 17) for group in GROUPS]
     cases += [(20, "C"), (19, "HC"), (18, "HDC"), (24, "C"), (24, "HDC")]
@@ -651,35 +651,34 @@ def _necklace_flags(n):
         orbit = cyclic_orbit(format(bits, f"0{n}b").translate(str.maketrans("01", "+-")))
         rep = min(orbit)
         if rep not in flags:
-            mirrored = {str_reverse(m) for m in orbit}
             flags[rep] = (str_period(rep), any(str_reverse(m) == m for m in orbit),
                           any(str_reverse(m) == m.translate(negate) for m in orbit),
-                          mirrored == orbit)
+                          {str_reverse(m) for m in orbit} == orbit)
     return dict(sorted(flags.items()))
 
 
 @pytest.mark.parametrize("n", [8, 12])
-def test_invariance_check_full_report_under_a_fault(monkeypatch, n):
-    # Swapping positions 0 and 1 stands in for every d_r.  Each witness is
-    # checked against the flags of the rep's necklace and of its swapped
-    # image's necklace, built from member walks; the witnesses run in rep
-    # order, ten at most per multiplier and flag.  invariance_check packs
-    # the period into five bits.
+@pytest.mark.parametrize("head", [(1, 0), (2, 1, 0)])
+def test_invariance_check_full_report_under_a_fault(monkeypatch, n, head):
+    # Swapping two positions stands in for every d_r: 0 and 1 breaks the
+    # period, sym and rev_closed flags, 0 and 2 the asym flag too.  Each
+    # witness is checked against the flags of the rep's necklace and of
+    # its swapped image's necklace, built from member walks; the witnesses
+    # run in rep order, ten at most per multiplier and flag.
+    # invariance_check packs the period into five bits.
     assert MAX_ENUM_N < 32
-    swap = (1, 0) + tuple(range(2, n))
+    swap = head + tuple(range(len(head), n))
     monkeypatch.setattr(ob, "decimation_perm", lambda n, r: swap)
     flags = _necklace_flags(n)
+    mapped = {rep: flags[min(cyclic_orbit(str_permute(rep, swap)))] for rep in flags}
     names = ("period", "sym", "asym", "rev_closed")
     multipliers = [r for r in units(n) if r != 1]
     violations, count = [], 0
     for r in multipliers:
         for f, name in enumerate(names):
-            bad = []
-            for rep, mine in flags.items():
-                theirs = flags[min(cyclic_orbit(str_permute(rep, swap)))]
-                if mine[f] != theirs[f]:
-                    bad.append({"r": r, "flag": name, "rep": rep,
-                                "value": mine[f], "mapped_value": theirs[f]})
+            bad = [{"r": r, "flag": name, "rep": rep, "value": mine[f],
+                    "mapped_value": mapped[rep][f]}
+                   for rep, mine in flags.items() if mine[f] != mapped[rep][f]]
             count += len(bad)
             violations += bad[:10]
     rep = invariance_check(n)
