@@ -4,8 +4,11 @@ Each criterion is one self-contained function returning a pass flag plus
 the evidence, with sweep depths capped by an optional max_n so a quick
 smoke run stays quick.  Fixed showcase instances (the worked examples,
 the built-in order-12 matrix, the quadratic-residue pipeline) always run
-regardless of the cap.  `run_all` bundles the outcomes into per-module
-reports ready to serialize.
+regardless of the cap.  The table `_criteria` lists the criteria once,
+in order; `run_all` runs them on the module's one clock, `_timed`, and
+`module_reports` groups the outcomes by module, ready to serialize.  A
+budgeted criterion reports `seconds` and `budget_seconds` and fails at
+or over its budget.
 
 Two criteria are expected to fail as of this writing, and the checks
 report that honestly rather than special-casing it away:
@@ -20,16 +23,43 @@ report that honestly rather than special-casing it away:
 
 from __future__ import annotations
 
+import functools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import autocorr, hadamard, orbits, ssets, weight_ring
+from .errors import InvalidLength
 
 
 def _cap(bound: int, max_n: int | None) -> int:
     return bound if max_n is None else min(bound, max_n)
+
+
+def _timed(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the seconds it took: the module's one clock."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - t0
+
+
+def _budgeted(ok: bool, details: dict, seconds: float, budget_s: float):
+    """A criterion's outcome with its time appended: it fails at or over
+    budget_s."""
+    return ok and seconds < budget_s, {**details, "seconds": round(seconds, 2),
+                                       "budget_seconds": budget_s}
+
+
+def _within(budget_s: float):
+    """Time a check returning (ok, details) against budget_s seconds."""
+    def decorate(check):
+        @functools.wraps(check)
+        def timed_check(*args, **kwargs):
+            (ok, details), seconds = _timed(check, *args, **kwargs)
+            return _budgeted(ok, details, seconds, budget_s)
+        return timed_check
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -45,70 +75,38 @@ class CriterionResult:
         return f"{tag} criterion {self.number:2d} ({self.runtime_ms} ms): {self.name}"
 
     def as_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "runtime_ms": self.runtime_ms,
-            "details": self.details,
-        }
-
-
-def _run(number: int, name: str, fn, *args) -> CriterionResult:
-    t0 = time.perf_counter()
-    passed, details = fn(*args)
-    ms = int((time.perf_counter() - t0) * 1000)
-    return CriterionResult(number, name, passed, ms, details)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ------------------------------------------------------------- criteria
 
-class RingSweep:
-    """`weight_ring.verify_ring` reports for n = 1, 2, ..., each with the
-    seconds its own call took.  A report is computed the first time a
-    criterion asks for its n and read from here after that, so criteria
-    that share one sweep run each verify_ring(n) once.  The reports live
-    as long as the object: `run_all` makes one per call."""
-
-    def __init__(self) -> None:
-        self._timed: list[tuple[dict, float]] = []
-
-    def upto(self, cap: int) -> list[tuple[dict, float]]:
-        for n in range(len(self._timed) + 1, cap + 1):
-            t0 = time.perf_counter()
-            rep = weight_ring.verify_ring(n)
-            self._timed.append((rep, time.perf_counter() - t0))
-        return self._timed[:max(cap, 0)]
-
-
 def _ring_sweep(cap: int, budget_s: float, kinds: tuple[str, ...],
-                sweep: RingSweep | None = None):
+                sweep: dict | None = None):
     """verify_ring at every n <= cap, keeping the counterexamples of the
     given kinds; passes when there are none and the sweep beat its budget.
 
-    The reports come from `sweep` when given (criteria 1 and 2 share one
-    in `run_all`), else from a sweep of this call's own.  Either way
-    `seconds` is the time of the verify_ring calls behind the reports
-    read, n = 1..cap, not the time it took to read them."""
-    timed = (RingSweep() if sweep is None else sweep).upto(cap)
+    `sweep` maps n to (verify_ring(n), the seconds that call took).  An n
+    missing from it is run and added, so criteria sharing one dict (as
+    criteria 1 and 2 do in `run_all`) run each verify_ring(n) once.
+    Either way `seconds` is the time of the verify_ring calls behind the
+    reports read, n = 1..cap, not the time it took to read them."""
+    sweep = {} if sweep is None else sweep
+    for n in range(1, cap + 1):
+        if n not in sweep:
+            sweep[n] = _timed(weight_ring.verify_ring, n)
+    timed = [sweep[n] for n in range(1, cap + 1)]
     counterexamples = [c for rep, _ in timed for c in rep["counterexamples"]
                        if c["kind"] in kinds]
-    elapsed = sum((seconds for _, seconds in timed), 0.0)
-    return not counterexamples and elapsed < budget_s, {
-        "max_n": cap,
-        "counterexamples": counterexamples,
-        "seconds": round(elapsed, 2),
-        "budget_seconds": budget_s,
-    }
+    return _budgeted(not counterexamples,
+                     {"max_n": cap, "counterexamples": counterexamples},
+                     sum((seconds for _, seconds in timed), 0.0), budget_s)
 
 
-def criterion_class_products(max_n: int | None = None,
-                             sweep: RingSweep | None = None):
+def criterion_class_products(max_n: int | None = None, sweep: dict | None = None):
     return _ring_sweep(_cap(12, max_n), 30.0, ("product",), sweep)
 
 
-def criterion_structure_constants(max_n: int | None = None,
-                                  sweep: RingSweep | None = None):
+def criterion_structure_constants(max_n: int | None = None, sweep: dict | None = None):
     return _ring_sweep(_cap(10, max_n), 60.0, ("product", "lambda"), sweep)
 
 
@@ -128,20 +126,16 @@ def criterion_complete_sset_examples():
     return not mismatches, {"instances": sorted(EXPECTED_COMPLETE), "mismatches": mismatches}
 
 
+@_within(5.0)
 def criterion_count_rule(max_n: int | None = None):
     cap = _cap(16, max_n)
-    budget_s = 5.0
-    t0 = time.perf_counter()
     rep = ssets.count_theorem_checks(cap)
-    elapsed = time.perf_counter() - t0
     witnesses = [(v["n"], v["a"]) for v in rep["violations"]]
-    return not witnesses and elapsed < budget_s, {
+    return not witnesses, {
         "max_n": cap,
         "checked": rep["checked"],
         "violation_count": len(witnesses),
         "witnesses": witnesses,
-        "seconds": round(elapsed, 2),
-        "budget_seconds": budget_s,
     }
 
 
@@ -231,9 +225,7 @@ def criterion_circulant_search():
         s = hadamard.search_circulant_hadamard(n)
         results[n] = s.as_dict()
         ok &= s.found == () and s.candidates_tested == 0
-    t0 = time.perf_counter()
-    s16 = hadamard.search_circulant_hadamard(16)
-    elapsed = time.perf_counter() - t0
+    s16, elapsed = _timed(hadamard.search_circulant_hadamard, 16)
     results[16] = s16.as_dict()
     ok &= s16.found == () and s16.candidates_tested == 16016 and elapsed < budget_s
     results["order16_seconds"] = round(elapsed, 3)
@@ -250,9 +242,8 @@ def criterion_circulant_search():
 PALEY_PRIMES = (3, 7, 11, 19, 23)
 
 
+@_within(5.0)
 def criterion_paley_pipeline():
-    budget_s = 5.0
-    t0 = time.perf_counter()
     ok = True
     rows = []
     for p in PALEY_PRIMES:
@@ -267,10 +258,7 @@ def criterion_paley_pipeline():
                      "border_ok": border_ok, "signs": rep.signs,
                      "sset_parity": rep.sset_parity,
                      "row_weights": sorted(set(rep.row_weights))})
-    elapsed = time.perf_counter() - t0
-    return ok and elapsed < budget_s, {"primes": list(PALEY_PRIMES), "rows": rows,
-                                       "seconds": round(elapsed, 2),
-                                       "budget_seconds": budget_s}
+    return ok, {"primes": list(PALEY_PRIMES), "rows": rows}
 
 
 def criterion_builtin_h12():
@@ -290,9 +278,8 @@ def criterion_builtin_h12():
                 "sset_members": list(rep.sset_members)}
 
 
+@_within(120.0)
 def criterion_partition_verdicts(max_n: int | None = None):
-    budget_s = 120.0
-    t0 = time.perf_counter()
     order_cap = _cap(16, max_n if max_n is None else 4 * max_n)
     sweeps = []
     ok = True
@@ -311,20 +298,16 @@ def criterion_partition_verdicts(max_n: int | None = None):
                 ok &= rep["consistent"]
                 if rep["verdict"] == hadamard.VERDICT_EXCLUDED or rep["hits"]:
                     sweeps.append(rep)
-    elapsed = time.perf_counter() - t0
     excluded = sum(1 for s in sweeps if s["verdict"] == hadamard.VERDICT_EXCLUDED)
-    return ok and elapsed < budget_s, {
+    return ok, {
         "order_cap": order_cap,
         "excluded_cases": excluded,
         "inconsistent": [s for s in sweeps if not s["consistent"]],
-        "seconds": round(elapsed, 2),
-        "budget_seconds": budget_s,
     }
 
 
+@_within(60.0)
 def criterion_core_verdicts(max_n: int | None = None):
-    budget_s = 60.0
-    t0 = time.perf_counter()
     cap = _cap(31, max_n)
     ok = True
     verdicts = []
@@ -337,75 +320,71 @@ def criterion_core_verdicts(max_n: int | None = None):
             ok &= v.excluded
     sweep = hadamard.exhaustive_core_partition_search(5, 3)
     ok &= sweep["candidates"] == 2252 and not sweep["hits"] and sweep["consistent"]
-    elapsed = time.perf_counter() - t0
-    return ok and elapsed < budget_s, {
+    return ok, {
         "core_length_cap": cap,
         "verdicts": verdicts,
         "length15_sweep": {k: sweep[k] for k in ("candidates", "hits", "consistent")},
-        "seconds": round(elapsed, 2),
-        "budget_seconds": budget_s,
     }
 
 
 # --------------------------------------------------------------- runner
 
-MODULE_CRITERIA = {
-    "weight_ring": (1, 2),
-    "complete_ssets": (3,),
-    "orbit_actions": (4, 5, 6),
-    "autocorr": (7,),
-    "hadamard": (8, 9, 10, 11, 12),
-}
+def _criteria(max_n: int | None = None, seed: int = 0, ring: dict | None = None):
+    """Criterion k on row k: (module report, title, function, arguments).
+    Built per call, so each function is read from the module, where the
+    benchmark tracer wraps it, when the suite runs."""
+    return [
+        ("weight_ring", "class products match the enumeration oracle",
+         criterion_class_products, (max_n, ring)),
+        ("weight_ring", "structure constants match the enumeration oracle",
+         criterion_structure_constants, (max_n, ring)),
+        ("complete_ssets", "complete S-set examples and the bundled count rule",
+         criterion_complete_ssets, (max_n,)),
+        ("orbit_actions", "orbit totals match the counting formulas",
+         criterion_orbit_counts, (max_n,)),
+        ("orbit_actions", "decimations preserve every orbit classification",
+         criterion_invariance, (max_n,)),
+        ("orbit_actions", "freeness behaviour of orbit squares",
+         criterion_freeness, (max_n,)),
+        ("autocorr", "autocorrelation identities, exhaustive and randomized",
+         criterion_autocorr, (max_n, seed)),
+        ("hadamard", "circulant Hadamard search at small orders",
+         criterion_circulant_search, ()),
+        ("hadamard", "quadratic-residue cores border and normalize cleanly",
+         criterion_paley_pipeline, ()),
+        ("hadamard", "built-in order-12 matrix lands in the even member set",
+         criterion_builtin_h12, ()),
+        ("hadamard", "partitioned first-row verdicts confirmed by enumeration",
+         criterion_partition_verdicts, (max_n,)),
+        ("hadamard", "partitioned core verdicts confirmed by enumeration",
+         criterion_core_verdicts, (max_n,)),
+    ]
 
 
 def run_all(max_n: int | None = None, seed: int = 0) -> dict:
-    """Run the twelve criteria in order and collect their results.
+    """Run the criteria of `_criteria` in order and collect their results.
 
     Criteria 1 and 2 share one verify_ring sweep per call: criterion 1
     runs it over n <= 12 (so its runtime_ms holds the sweep) and
     criterion 2 reads the reports for n <= 10.  Nothing is kept from one
     call to the next.
     """
-    ring = RingSweep()
-    results = [
-        _run(1, "class products match the enumeration oracle",
-             criterion_class_products, max_n, ring),
-        _run(2, "structure constants match the enumeration oracle",
-             criterion_structure_constants, max_n, ring),
-        _run(3, "complete S-set examples and the bundled count rule",
-             criterion_complete_ssets, max_n),
-        _run(4, "orbit totals match the counting formulas",
-             criterion_orbit_counts, max_n),
-        _run(5, "decimations preserve every orbit classification",
-             criterion_invariance, max_n),
-        _run(6, "freeness behaviour of orbit squares",
-             criterion_freeness, max_n),
-        _run(7, "autocorrelation identities, exhaustive and randomized",
-             criterion_autocorr, max_n, seed),
-        _run(8, "circulant Hadamard search at small orders",
-             criterion_circulant_search),
-        _run(9, "quadratic-residue cores border and normalize cleanly",
-             criterion_paley_pipeline),
-        _run(10, "built-in order-12 matrix lands in the even member set",
-             criterion_builtin_h12),
-        _run(11, "partitioned first-row verdicts confirmed by enumeration",
-             criterion_partition_verdicts, max_n),
-        _run(12, "partitioned core verdicts confirmed by enumeration",
-             criterion_core_verdicts, max_n),
-    ]
+    if max_n is not None and max_n < 1:
+        raise InvalidLength(f"max_n must be at least 1, got {max_n}")
+    results = []
+    for number, (_, title, check, args) in enumerate(_criteria(max_n, seed, {}), 1):
+        (passed, details), seconds = _timed(check, *args)
+        results.append(CriterionResult(number, title, passed, int(seconds * 1000), details))
     return {"criteria": results, "passed": all(r.passed for r in results)}
 
 
 def module_reports(outcome: dict) -> dict[str, dict]:
-    by_number = {r.number: r for r in outcome["criteria"]}
     reports = {}
-    for module, numbers in MODULE_CRITERIA.items():
-        rows = [by_number[k].as_dict() for k in numbers]
-        reports[module] = {
-            "module": module,
-            "passed": all(r["passed"] for r in rows),
-            "criteria": rows,
-        }
+    for (module, *_), result in zip(_criteria(), outcome["criteria"]):
+        report = reports.setdefault(module, {"module": module, "passed": True,
+                                             "criteria": []})
+        report["passed"] = report["passed"] and result.passed
+        report["criteria"].append(result.as_dict())
     return reports
 
 

@@ -25,12 +25,16 @@ fails:
   sum free(n) * (n - 1) over odd n plus sum free(n) over even n, where
   free(n) = 2^n minus free(d) over the proper divisors d of n, which by
   Moebius inversion is sum over d | n of mu(d) * 2^(n/d).
+
+The last test fakes the suite's one clock to check that the time budgets,
+not only the checks, decide pass or fail.
 """
 
 import json
 from collections import Counter
 
 import numpy as np
+import pytest
 from helpers import str_period, str_product, str_rotate
 
 from z2schur import reproduce as rp
@@ -186,3 +190,30 @@ def test_criterion_11_partition_verdicts():
 def test_criterion_12_core_verdicts():
     passed, details = _show(rp.criterion_core_verdicts())
     assert passed, f"a core verdict disagreed with enumeration: {details}"
+
+
+# The budget of each criterion that reports one, in seconds.  Criterion
+# 8 holds its order-16 search to 1 s and reports order16_seconds only.
+BUDGETS = {1: 30.0, 2: 60.0, 3: 5.0, 9: 5.0, 11: 120.0, 12: 60.0}
+
+
+@pytest.mark.parametrize("reading, failing", [
+    (1000.0, [1, 2, 3, 8, 9, 11, 12]),
+    (5.0, [3, 8, 9]),  # at the budget of 3 and 9; 1 and 2 sum four calls
+    (1.0, [8]),  # at criterion 8's 1 s budget
+])
+def test_budgets_decide_pass_or_fail(monkeypatch, reading, failing):
+    """Every timed call reads `reading` seconds, at a depth where every
+    check passes: exactly the criteria at or over their budgets fail."""
+    monkeypatch.setattr(rp, "_timed", lambda fn, *a, **kw: (fn(*a, **kw), reading))
+    results = rp.run_all(4)["criteria"]
+    assert [r.number for r in results if not r.passed] == failing
+    assert {r.runtime_ms for r in results} == {int(reading * 1000)}
+    details = {r.number: r.details for r in results}
+    timed = {n: details[n] for n in (1, 2, 9, 11, 12)}
+    timed[3] = details[3]["count_rule"]
+    for n, d in timed.items():
+        assert d["budget_seconds"] == BUDGETS[n]
+        assert (d["seconds"] >= d["budget_seconds"]) == (n in failing), n
+    assert details[3]["examples_ok"]
+    assert details[8]["order16_seconds"] == reading

@@ -1,7 +1,8 @@
 """Package boundaries: modules, and the shared test oracles, reach each
 other only through public names, importing the package loads no process
 machinery and no numpy.fft, every function the benchmark tracer wraps
-still exists, and every exported name has a reader."""
+still exists and records its spans, reproduce reads the clock in one
+function, and every exported name has a reader."""
 
 import ast
 import importlib.util
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from z2schur import reproduce
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "z2schur"
 HELPERS = Path(__file__).resolve().parent / "helpers.py"
@@ -104,6 +107,46 @@ def test_tracer_targets_exist_and_are_restored():
         tracer.remove()
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert [getattr(m, a) for m, a in targets] == originals
+
+
+def test_tracer_spans_every_criterion_in_order():
+    """run_all calls each criterion through the module attribute the
+    tracer wraps: one reproduce.cNN span per criterion, in table order."""
+    tracing, _ = _tracer_targets()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.pass_id = 0
+        outcome = reproduce.run_all(4)
+    finally:
+        tracer.remove()
+    spans = [s[0] for s in tracer.spans if s[0].startswith("reproduce.c")]
+    assert [r.number for r in outcome["criteria"]] == list(range(1, 13))
+    assert spans == [f"reproduce.c{r.number:02d}" for r in outcome["criteria"]]
+
+
+def _clock_reads(path: Path) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of every perf_counter the module reads,
+    as `time.perf_counter` or as a bare name."""
+    reads = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if "perf_counter" in (getattr(child, "attr", None), getattr(child, "id", None)):
+                reads.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return reads
+
+
+def test_reproduce_reads_the_clock_only_in_timed():
+    """reproduce has one clock: every perf_counter read lies in _timed."""
+    reads = _clock_reads(PACKAGE / "reproduce.py")
+    assert reads and [r for r in reads if r[0] != "_timed"] == []
 
 
 # Exported with no reader in src/, each for a stated reason.

@@ -187,6 +187,18 @@ def test_ring_verify_refuses_lengths_below_one(capsys, n):
     assert err == f"error: sequence length must be at least 1, got {n}\n"
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_reproduce_refuses_depths_below_one(capsys, monkeypatch, tmp_path, max_n):
+    calls = []
+    monkeypatch.setattr(wr, "verify_ring", calls.append)
+    reports = tmp_path / "reports"
+    code, out, err = run(capsys, "reproduce-paper", "--max-n", max_n,
+                         "--out", str(reports))
+    assert code == 2 and out == ""
+    assert err == f"error: max_n must be at least 1, got {max_n}\n"
+    assert calls == [] and not reports.exists()
+
+
 def test_csv_refused_before_the_work(capsys, monkeypatch):
     calls = []
     real = wr.verify_ring
