@@ -6,6 +6,14 @@ is n - 2 popcount(X xor rotate(X, k)).  The whole vector theta(X) =
 (P_X(0), ..., P_X(n-1)) is invariant under rotation, reversal, and
 negation, is permuted by decimations via P_{d_r X}(i) = P_X(ri), and
 always sums to (2a - n)^2 where a is the weight of X.
+
+The exhaustive sweep and the flat off-peak test count bits of packed
+words at every length they take.  The randomized trials do so up to
+n = 64, where a uint64 holds a word; from n = 65 to 256 they use sign
+matrices and the real FFT (`correlation_rows`), since the popcount
+table alone, on object-dtype words, took about ten times as long as the
+whole FFT check there.  numpy.fft is loaded on that first use, so
+neither the import nor a check up to n = 64 pays for it.
 """
 
 from __future__ import annotations
@@ -31,8 +39,9 @@ from .sequences import (
 )
 
 VERIFY_MAX_N = 16
-# Sign entries per block of random_identity_trials: 256 trials at n = 32,
-# so each float64 trials x n matrix of a block is 64 KiB.
+# Entries per block of random_identity_trials: 256 trials at n = 32, so
+# a block's uint64 words with every shift are 192 KiB, and past n = 64
+# each float64 trials x n sign matrix of a block is 64 KiB.
 _TRIAL_BLOCK = 1 << 13
 
 
@@ -240,6 +249,8 @@ def correlation_rows(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     is an integer, so the rounding is checked rather than assumed: a
     residual of 1/4 or more raises FloatingPointError.  numpy.fft is
     reached here, on first use, so importing the package does not load it.
+    The randomized trials call it only past n = 64, where no uint64 holds
+    a word; up to there they count bits instead.
     """
     fx = np.fft.rfft(x)
     fy = fx if y is None else np.fft.rfft(y)
@@ -260,14 +271,20 @@ def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
     getrandbits(n), Y = getrandbits(n), a shift k = randrange(1, n) and a
     multiplier r = choice(units(n)).  All draws are made first; the trials
     are then checked in blocks of _TRIAL_BLOCK // n trials (at least one),
-    so the sign matrices of a block hold about _TRIAL_BLOCK entries
-    whatever n and the number of trials.  Checked per trial: the peak, the
-    symmetry P(k) = P(n-k) and, for even n only, the mod-4 congruence at
-    every shift; the sum and cross-sum identities; rotation, reversal and
+    so the arrays of a block hold about _TRIAL_BLOCK entries whatever n
+    and the number of trials.  Checked per trial: the peak, the symmetry
+    P(k) = P(n-k) and, for even n only, the mod-4 congruence at every
+    shift; the sum and cross-sum identities; rotation, reversal and
     negation invariance at k; and P_{d_r X}(i) = P_X(ri) at every i.
     Violations are listed by trial and, within a trial, in that order,
     keyed by the shift k or the multiplier r they concern; `trial` counts
     from the first trial of the call, not of the block.
+
+    Up to n = 64, where a uint64 holds a word, a block is checked on the
+    packed words, each correlation a popcount (`_packed_correlations`).
+    Beyond, it is checked on sign matrices through `correlation_rows`
+    (`_sign_correlations`), about ten times faster there than popcounts
+    of object-dtype words.
     """
     if not 2 <= n <= MAX_N:
         raise InvalidLength(
@@ -292,42 +309,111 @@ def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
             "ok": not violations}
 
 
-def _trial_block(n: int, xs: list[int], ys: list[int], ks: list[int],
-                 rs: list[int], first: int) -> list[dict]:
-    """The violations of one block of trials, numbered from trial `first`.
+def _rotated(words: np.ndarray, n: int, k) -> np.ndarray:
+    """rotate(X, k) of uint64 words, n <= 64, for a shift k in [0, n) or
+    an array of them broadcast against the words.  A shift of 0 ORs the
+    word with itself, so no shift reaches 64 bits."""
+    mask = np.uint64((1 << n) - 1)  # a Python int first: 2^64 - 1 still fits
+    return ((words << k) | (words >> (n - k) % n)) & mask
 
-    The block is one trials x n sign matrix.  One `correlation_rows` call
-    gives the autocorrelation tables of X and d_r X, the two checked at
-    every shift, and another the cross table of X with Y.  The rotation,
+
+def _bit_columns(words: np.ndarray, n: int) -> np.ndarray:
+    """A (len(words), n) uint8 0/1 array: column i holds position i, bit
+    n - 1 - i, of each uint64 word."""
+    octets = words.astype(">u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1)[:, 64 - n:]
+
+
+def _pack_columns(bits: np.ndarray) -> np.ndarray:
+    """The uint64 words whose positions are the columns of a 0/1 array,
+    the inverse of `_bit_columns`."""
+    rows, n = bits.shape
+    padded = np.zeros((rows, 64), dtype=np.uint8)
+    padded[:, 64 - n:] = bits
+    return np.packbits(padded, axis=1).view(">u8").ravel().astype(np.uint64)
+
+
+def _packed_correlations(n: int, xs: list[int], ys: list[int], ks: list[int],
+                         dec: np.ndarray) -> tuple:
+    """The correlations of one block, n <= 64, on uint64 words.
+
+    One (3 trials x n) table of n - 2 popcount(a ^ rotate(b, k)) holds the
+    autocorrelations of X and of d_r X and the cross-correlation of X with
+    Y.  d_r X and the reversal of X are packed from gathered bit columns,
+    and the rotation, reversal and negation of X are checked at k alone,
+    each P(k) one popcount.  Returns (table, dtab, cross, sums of X,
+    sums of Y, P(k) of the three images), as `_sign_correlations` does.
+    """
+    trials = len(xs)
+    x, y = np.array(xs + ys, dtype=np.uint64).reshape(2, trials)
+    bits = _bit_columns(x, n)
+    dx = _pack_columns(bits[np.arange(trials)[:, None], dec])
+    a, b = np.concatenate([x, dx, x]), np.concatenate([x, dx, y])
+    shifts = np.arange(n, dtype=np.uint64)
+    counts = np.bitwise_count(a[:, None] ^ _rotated(b[:, None], n, shifts))
+    table, dtab, cross = np.split(n - 2 * counts.astype(np.int64), 3)
+    k = np.array(ks, dtype=np.uint64)
+
+    def at_k(img):
+        return n - 2 * np.bitwise_count(img ^ _rotated(img, n, k)).astype(np.int64)
+
+    def sums(words):
+        return n - 2 * np.bitwise_count(words).astype(np.int64)
+
+    moved = [at_k(_rotated(x, n, 1)), at_k(_pack_columns(bits[:, ::-1])),
+             at_k(x ^ np.uint64((1 << n) - 1))]
+    return table, dtab, cross, sums(x), sums(y), moved
+
+
+def _sign_correlations(n: int, xs: list[int], ys: list[int], ks: list[int],
+                       dec: np.ndarray) -> tuple:
+    """The correlations of one block as `_packed_correlations` gives them,
+    for any n, from one trials x n sign matrix per sequence.
+
+    One `correlation_rows` call gives the autocorrelation tables of X and
+    d_r X, and another the cross table of X with Y.  The rotation,
     reversal and negation of X are checked at k alone, so P(k) of each is
-    summed directly over the columns j and j + k.
+    summed directly over the columns j and j + k: a sum of at most 256
+    signs, exact in float64.
     """
     trials = len(xs)
     signs = sign_rows(xs + ys, n)
     x, y = signs[:trials], signs[trials:]
-    t = np.arange(trials)
-    k = np.array(ks, dtype=np.int64)
-    dec = (np.array(rs, dtype=np.int64)[:, None] * np.arange(n)) % n
-    table, dtab = np.split(correlation_rows(np.concatenate([x, x[t[:, None], dec]])), 2)
+    t = np.arange(trials)[:, None]
+    table, dtab = np.split(correlation_rows(np.concatenate([x, x[t, dec]])), 2)
     cross = correlation_rows(x, y)
-    off = table[:, 1:]
-    total = x.sum(axis=1)
-    plus_k = (np.arange(n) + k[:, None]) % n  # column j + k of each trial
+    plus_k = (np.arange(n) + np.array(ks)[:, None]) % n  # column j + k of each trial
 
     def at_k(img):
-        # P_img(k) = sum_j img_j img_{j+k}, a sum of at most 256 signs: exact.
-        return ((img * img[t[:, None], plus_k]).sum(axis=1) != table[t, k])[:, None]
+        return (img * img[t, plus_k]).sum(axis=1)
 
+    moved = [at_k(np.roll(x, -1, axis=1)), at_k(x[:, ::-1]), at_k(-x)]
+    return table, dtab, cross, x.sum(axis=1), y.sum(axis=1), moved
+
+
+def _trial_block(n: int, xs: list[int], ys: list[int], ks: list[int],
+                 rs: list[int], first: int) -> list[dict]:
+    """The violations of one block of trials, numbered from trial `first`.
+
+    The correlations come from the packed words up to n = 64 and from
+    sign matrices beyond; the checks read them alike.
+    """
+    trials = len(xs)
+    t = np.arange(trials)
+    dec = (np.array(rs, dtype=np.int64)[:, None] * np.arange(n)) % n
+    engine = _packed_correlations if n <= 64 else _sign_correlations
+    table, dtab, cross, sx, sy, moved = engine(n, xs, ys, ks, dec)
+    at_k = table[t, ks]
+    off = table[:, 1:]
     checks = [  # (kind, trials x keys failure mask, the keys of one failure)
         ("peak", (table[:, 0] != n)[:, None], lambda i, c: {}),
         ("symmetry", off != off[:, ::-1], lambda i, c: {"k": c + 1}),
         ("mod4", ((n - off) % 4 != 0) & (n % 2 == 0), lambda i, c: {"k": c + 1}),
-        ("sum", (table.sum(axis=1) != total ** 2)[:, None], lambda i, c: {}),
-        ("cross_sum", (cross.sum(axis=1) != total * y.sum(axis=1))[:, None],
-         lambda i, c: {}),
-        ("rotation", at_k(np.roll(x, -1, axis=1)), lambda i, c: {"k": ks[i]}),
-        ("reversal", at_k(x[:, ::-1]), lambda i, c: {"k": ks[i]}),
-        ("negation", at_k(-x), lambda i, c: {"k": ks[i]}),
+        ("sum", (table.sum(axis=1) != sx ** 2)[:, None], lambda i, c: {}),
+        ("cross_sum", (cross.sum(axis=1) != sx * sy)[:, None], lambda i, c: {}),
+        ("rotation", (moved[0] != at_k)[:, None], lambda i, c: {"k": ks[i]}),
+        ("reversal", (moved[1] != at_k)[:, None], lambda i, c: {"k": ks[i]}),
+        ("negation", (moved[2] != at_k)[:, None], lambda i, c: {"k": ks[i]}),
         ("decimation", (dtab != table[t[:, None], dec]).any(axis=1)[:, None],
          lambda i, c: {"r": rs[i]}),
     ]

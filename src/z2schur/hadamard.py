@@ -25,7 +25,6 @@ of each circulant instead, without the kernel.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import islice
 from math import comb, prod
@@ -33,6 +32,7 @@ from math import comb, prod
 import numpy as np
 
 from .autocorr import flat_offpeak, flat_offpeak_indices
+from .clock import timed
 from .errors import (
     InvalidCore,
     InvalidCoreOrder,
@@ -279,7 +279,19 @@ def search_circulant_hadamard(n: int) -> SearchResult:
     """
     if n < 1 or (n > 2 and n % 4):
         raise InvalidLength(f"circulant Hadamard order must be 1, 2, or 4k, got {n}")
-    t0 = time.perf_counter()
+    (feasible, total, found), seconds = timed(_circulant_rows, n)
+    return SearchResult(
+        order=n,
+        feasible_weights=feasible,
+        found=found,
+        candidates_tested=total,
+        runtime_ms=int(seconds * 1000),
+    )
+
+
+def _circulant_rows(n: int) -> tuple[tuple[int, ...], int, tuple[str, ...]]:
+    """The feasible weights of order n, their candidate count, and the
+    least rotation of each flat candidate, as sign strings."""
     feasible = circulant_feasible_weights(n)
     total = sum(comb(n, a) for a in feasible)
     if total > SEARCH_MAX_CANDIDATES:
@@ -291,13 +303,7 @@ def search_circulant_hadamard(n: int) -> SearchResult:
     words = words[np.isin(np.bitwise_count(words), minus)]
     found = {min(rotate_bits(v, n, i) for i in range(n))
              for v in words[flat_offpeak_indices(words, n)].tolist()}
-    return SearchResult(
-        order=n,
-        feasible_weights=feasible,
-        found=tuple(str(BinarySequence(n, b)) for b in sorted(found)),
-        candidates_tested=total,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
+    return feasible, total, tuple(str(BinarySequence(n, b)) for b in sorted(found))
 
 
 def search_circulant_bruteforce(n: int) -> tuple[str, ...]:

@@ -5,7 +5,7 @@ the evidence, with sweep depths capped by an optional max_n so a quick
 smoke run stays quick.  Fixed showcase instances (the worked examples,
 the built-in order-12 matrix, the quadratic-residue pipeline) always run
 regardless of the cap.  The table `_criteria` lists the criteria once,
-in order; `run_all` runs them on the module's one clock, `_timed`, and
+in order; `run_all` runs them on the package's one clock, `clock.timed`, and
 `module_reports` groups the outcomes by module, ready to serialize.  A
 budgeted criterion reports `seconds` and `budget_seconds` and fails at
 or over its budget.
@@ -25,23 +25,16 @@ from __future__ import annotations
 
 import functools
 import json
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import autocorr, hadamard, orbits, ssets, weight_ring
+from .clock import timed
 from .errors import InvalidLength
 
 
 def _cap(bound: int, max_n: int | None) -> int:
     return bound if max_n is None else min(bound, max_n)
-
-
-def _timed(fn, *args, **kwargs):
-    """fn(*args, **kwargs) and the seconds it took: the module's one clock."""
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - t0
 
 
 def _budgeted(ok: bool, details: dict, seconds: float, budget_s: float):
@@ -56,7 +49,7 @@ def _within(budget_s: float):
     def decorate(check):
         @functools.wraps(check)
         def timed_check(*args, **kwargs):
-            (ok, details), seconds = _timed(check, *args, **kwargs)
+            (ok, details), seconds = timed(check, *args, **kwargs)
             return _budgeted(ok, details, seconds, budget_s)
         return timed_check
     return decorate
@@ -93,13 +86,13 @@ def _ring_sweep(cap: int, budget_s: float, kinds: tuple[str, ...],
     sweep = {} if sweep is None else sweep
     for n in range(1, cap + 1):
         if n not in sweep:
-            sweep[n] = _timed(weight_ring.verify_ring, n)
-    timed = [sweep[n] for n in range(1, cap + 1)]
-    counterexamples = [c for rep, _ in timed for c in rep["counterexamples"]
+            sweep[n] = timed(weight_ring.verify_ring, n)
+    read = [sweep[n] for n in range(1, cap + 1)]
+    counterexamples = [c for rep, _ in read for c in rep["counterexamples"]
                        if c["kind"] in kinds]
     return _budgeted(not counterexamples,
                      {"max_n": cap, "counterexamples": counterexamples},
-                     sum((seconds for _, seconds in timed), 0.0), budget_s)
+                     sum((seconds for _, seconds in read), 0.0), budget_s)
 
 
 def criterion_class_products(max_n: int | None = None, sweep: dict | None = None):
@@ -225,7 +218,7 @@ def criterion_circulant_search():
         s = hadamard.search_circulant_hadamard(n)
         results[n] = s.as_dict()
         ok &= s.found == () and s.candidates_tested == 0
-    s16, elapsed = _timed(hadamard.search_circulant_hadamard, 16)
+    s16, elapsed = timed(hadamard.search_circulant_hadamard, 16)
     results[16] = s16.as_dict()
     ok &= s16.found == () and s16.candidates_tested == 16016 and elapsed < budget_s
     results["order16_seconds"] = round(elapsed, 3)
@@ -373,7 +366,7 @@ def run_all(max_n: int | None = None, seed: int = 0) -> dict:
         raise InvalidLength(f"max_n must be at least 1, got {max_n}")
     results = []
     for number, (_, title, check, args) in enumerate(_criteria(max_n, seed, {}), 1):
-        (passed, details), seconds = _timed(check, *args)
+        (passed, details), seconds = timed(check, *args)
         results.append(CriterionResult(number, title, passed, int(seconds * 1000), details))
     return {"criteria": results, "passed": all(r.passed for r in results)}
 

@@ -47,8 +47,13 @@ from .sequences import check_positive_length
 # transform, at most 2^n * binomial(n, a) * binomial(n, b) <= 8^n, stays
 # below 2^53: n <= 17.
 ORACLE_MAX_N = 16
-# Words per batch of class pairs in the kernel: 8 MB per float64 buffer.
-_BATCH_WORDS = 1 << 20
+# Words per batch of class pairs in the kernel: 128 KB per float64
+# buffer, the cache-sized block that orbits._CHUNK and
+# autocorr._TRIAL_BLOCK also keep.  A batch holds one pair at least, so
+# from n = 15 on it is one 2^n-word row.  8 MB buffers only grew the
+# working set (37.5 MB traced at verify_ring(16), 9.5 MB now) and were
+# slower on one BLAS thread.
+_BATCH_WORDS = 1 << 14
 
 
 def _binom0(m: int, t: int) -> int:
@@ -207,8 +212,10 @@ def _word_multiplicities(n: int, pairs: list[tuple[int, int]],
                          ) -> Iterator[tuple[list, np.ndarray]]:
     """The multiplicity of every word of Z_2^n in G_n(a) * G_n(b), for each
     pair in order: batches of pairs, each with an int64 array of shape
-    (len(batch), 2^n), one row per pair, at most _BATCH_WORDS words.
-    classes[k] holds the words of G_n(k), for -1 <= k <= n.
+    (len(batch), 2^n), one row per pair, at most _BATCH_WORDS words or
+    else one row.  classes[k] holds the words of G_n(k), for -1 <= k <= n.
+    The spectra of the weights in use are kept whole, one 2^n-word row
+    each; only the products and their transforms are batched.
 
     The characters of Z_2^n turn XOR convolution into a product: the
     transform of the indicator rows of G_n(a) and G_n(b), multiplied

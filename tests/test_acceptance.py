@@ -26,16 +26,21 @@ fails:
   free(n) = 2^n minus free(d) over the proper divisors d of n, which by
   Moebius inversion is sum over d | n of mu(d) * 2^(n/d).
 
-The last test fakes the suite's one clock to check that the time budgets,
+The last tests bound the memory of a `--max-n 16` pass, criterion by
+criterion, and fake the suite's one clock to check that the time budgets,
 not only the checks, decide pass or fail.
 """
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import str_period, str_product, str_rotate
+from helpers import peak_traced_mb, str_period, str_product, str_rotate
 
 from z2schur import reproduce as rp
 from z2schur import ssets
@@ -192,6 +197,28 @@ def test_criterion_12_core_verdicts():
     assert passed, f"a core verdict disagreed with enumeration: {details}"
 
 
+@pytest.mark.parametrize("number", range(1, 13))
+def test_a_max_n_16_pass_stays_in_cache_sized_blocks(number):
+    """Each criterion of run_all(16), called from its _criteria row, peaks
+    below 1.5 MB traced: the ring in 128 KB batches, the trials in 2^13
+    entry blocks.  Criterion 1 read 3.1 MB with 8 MB ring batches."""
+    _, _, check, args = rp._criteria(16)[number - 1]
+    assert peak_traced_mb(lambda: check(*args)) < 1.5
+
+
+def test_a_max_n_16_pass_leaves_numpy_fft_unloaded():
+    """Up to n = 64 the randomized trials run on packed words, so a pass
+    at --max-n 16, whose trials are at n = 32 and 64, never loads the FFT."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from z2schur import reproduce; "
+            "print(reproduce.run_all(16)['criteria'][6].passed, 'numpy.fft' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "False"]
+
+
 # The budget of each criterion that reports one, in seconds.  Criterion
 # 8 holds its order-16 search to 1 s and reports order16_seconds only.
 BUDGETS = {1: 30.0, 2: 60.0, 3: 5.0, 9: 5.0, 11: 120.0, 12: 60.0}
@@ -205,7 +232,7 @@ BUDGETS = {1: 30.0, 2: 60.0, 3: 5.0, 9: 5.0, 11: 120.0, 12: 60.0}
 def test_budgets_decide_pass_or_fail(monkeypatch, reading, failing):
     """Every timed call reads `reading` seconds, at a depth where every
     check passes: exactly the criteria at or over their budgets fail."""
-    monkeypatch.setattr(rp, "_timed", lambda fn, *a, **kw: (fn(*a, **kw), reading))
+    monkeypatch.setattr(rp, "timed", lambda fn, *a, **kw: (fn(*a, **kw), reading))
     results = rp.run_all(4)["criteria"]
     assert [r.number for r in results if not r.passed] == failing
     assert {r.runtime_ms for r in results} == {int(reading * 1000)}

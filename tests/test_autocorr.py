@@ -272,9 +272,9 @@ def test_verify_identities_refuses_lengths_below_one():
 
 
 def test_trials_transform_only_the_tables_checked_at_every_shift(monkeypatch):
-    """X and d_r X go through one correlation, and X with Y through one
-    more; the rotation, reversal and negation, checked at one shift, are
-    summed directly."""
+    """Past n = 64, X and d_r X go through one correlation, and X with Y
+    through one more; the rotation, reversal and negation, checked at one
+    shift, are summed directly.  Up to n = 64 no trial transforms."""
     shapes = []
     real = autocorr.correlation_rows
 
@@ -283,9 +283,13 @@ def test_trials_transform_only_the_tables_checked_at_every_shift(monkeypatch):
         return real(x, y)
 
     monkeypatch.setattr(autocorr, "correlation_rows", spy)
-    rep = random_identity_trials(32, 50, 4)
-    assert rep["ok"]
-    assert shapes == [((100, 32), None), ((50, 32), (50, 32))]
+    for n in (2, 32, 64):
+        assert random_identity_trials(n, 50, 4)["ok"]
+    assert shapes == []
+    for n in (65, 128):
+        assert random_identity_trials(n, 50, 4)["ok"]
+    assert shapes == [((100, 65), None), ((50, 65), (50, 65)),
+                      ((100, 128), None), ((50, 128), (50, 128))]
 
 
 def test_random_trials_seeded():
@@ -391,11 +395,12 @@ def test_a_corrupted_decimation_index_is_reported(monkeypatch):
     assert not rep["ok"]
 
 
-@pytest.mark.parametrize("n", (8, 12, 9, 15))
+@pytest.mark.parametrize("n", (66, 128, 65, 129))
 def test_a_zeroed_entry_breaks_peak_and_even_mod4_only(monkeypatch, n):
-    """A 0 in X keeps every bilinear identity (sums, invariances,
-    decimation) but moves the peak and, at even n, the congruences."""
-    trial, pos = 2, 1
+    """Past n = 64, where the trials read sign rows: a 0 in X keeps every
+    bilinear identity (sums, invariances, decimation) but moves the peak
+    and, at even n, the congruences."""
+    trial, pos = 2, 2  # x_1 = x_3 there at n = 66 and 128, so P(1) moves
     seen = {}
 
     def zeroed(words, length):
@@ -411,6 +416,34 @@ def test_a_zeroed_entry_breaks_peak_and_even_mod4_only(monkeypatch, n):
     shifts = [sum(x[j] * x[(j + k) % n] for j in range(n)) for k in range(n)]
     mod4 = [k for k in range(1, n) if (n - shifts[k]) % 4] if n % 2 == 0 else []
     assert n % 2 or 1 in mod4  # P(1) = P(n-1), so both ends of the scan count
+    assert rep["violations"] == [{"kind": "peak", "trial": trial}] + [
+        {"kind": "mod4", "trial": trial, "k": k} for k in mod4]
+
+
+@pytest.mark.parametrize("n", (8, 12, 9, 15, 64))
+def test_a_packed_fault_breaks_peak_and_even_mod4_only(monkeypatch, n):
+    """Up to n = 64 the trials read popcount tables.  Moving one trial's
+    P_X(0) down by 2 and P_X(j), P_X(n - j) up by 1, with k not j or
+    n - j and d_r X's table moved to match, keeps the sums, the symmetry,
+    the invariances at k and the decimation, but breaks the peak and, at
+    even n, the congruences at j and n - j."""
+    trial = 2
+    real = autocorr._packed_correlations
+    seen = {}
+
+    def faulty(length, xs, ys, ks, dec):
+        table, dtab, *_ = out = real(length, xs, ys, ks, dec)
+        j = next(j for j in range(1, n) if 2 * j != n and ks[trial] not in (j, n - j))
+        delta = np.zeros(n, dtype=np.int64)
+        delta[0], delta[j], delta[n - j] = -2, 1, 1
+        table[trial] += delta
+        dtab[trial] += delta[dec[trial]]
+        seen["j"] = j
+        return out
+
+    monkeypatch.setattr(autocorr, "_packed_correlations", faulty)
+    rep = random_identity_trials(n, 5, 2)
+    mod4 = [] if n % 2 else sorted((seen["j"], n - seen["j"]))
     assert rep["violations"] == [{"kind": "peak", "trial": trial}] + [
         {"kind": "mod4", "trial": trial, "k": k} for k in mod4]
 
@@ -434,19 +467,19 @@ def test_random_trials_refuse_a_negative_count(monkeypatch):
 
 
 def test_trial_blocks_match_scalar_loop(monkeypatch):
-    """With blocks of 32 sign entries (16 trials at n = 2, 4 at n = 8, and
-    one trial per block from n = 32 on) the trials still equal the loop,
-    and each block makes its own two correlations, the last one short."""
+    """With blocks of 32 entries (16 trials at n = 2, 4 at n = 8, and one
+    trial per block from n = 32 on) the trials still equal the loop, and
+    the blocks are checked one by one, the last one short."""
     monkeypatch.setattr(autocorr, "_TRIAL_BLOCK", 1 << 5)
     for n in TRIAL_LENGTHS:
         trials = 4000 // n + 16
         assert random_identity_trials(n, trials, 7) == scalar_trials(n, trials, 7), n
-    shapes = []
-    real = autocorr.correlation_rows
-    monkeypatch.setattr(autocorr, "correlation_rows",
-                        lambda x, y=None: shapes.append(len(x)) or real(x, y))
+    sizes = []
+    real = autocorr._trial_block
+    monkeypatch.setattr(autocorr, "_trial_block",
+                        lambda n, xs, *rest: sizes.append(len(xs)) or real(n, xs, *rest))
     assert random_identity_trials(8, 10, 4)["ok"]
-    assert shapes == [8, 4, 8, 4, 4, 2]
+    assert sizes == [4, 4, 2]
 
 
 def test_a_corrupted_decimation_past_the_first_block_keeps_its_trial_index(monkeypatch):
@@ -465,8 +498,9 @@ def test_a_corrupted_decimation_past_the_first_block_keeps_its_trial_index(monke
 
 
 def test_autocorrelation_sweeps_stay_in_cache_sized_blocks():
-    # The trials hold a few blocks of 2^13 sign entries (64 KiB a matrix)
-    # and the draws, whatever n.  verify_identities(16) holds its 1 MiB
+    # The trials hold a few blocks of 2^13 entries and the draws, whatever
+    # n: uint64 words at every shift up to n = 64 (192 KiB a table), 64 KiB
+    # sign matrices past it.  verify_identities(16) holds its 1 MiB
     # table, a gather and a mask buffer of that size, a 512 KiB index
     # array and 64 KiB rows.
     for n in (64, 256):

@@ -1,7 +1,7 @@
 """Package boundaries: modules, and the shared test oracles, reach each
 other only through public names, importing the package loads no process
 machinery and no numpy.fft, every function the benchmark tracer wraps
-still exists and records its spans, reproduce reads the clock in one
+still exists and records its spans, the package reads the clock in one
 function, and every exported name has a reader."""
 
 import ast
@@ -144,9 +144,11 @@ def _clock_reads(path: Path) -> list[tuple[str | None, int]]:
 
 
 def test_reproduce_reads_the_clock_only_in_timed():
-    """reproduce has one clock: every perf_counter read lies in _timed."""
-    reads = _clock_reads(PACKAGE / "reproduce.py")
-    assert reads and [r for r in reads if r[0] != "_timed"] == []
+    """The package has one clock: its only perf_counter reads are the two
+    in clock.timed, which reproduce and the circulant search call."""
+    reads = [(path.name, *read) for path in sorted(PACKAGE.glob("*.py"))
+             for read in _clock_reads(path)]
+    assert len(reads) == 2 and [r for r in reads if r[:2] != ("clock.py", "timed")] == []
 
 
 # Exported with no reader in src/, each for a stated reason.

@@ -262,7 +262,8 @@ def test_word_multiplicities_match_the_outer_product_counts(monkeypatch, batch_w
         classes = {k: class_array(n, k) for k in range(-1, n + 1)}
         batches = list(wr._word_multiplicities(n, pairs, classes))
         assert [p for batch, _ in batches for p in batch] == pairs
-        assert max(len(batch) for batch, _ in batches) == (batch_words or len(pairs))
+        largest = batch_words or min(len(pairs), wr._BATCH_WORDS >> n)
+        assert max(len(batch) for batch, _ in batches) == largest
         counts = np.concatenate([c for _, c in batches])
         assert counts.dtype == np.int64
         for (a, b), row in zip(pairs, counts):
@@ -279,9 +280,12 @@ def test_tables_keep_the_mass_identity_at_the_oracle_cap():
 
 
 def test_class_pair_tables_stay_in_batch_sized_buffers():
-    # At n = 14 every pair a <= b <= 7 fits one batch: 36 rows of 2^14
-    # float64 words, 4.7 MB per buffer.
-    assert peak_traced_mb(lambda: wr._class_pair_tables(14)) < 24
+    # At n = 14 a batch is one row of 2^14 float64 words, 128 KB, beside
+    # the eight class spectra of 128 KB each; at n = 16 the nine spectra
+    # take 4.5 MB, the rows 512 KB each.  8 MB batches peaked at 14.7 and
+    # 37.5 MB.
+    assert peak_traced_mb(lambda: wr._class_pair_tables(14)) < 4
+    assert peak_traced_mb(lambda: wr.verify_ring(wr.ORACLE_MAX_N)) < 12
 
 
 def _first_uneven_class(n, xs, ys):

@@ -7,13 +7,17 @@ Each kernel is timed REPEAT times: canonical_array(24, "C"), census at
 (20, "C"), (19, "HC") and (18, "HDC"), invariance_check(24) and (18)
 (the orbit-census size), square_freeness_check(23),
 square_freeness_check(21) (the orbit-census size), verify_ring(14),
-verify_identities(14) (criterion 7's largest), verify_identities(16),
-random_identity_trials(64, 1000, 0), and warm classify over seeded
+verify_ring(16) (the oracle's cap), verify_identities(14) (criterion 7's
+largest), verify_identities(16), random_identity_trials(32, 1000, 0) and
+(64, 1000, 0) (criterion 7's two), and warm classify over seeded
 words: the 300 words of the orbit-census workload at (18, "HDC") and
 seed 1, and 10 words at (256, "HDC"), each set one call, its caches
 filled before the first repeat.  The minor page
 faults of each of these repeats (the getrusage ru_minflt delta of the
-process that ran it) are stored next to its times.  The first classify at
+process that ran it) are stored next to its times.  They depend on what
+the worker's heap went through before, so each kernel is also run once
+more, untimed, under tracemalloc, after its repeats: its traced peak, in
+MiB, counts what the kernel itself holds at once.  The first classify at
 (256, "HDC") fills the group caches, so it is timed in REPEAT fresh
 processes, the call alone without the import.  Every repeat's time is
 stored, with the best and the median: on a host whose speed drifts, one
@@ -48,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,8 +75,10 @@ KERNELS = (
     "square_freeness_check(23)",
     "square_freeness_check(21)",
     "verify_ring(14)",
+    "verify_ring(16)",
     "verify_identities(14)",
     "verify_identities(16)",
+    "random_identity_trials(32, 1000, 0)",
     "random_identity_trials(64, 1000, 0)",
     *(f'classify_words({n}, "{g}", {count})' for n, g, count in CLASSIFY_WORDS),
 )
@@ -101,7 +108,8 @@ def serve(src: Path) -> None:
     """Worker side: import the tree at src, seed the classify words and
     warm classify on them, report the numpy version, then run each kernel
     named on stdin once and answer with its seconds and minor page faults,
-    one JSON line per call."""
+    or, for a name prefixed with "peak ", with its traced peak alone, one
+    JSON line per call."""
     sys.path.insert(0, str(src))
     import importlib
 
@@ -126,8 +134,18 @@ def serve(src: Path) -> None:
     names["classify_words"] = classify_words
     print(json.dumps({"numpy": np.__version__}), flush=True)
     for line in sys.stdin:
+        name = line.strip()
+        if name.startswith("peak "):
+            tracemalloc.start()
+            try:
+                eval(name.removeprefix("peak "), {"__builtins__": {}}, names)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            print(json.dumps({"peak_mb": peak / 2**20}), flush=True)
+            continue
         f0, t0 = minor_faults(), time.perf_counter()
-        eval(line.strip(), {"__builtins__": {}}, names)
+        eval(name, {"__builtins__": {}}, names)
         seconds = time.perf_counter() - t0
         print(json.dumps({"s": seconds, "faults": minor_faults() - f0}), flush=True)
 
@@ -195,6 +213,7 @@ def main(argv=None) -> None:
     commits = [commit_of(src) for src in srcs]
     times = [{name: [] for name in KERNELS} for _ in srcs]
     faults = [{name: [] for name in KERNELS} for _ in srcs]
+    peaks = [{} for _ in srcs]
     workers = []
     try:
         workers += [Worker(src) for src in srcs]
@@ -203,6 +222,8 @@ def main(argv=None) -> None:
                 reply = workers[i].run(name)
                 times[i][name].append(reply["s"])
                 faults[i][name].append(reply["faults"])
+            for i, worker in enumerate(workers):
+                peaks[i][name] = round(worker.run(f"peak {name}")["peak_mb"], 3)
     finally:
         for worker in workers:
             worker.close()
@@ -225,6 +246,7 @@ def main(argv=None) -> None:
             "median_s": {name: round(statistics.median(t), 4) for name, t in times[i].items()},
             "times_s": {name: [round(x, 4) for x in t] for name, t in times[i].items()},
             "minor_faults": faults[i],
+            "traced_peak_mb": peaks[i],
         })
     kept = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
     replaced = {(run["git_sha"], run["dirty"]) for run in runs}
