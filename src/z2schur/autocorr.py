@@ -13,7 +13,8 @@ n = 64, where a uint64 holds a word; from n = 65 to 256 they use sign
 matrices and the real FFT (`correlation_rows`), since the popcount
 table alone, on object-dtype words, took about ten times as long as the
 whole FFT check there.  numpy.fft is loaded on that first use, so
-neither the import nor a check up to n = 64 pays for it.
+neither the import nor a check up to n = 64 pays for it.  Rotations of
+word arrays, bit columns and their packing are those of `sequences`.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .errors import InvalidLength, LengthMismatch, ScaleExceeded
 from .sequences import (
     MAX_N,
     BinarySequence,
+    bit_columns,
     check_positive_length,
     decimation_perm,
+    pack_columns,
     permute_bits_array,
     reversal_perm,
     rotate_bits,
@@ -309,58 +312,38 @@ def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
             "ok": not violations}
 
 
-def _rotated(words: np.ndarray, n: int, k) -> np.ndarray:
-    """rotate(X, k) of uint64 words, n <= 64, for a shift k in [0, n) or
-    an array of them broadcast against the words.  A shift of 0 ORs the
-    word with itself, so no shift reaches 64 bits."""
-    mask = np.uint64((1 << n) - 1)  # a Python int first: 2^64 - 1 still fits
-    return ((words << k) | (words >> (n - k) % n)) & mask
-
-
-def _bit_columns(words: np.ndarray, n: int) -> np.ndarray:
-    """A (len(words), n) uint8 0/1 array: column i holds position i, bit
-    n - 1 - i, of each uint64 word."""
-    octets = words.astype(">u8").view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1)[:, 64 - n:]
-
-
-def _pack_columns(bits: np.ndarray) -> np.ndarray:
-    """The uint64 words whose positions are the columns of a 0/1 array,
-    the inverse of `_bit_columns`."""
-    rows, n = bits.shape
-    padded = np.zeros((rows, 64), dtype=np.uint8)
-    padded[:, 64 - n:] = bits
-    return np.packbits(padded, axis=1).view(">u8").ravel().astype(np.uint64)
-
-
 def _packed_correlations(n: int, xs: list[int], ys: list[int], ks: list[int],
                          dec: np.ndarray) -> tuple:
     """The correlations of one block, n <= 64, on uint64 words.
 
     One (3 trials x n) table of n - 2 popcount(a ^ rotate(b, k)) holds the
     autocorrelations of X and of d_r X and the cross-correlation of X with
-    Y.  d_r X and the reversal of X are packed from gathered bit columns,
-    and the rotation, reversal and negation of X are checked at k alone,
-    each P(k) one popcount.  Returns (table, dtab, cross, sums of X,
-    sums of Y, P(k) of the three images), as `_sign_correlations` does.
+    Y, each row of b rotated by a column of all n shifts.  d_r X and the
+    reversal of X are packed from gathered bit columns (`bit_columns`,
+    `pack_columns`), and the rotation, reversal and negation of X are
+    checked at k alone, each P(k) one popcount.  Returns (table, dtab,
+    cross, sums of X, sums of Y, P(k) of the three images), as
+    `_sign_correlations` does.
     """
     trials = len(xs)
     x, y = np.array(xs + ys, dtype=np.uint64).reshape(2, trials)
-    bits = _bit_columns(x, n)
-    dx = _pack_columns(bits[np.arange(trials)[:, None], dec])
+    bits = bit_columns(xs, n)
+    dx = pack_columns(bits[np.arange(trials)[:, None], dec])
     a, b = np.concatenate([x, dx, x]), np.concatenate([x, dx, y])
     shifts = np.arange(n, dtype=np.uint64)
-    counts = np.bitwise_count(a[:, None] ^ _rotated(b[:, None], n, shifts))
-    table, dtab, cross = np.split(n - 2 * counts.astype(np.int64), 3)
+    turned = rotate_bits_array(b[:, None], n, shifts)
+    turned ^= a[:, None]
+    table, dtab, cross = np.split(n - 2 * np.bitwise_count(turned).astype(np.int64), 3)
     k = np.array(ks, dtype=np.uint64)
 
     def at_k(img):
-        return n - 2 * np.bitwise_count(img ^ _rotated(img, n, k)).astype(np.int64)
+        img ^= rotate_bits_array(img, n, k)
+        return n - 2 * np.bitwise_count(img).astype(np.int64)
 
     def sums(words):
         return n - 2 * np.bitwise_count(words).astype(np.int64)
 
-    moved = [at_k(_rotated(x, n, 1)), at_k(_pack_columns(bits[:, ::-1])),
+    moved = [at_k(rotate_bits_array(x, n, 1)), at_k(pack_columns(bits[:, ::-1])),
              at_k(x ^ np.uint64((1 << n) - 1))]
     return table, dtab, cross, sums(x), sums(y), moved
 

@@ -193,23 +193,20 @@ def _rotation_canon(n: int) -> np.ndarray:
 def _least_rotations(words: np.ndarray, n: int) -> np.ndarray:
     """Each of the words replaced by its least rotation, in place.
 
-    Up to _CHUNK / 16 words, the n rotations are one n x m array, built
-    by three broadcast operations and reduced by one column minimum: a few
-    calls whatever n is, 2-5x faster there than the n - 1 steps below,
-    which are mostly call overhead at that size, once the allocator has
-    room for the temporary (a census makes that room itself).  Larger
-    arrays take one in-place word rotation per step: from 4500-6000 words
-    the n x m temporary made the broadcast 2-4x slower than the steps, at
-    every n from 12 to 24.  Most of the census stream's coset images after
-    the first fall below the bound; the rotation canon's blocks, the first
-    coset image of each necklace block and, from n = 20 on, the batched
-    fixed words lie above it."""
+    Up to _CHUNK / 16 words, the n rotations are one n x m array, one
+    `rotate_bits_array` call on a column of the n shifts, reduced by one
+    column minimum: a few calls whatever n is, 2-5x faster there than the
+    n - 1 steps below, which are mostly call overhead at that size, once
+    the allocator has room for the temporary (a census makes that room
+    itself).  Larger arrays take one in-place word rotation per step: from
+    4500-6000 words the n x m temporary made the broadcast 2-4x slower
+    than the steps, at every n from 12 to 24.  Most of the census stream's
+    coset images after the first fall below the bound; the rotation
+    canon's blocks, the first coset image of each necklace block and,
+    from n = 20 on, the batched fixed words lie above it."""
     if words.size <= _CHUNK >> 4:
         shifts = np.arange(n, dtype=words.dtype)[:, None]
-        turned = words << shifts
-        turned &= (1 << n) - 1
-        turned |= words >> (n - shifts)
-        return turned.min(axis=0, out=words)
+        return rotate_bits_array(words, n, shifts).min(axis=0, out=words)
     cur = words.copy()
     for _ in range(n - 1):
         np.minimum(words, rotate_bits_array(cur, n, 1, out=cur), out=words)
@@ -1014,7 +1011,7 @@ def _witness_strings(reps: np.ndarray, n: int) -> list[str]:
     ascending, as sign strings; none when reps is empty."""
     if not reps.size:
         return []
-    rotations = np.concatenate([rotate_bits_array(reps, n, i) for i in range(n)])
+    rotations = rotate_bits_array(reps, n, np.arange(n, dtype=reps.dtype)[:, None])
     return [str(BinarySequence(n, bits)) for bits in np.unique(rotations)[:10].tolist()]
 
 

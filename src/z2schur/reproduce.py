@@ -209,15 +209,12 @@ def criterion_autocorr(max_n: int | None = None, seed: int = 0):
 
 def criterion_circulant_search():
     budget_s = 1.0
-    results = {}
-    ok = True
-    s4 = hadamard.search_circulant_hadamard(4)
-    results[4] = s4.as_dict()
-    ok &= s4.found == ("+++-", "+---") and s4.feasible_weights == (1, 3)
+    searched = {n: hadamard.search_circulant_hadamard(n) for n in (4, 8, 12, 20, 24, 28, 32)}
+    results = {n: s.as_dict() for n, s in searched.items()}
+    s4 = searched[4]
+    ok = s4.found == ("+++-", "+---") and s4.feasible_weights == (1, 3)
     for n in (8, 12, 20, 24, 28, 32):
-        s = hadamard.search_circulant_hadamard(n)
-        results[n] = s.as_dict()
-        ok &= s.found == () and s.candidates_tested == 0
+        ok &= searched[n].found == () and searched[n].candidates_tested == 0
     s16, elapsed = timed(hadamard.search_circulant_hadamard, 16)
     results[16] = s16.as_dict()
     ok &= s16.found == () and s16.candidates_tested == 16016 and elapsed < budget_s
@@ -225,7 +222,7 @@ def criterion_circulant_search():
     cross = {}
     for n in (1, 2, 4, 8, 12):
         brute = hadamard.search_circulant_bruteforce(n)
-        pruned = hadamard.search_circulant_hadamard(n).found
+        pruned = (searched[n] if n in searched else hadamard.search_circulant_hadamard(n)).found
         cross[n] = {"bruteforce": list(brute), "pruned": list(pruned)}
         ok &= brute == pruned
     results["bruteforce_crosscheck"] = cross

@@ -31,7 +31,11 @@ ceil(n/8) tables of 256 entries map each byte of the input to the output
 bits it lands on, so a word costs ceil(n/8) lookups instead of n bit
 moves.  It keeps the dtype of its input (uint32 words for the whole-space
 scans, uint64 up to n = 64), and `rotate_bits_array` likewise, optionally
-in place.
+in place, by one shift or by an array of shifts broadcast against the
+words (a column of all n shifts gives every rotation at once).
+`bit_columns` unpacks words into a 0/1 matrix whose column i is position
+i, `pack_columns` packs at most 64 columns back, and `sign_rows` is the
++1/-1 form of `bit_columns`.
 `fixed_words` lists the words a permutation fixes or negates.  The orbit,
 autocorrelation and Hadamard modules build on these rather than on copies.
 """
@@ -176,20 +180,26 @@ def permute_bits_array(arr: np.ndarray, n: int, perm: tuple[int, ...]) -> np.nda
     return out
 
 
-def rotate_bits_array(arr: np.ndarray, n: int, i: int,
+def rotate_bits_array(arr: np.ndarray, n: int, i: int | np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
     """rotate(X, i) for a whole array of packed sequences, into out when
     given (out may be arr itself).  The result has the dtype of arr, which
-    must hold n bits."""
+    must hold n bits.  i is one shift, or an integer array of shifts in
+    [0, n) of arr's dtype, broadcast against arr; a shift of 0 then ORs a
+    word with itself, so no shift reaches the width of the word."""
     a = np.asarray(arr)
-    if out is None:
-        out = np.empty_like(a)
-    n, i = int(n), int(i) % n
-    if i == 0:
-        np.copyto(out, a)
-        return out
-    low = a >> (n - i)  # taken first, so that out may overwrite arr
-    np.left_shift(a, i, out=out)
+    if isinstance(i, np.ndarray):
+        low = a >> (n - i) % n  # taken first, so that out may overwrite arr
+        out = np.left_shift(a, i, out=out)
+    else:
+        if out is None:
+            out = np.empty_like(a)
+        n, i = int(n), int(i) % n
+        if i == 0:
+            np.copyto(out, a)
+            return out
+        low = a >> (n - i)
+        np.left_shift(a, i, out=out)
     out |= low
     out &= (1 << n) - 1
     return out
@@ -202,13 +212,28 @@ def word_dtype(n: int):
     return np.uint64 if n <= 64 else object
 
 
-def sign_rows(words: Iterable[int], n: int) -> np.ndarray:
-    """A float +1/-1 matrix with one row per packed length-n word; column i
-    holds position i, so '+' (bit 0) reads +1 and '-' (bit 1) reads -1."""
+def bit_columns(words: Iterable[int], n: int) -> np.ndarray:
+    """A uint8 0/1 matrix with one row per packed length-n word; column i
+    holds position i, bit n - 1 - i."""
     width = (n + 7) // 8
     raw = b"".join(w.to_bytes(width, "big") for w in words)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1)
-    return 1.0 - 2.0 * bits[:, 8 * width - n:]
+    return bits[:, 8 * width - n:]
+
+
+def pack_columns(bits: np.ndarray) -> np.ndarray:
+    """The uint64 words whose positions are the columns of a 0/1 matrix of
+    at most 64 columns, the inverse of `bit_columns`."""
+    rows, n = bits.shape
+    padded = np.zeros((rows, 64), dtype=np.uint8)
+    padded[:, 64 - n:] = bits
+    return np.packbits(padded, axis=1).view(">u8").ravel().astype(np.uint64)
+
+
+def sign_rows(words: Iterable[int], n: int) -> np.ndarray:
+    """A float +1/-1 matrix with one row per packed length-n word; column i
+    holds position i, so '+' (bit 0) reads +1 and '-' (bit 1) reads -1."""
+    return 1.0 - 2.0 * bit_columns(words, n)
 
 
 @dataclass(frozen=True, order=True)
@@ -251,9 +276,6 @@ class BinarySequence:
 
     def __len__(self) -> int:
         return self.n
-
-    def sign(self, i: int) -> str:
-        return "-" if (self.bits >> (self.n - 1 - i)) & 1 else "+"
 
     @property
     def weight(self) -> int:

@@ -177,6 +177,19 @@ def test_criterion_08_circulant_search():
     )
 
 
+def test_criterion_08_searches_each_order_once(monkeypatch):
+    searched = Counter()
+    search = rp.hadamard.search_circulant_hadamard
+
+    def spy(n):
+        searched[n] += 1
+        return search(n)
+
+    monkeypatch.setattr(rp.hadamard, "search_circulant_hadamard", spy)
+    rp.criterion_circulant_search()
+    assert searched == Counter({n: 1 for n in (1, 2, 4, 8, 12, 16, 20, 24, 28, 32)})
+
+
 def test_criterion_09_paley_pipeline():
     passed, details = _show(rp.criterion_paley_pipeline())
     assert passed, f"quadratic-residue pipeline broke: {details}"

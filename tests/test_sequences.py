@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from z2schur.errors import InvalidLength, LengthMismatch, NotCoprime, ScaleExceeded
 from z2schur.sequences import (
     BinarySequence,
+    bit_columns,
     decimation_perm,
     divisors,
     fixed_words,
     make_sequence,
+    pack_columns,
     permute_bits,
     permute_bits_array,
     reversal_perm,
@@ -237,12 +239,30 @@ def test_rotate_bits_array_keeps_dtype_and_writes_in_place():
                 assert got.dtype == dtype and got.tolist() == want, (n, i, dtype)
                 assert rotate_bits_array(arr, n, i, out=arr) is arr
                 assert arr.tolist() == want, (n, i, dtype)
+            # Shift arrays: a column of all n shifts, and one shift per word.
+            arr = np.array(words, dtype=dtype)
+            column = rotate_bits_array(arr, n, np.arange(n, dtype=dtype)[:, None])
+            assert column.dtype == dtype, (n, dtype)
+            assert column.tolist() == [
+                [int(str_rotate(format(w, f"0{n}b"), i), 2) for w in words] for i in range(n)]
+            each = [0, n - 1] + [rng.randrange(n) for _ in words[2:]]
+            want = [int(str_rotate(format(w, f"0{n}b"), i), 2) for w, i in zip(words, each)]
+            shifts = np.array(each, dtype=dtype)
+            assert rotate_bits_array(arr, n, shifts).tolist() == want, (n, dtype)
+            assert rotate_bits_array(arr, n, shifts, out=arr) is arr
+            assert arr.tolist() == want, (n, dtype)
 
 
 @given(st.integers(1, 256), st.data())
 def test_sign_rows_reads_positions_left_to_right(n, data):
     row = st.text(alphabet="+-", min_size=n, max_size=n)
     rows = data.draw(st.lists(row, max_size=4))
-    got = sign_rows([make_sequence(t).bits for t in rows], n)
+    words = [make_sequence(t).bits for t in rows]
+    got = sign_rows(words, n)
     assert got.shape == (len(rows), n)
     assert got.tolist() == [[1.0 if c == "+" else -1.0 for c in t] for t in rows]
+    bits = bit_columns(words, n)
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [[int(c == "-") for c in t] for t in rows]
+    if n <= 64:
+        assert pack_columns(bits).tolist() == words

@@ -9,10 +9,11 @@ Each kernel is timed REPEAT times: canonical_array(24, "C"), census at
 square_freeness_check(21) (the orbit-census size), verify_ring(14),
 verify_ring(16) (the oracle's cap), verify_identities(14) (criterion 7's
 largest), verify_identities(16), random_identity_trials(32, 1000, 0) and
-(64, 1000, 0) (criterion 7's two), and warm classify over seeded
-words: the 300 words of the orbit-census workload at (18, "HDC") and
-seed 1, and 10 words at (256, "HDC"), each set one call, its caches
-filled before the first repeat.  The minor page
+(64, 1000, 0) (criterion 7's two), criterion_partition_verdicts(16)
+(criterion 11's sweep, thousands of small one-shift rotations), and warm
+classify over seeded words: the 300 words of the orbit-census workload
+at (18, "HDC") and seed 1, and 10 words at (256, "HDC"), each set one
+call, its caches filled before the first repeat.  The minor page
 faults of each of these repeats (the getrusage ru_minflt delta of the
 process that ran it) are stored next to its times.  They depend on what
 the worker's heap went through before, so each kernel is also run once
@@ -80,6 +81,7 @@ KERNELS = (
     "verify_identities(16)",
     "random_identity_trials(32, 1000, 0)",
     "random_identity_trials(64, 1000, 0)",
+    "criterion_partition_verdicts(16)",
     *(f'classify_words({n}, "{g}", {count})' for n, g, count in CLASSIFY_WORDS),
 )
 NAMESPACE = {
@@ -87,6 +89,7 @@ NAMESPACE = {
                "square_freeness_check"),
     "weight_ring": ("verify_ring",),
     "autocorr": ("verify_identities", "random_identity_trials"),
+    "reproduce": ("criterion_partition_verdicts",),
 }
 
 FIRST_CLASSIFY = """
