@@ -318,7 +318,7 @@ def _packed_correlations(n: int, xs: list[int], ys: list[int], ks: list[int],
 
     One (3 trials x n) table of n - 2 popcount(a ^ rotate(b, k)) holds the
     autocorrelations of X and of d_r X and the cross-correlation of X with
-    Y, each row of b rotated by a column of all n shifts.  d_r X and the
+    Y, each word of b rotated by all n shifts in one call.  d_r X and the
     reversal of X are packed from gathered bit columns (`bit_columns`,
     `pack_columns`), and the rotation, reversal and negation of X are
     checked at k alone, each P(k) one popcount.  Returns (table, dtab,

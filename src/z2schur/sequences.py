@@ -31,11 +31,9 @@ ceil(n/8) tables of 256 entries map each byte of the input to the output
 bits it lands on, so a word costs ceil(n/8) lookups instead of n bit
 moves.  It keeps the dtype of its input (uint32 words for the whole-space
 scans, uint64 up to n = 64), and `rotate_bits_array` likewise, optionally
-in place, by one shift or by an array of shifts broadcast against the
-words (a column of all n shifts gives every rotation at once).
-`bit_columns` unpacks words into a 0/1 matrix whose column i is position
-i, `pack_columns` packs at most 64 columns back, and `sign_rows` is the
-+1/-1 form of `bit_columns`.
+in place, by one shift or an array of shifts broadcast against the words.
+`bit_columns` unpacks words into a 0/1 matrix, column i for position i,
+`pack_columns` packs up to 64 columns back, and `sign_rows` reads +1/-1.
 `fixed_words` lists the words a permutation fixes or negates.  The orbit,
 autocorrelation and Hadamard modules build on these rather than on copies.
 """
