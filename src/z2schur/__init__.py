@@ -50,7 +50,6 @@ from .orbits import (
     fd_partition_check,
     invariance_check,
     necklace_count,
-    orbit_product_decomposition,
     spartition_axiom_check,
     square_freeness_check,
 )

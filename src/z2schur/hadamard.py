@@ -44,6 +44,7 @@ from .errors import (
 )
 from .sequences import (
     BinarySequence,
+    check_positive_length,
     make_sequence,
     reverse_bits,
     rotate_bits,
@@ -165,18 +166,6 @@ class ContainmentReport:
     sset_parity: str
     already_contained: bool
     scanned: int
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "target_weight": self.target_weight,
-            "signs": self.signs,
-            "row_weights": list(self.row_weights),
-            "sset_members": list(self.sset_members),
-            "sset_parity": self.sset_parity,
-            "already_contained": self.already_contained,
-            "scanned": self.scanned,
-        }
 
 
 def normalize_into_complete(mat: SignMatrix) -> tuple[SignMatrix, ContainmentReport]:
@@ -316,6 +305,7 @@ def search_circulant_bruteforce(n: int) -> tuple[str, ...]:
     to `flat_offpeak_indices`.  Each orbit is named by its least rotation,
     the least of its rows.
     """
+    check_positive_length(n)
     if n > BRUTEFORCE_MAX_N:
         raise ScaleExceeded(f"bruteforce capped at n <= {BRUTEFORCE_MAX_N}")
     x = np.arange(1 << n, dtype=np.uint64)
@@ -433,6 +423,8 @@ def core_partition_verdict(n: int, r: int) -> StructureVerdict:
     weight (nr - 1)/(2r); since r divides nr, it divides nr - 1 only for
     r = 1, and every r >= 2 is excluded.
     """
+    if n < 1 or r < 1:
+        raise ValueError(f"n and r must be positive, got n={n} r={r}")
     p = n * r
     if p % 4 != 3:
         raise InvalidCoreOrder(f"core length {p} is not 3 mod 4")

@@ -373,20 +373,6 @@ class Orbit:
     def representative(self) -> BinarySequence:
         return BinarySequence(self.n, self.rep)
 
-    def as_dict(self) -> dict:
-        return {
-            "rep": str(self.representative),
-            "group": self.group,
-            "size": self.size,
-            "period": self.period,
-            "free": self.free,
-            "symmetric": self.symmetric,
-            "antisymmetric": self.antisymmetric,
-            "reversal_closed": self.reversal_closed,
-            "delta_invariant": list(self.delta_invariant),
-            "delta_closed": list(self.delta_closed),
-        }
-
 
 def _flag_maps(n: int) -> tuple[tuple[int, int], ...]:
     """The maps whose fixed points and closure `classify` decides: R, then
@@ -653,6 +639,7 @@ def enumerate_orbits(n: int, group: str = "C"):
 
 def necklace_count(n: int) -> int:
     """Closed-form number of rotation orbits."""
+    check_positive_length(n)
     return sum(len(units(d)) * (1 << (n // d)) for d in divisors(n)) // n
 
 
@@ -660,6 +647,7 @@ def necklace_count(n: int) -> int:
 def burnside_count(n: int, group: str = "C") -> int:
     """Orbit count as the average number of fixed sequences per group
     element: 2 to the number of cycles of its position map."""
+    check_positive_length(n)
     pairs = affine_group(n, group)
     total = sum(1 << len(perm_cycles(_positions(n, g))) for g in pairs)
     assert total % len(pairs) == 0
@@ -1089,63 +1077,7 @@ def square_freeness_check(n: int) -> dict:
     }
 
 
-# ------------------------------------------------- set-level experiments
-
-def asym_square_check(n: int) -> dict:
-    """Where do products of two antisymmetric sequences land?
-
-    Reports whether the product set is closed under reversal (it is), and
-    whether every product lies in a palindromic orbit or at least in a
-    reversal-closed orbit (both eventually fail as n grows).
-    """
-    if n > 12:
-        raise ScaleExceeded(f"pairwise product sweep capped at n <= 12, got {n}")
-    canon = canonical_array(n, "C")
-    flip = reversal_perm(n)
-    x = np.arange(1 << n, dtype=np.int64)
-    asym_members = x[_marks(canon, fixed_words(n, flip, negated=True))[canon]]
-    prods = np.unique((asym_members[:, None] ^ asym_members[None, :]).ravel())
-    rev = permute_bits_array(prods, n, flip)
-    least = canon[prods]
-    return {
-        "n": n,
-        "asym_nonempty": bool(asym_members.size),
-        "set_reversal_closed": bool(np.array_equal(np.sort(rev), prods)),
-        "subset_palindromic": bool(_marks(canon, fixed_words(n, flip))[least].all()),
-        "subset_reversal_closed": bool(_reversal_closed(canon, least, n, "C").all()),
-    }
-
-
-def orbit_product_decomposition(x: BinarySequence, y: BinarySequence) -> dict:
-    """Decompose the set {C^i X * C^j Y} into rotation orbits and weigh it
-    against the claim that it splits into min(d_X, d_Y) orbits of size
-    max(d_X, d_Y)."""
-    rx = {rotate_bits(x.bits, x.n, i) for i in range(x.n)}
-    ry = {rotate_bits(y.bits, y.n, i) for i in range(y.n)}
-    prods = {a ^ b for a in rx for b in ry}
-    seen: dict[int, int] = {}
-    for p in prods:
-        info = classify(BinarySequence(x.n, p))
-        seen[info.rep] = info.size
-    orbits = [
-        {"rep": str(BinarySequence(x.n, rep)), "size": size}
-        for rep, size in sorted(seen.items())
-    ]
-    sizes = sorted(s["size"] for s in orbits)
-    claimed_m, claimed_n = min(len(rx), len(ry)), max(len(rx), len(ry))
-    return {
-        "n": x.n,
-        "periods": (len(rx), len(ry)),
-        "product_size": len(prods),
-        "orbit_count": len(orbits),
-        "orbits": orbits,
-        "sizes": sizes,
-        "single_orbit": len(orbits) == 1,
-        "claimed_orbit_count": claimed_m,
-        "claimed_orbit_size": claimed_n,
-        "claim_holds": len(orbits) == claimed_m and sizes == [claimed_n] * claimed_m,
-    }
-
+# ----------------------- set-level experiments: the S-partition oracle
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """Where each run of equal values in the 1-d array a starts."""

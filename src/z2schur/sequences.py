@@ -256,11 +256,10 @@ class BinarySequence:
         text = signs if isinstance(signs, str) else "".join(signs)
         if not text:
             raise InvalidLength("empty sign list")
-        try:
-            bits = int(text.translate(str.maketrans(_SIGN_TO_BIT)), 2)
-        except ValueError:
-            raise InvalidLength(f"signs must be '+' or '-', got {text!r}") from None
-        return cls(len(text), bits)
+        # Checked before int(), which also takes "_", spaces and "0b".
+        if text.strip("+-"):
+            raise InvalidLength(f"signs must be '+' or '-', got {text!r}")
+        return cls(len(text), int(text.translate(str.maketrans(_SIGN_TO_BIT)), 2))
 
     @classmethod
     def identity(cls, n: int) -> "BinarySequence":

@@ -171,8 +171,17 @@ def test_reproduce_small_depth(capsys, tmp_path):
 
 
 def test_invalid_sequence_exits_two(capsys):
-    code, _, err = run(capsys, "autocorr", "--seq", "+x-")
-    assert code == 2 and err.startswith("error:")
+    # int(..., 2) would read "_", spaces and a "0b" prefix.
+    for seq in ("+x-", "+_-", " +", "0b--"):
+        code, out, err = run(capsys, "autocorr", "--seq", seq)
+        assert code == 2 and out == "" and err.startswith("error:"), seq
+
+
+def test_hadamard_check_refuses_a_prefixed_row(capsys, tmp_path):
+    bad = tmp_path / "m.txt"
+    bad.write_text("0b++\n+-+-\n++--\n+--+\n")  # int() reads the first row as ++++
+    code, out, err = run(capsys, "hadamard", "check", "--file", str(bad))
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_orbits_census_refuses_empty_length(capsys):

@@ -250,6 +250,12 @@ def test_search_matches_bruteforce():
         hd.search_circulant_bruteforce(hd.BRUTEFORCE_MAX_N + 1)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_bruteforce_refuses_lengths_below_one(n):
+    with pytest.raises(InvalidLength):
+        hd.search_circulant_bruteforce(n)
+
+
 def test_bruteforce_runs_without_the_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle called flat_offpeak_indices")
@@ -399,6 +405,12 @@ def test_core_partition_verdicts():
     assert not hd.core_partition_verdict(7, 1).excluded
     with pytest.raises(InvalidCoreOrder):
         hd.core_partition_verdict(3, 3)  # 9 = 1 mod 4
+
+
+@pytest.mark.parametrize("n, r", [(-1, -3), (0, 3), (3, 0)])
+def test_core_verdict_refuses_nonpositive_parameters(n, r):
+    with pytest.raises(ValueError, match="must be positive"):
+        hd.core_partition_verdict(n, r)
 
 
 def test_core_search_length_fifteen_empty():

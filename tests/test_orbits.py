@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from z2schur.orbits import (
     MAX_ENUM_N,
     Orbit,
     affine_group,
-    asym_square_check,
     burnside_count,
     canonical_array,
     census,
@@ -24,7 +24,6 @@ from z2schur.orbits import (
     fd_partition_check,
     invariance_check,
     necklace_count,
-    orbit_product_decomposition,
     spartition_axiom_check,
     square_freeness_check,
 )
@@ -48,8 +47,10 @@ from helpers import (
     period_tally,
     rotate_words,
     str_decimate,
+    str_negate,
     str_period,
     str_permute,
+    str_product,
     str_reverse,
     table_census,
     word_periods,
@@ -374,6 +375,13 @@ def test_whole_space_scans_refuse_lengths_outside_the_cap(scan):
             scan(n)
     with pytest.raises(ScaleExceeded):
         scan(MAX_ENUM_N + 1)
+
+
+@pytest.mark.parametrize("count", [necklace_count, burnside_count])
+@pytest.mark.parametrize("n", [0, -1])
+def test_orbit_counts_refuse_lengths_below_one(count, n):
+    with pytest.raises(InvalidLength):
+        count(n)
 
 
 def test_enumerate_orbits_consistency():
@@ -762,21 +770,26 @@ def test_square_freeness_at_twenty_two_and_twenty_three():
 
 
 def test_asym_square_products():
-    rep = asym_square_check(8)
-    assert rep["set_reversal_closed"]
-    assert not rep["subset_palindromic"]
-    assert not rep["subset_reversal_closed"]
+    """Products of two members of antisymmetric rotation orbits (a member
+    that reversal negates) form a reversal-closed set, yet some product
+    lies in no palindromic orbit and some in no reversal-closed one."""
+    n = 8
+    words = ("".join(w) for w in product("+-", repeat=n))
+    asym = set().union(*(cyclic_orbit(s) for s in words if str_reverse(s) == str_negate(s)))
+    prods = {str_product(s, t) for s in asym for t in asym}
+    assert {str_reverse(s) for s in prods} == prods
+    assert not all(any(str_reverse(t) == t for t in cyclic_orbit(s)) for s in prods)
+    assert not all(str_reverse(s) in cyclic_orbit(s) for s in prods)
 
 
 def test_orbit_product_counterexamples():
-    rep = orbit_product_decomposition(make_sequence("+---"), make_sequence("++--"))
-    assert rep["orbit_count"] == 2 and rep["sizes"] == [4, 4]
-    assert not rep["claim_holds"]
-    rep = orbit_product_decomposition(
-        make_sequence("+-+-+-"), make_sequence("++-++-")
-    )
-    assert rep["orbit_count"] == 1 and rep["sizes"] == [6]
-    assert not rep["claim_holds"]
+    """{C^i X * C^j Y} does not split into min(d_X, d_Y) rotation orbits
+    of size max(d_X, d_Y), d the periods."""
+    for x, y, sizes in (("+---", "++--", [4, 4]), ("+-+-+-", "++-++-", [6])):
+        dx, dy = len(cyclic_orbit(x)), len(cyclic_orbit(y))
+        prods = {str_product(s, t) for s in cyclic_orbit(x) for t in cyclic_orbit(y)}
+        got = sorted(len(o) for o in {frozenset(cyclic_orbit(s)) for s in prods})
+        assert got == sizes and got != [max(dx, dy)] * min(dx, dy)
 
 
 def test_spartition_axioms_hold():

@@ -133,8 +133,10 @@ def test_length_limits():
         make_sequence("")
     with pytest.raises(InvalidLength):
         BinarySequence(300, 0)
-    with pytest.raises(InvalidLength):
-        make_sequence("+x-")
+    # int(..., 2) would read "_", spaces and a "0b" prefix.
+    for signs in ("+x-", "+_-", " +", "0b--"):
+        with pytest.raises(InvalidLength, match="signs must be"):
+            make_sequence(signs)
 
 
 def test_units_and_divisors():
