@@ -7,14 +7,10 @@ is n - 2 popcount(X xor rotate(X, k)).  The whole vector theta(X) =
 negation, is permuted by decimations via P_{d_r X}(i) = P_X(ri), and
 always sums to (2a - n)^2 where a is the weight of X.
 
-The exhaustive sweep and the flat off-peak test count bits of packed
-words at every length they take.  The randomized trials do so up to
-n = 64, where a uint64 holds a word; from n = 65 to 256 they use sign
-matrices and the real FFT (`correlation_rows`), since the popcount
-table alone, on object-dtype words, took about ten times as long as the
-whole FFT check there.  numpy.fft is loaded on that first use, so
-neither the import nor a check up to n = 64 pays for it.  Rotations of
-word arrays, bit columns and their packing are those of `sequences`.
+Every check counts bits of packed words: the exhaustive sweep, the flat
+off-peak test, and the randomized trials, which take 2 <= n <= 64 so
+that a uint64 holds a word.  Rotations of word arrays, bit columns and
+their packing are those of `sequences`.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import numpy as np
 
 from .errors import InvalidLength, LengthMismatch, ScaleExceeded
 from .sequences import (
-    MAX_N,
     BinarySequence,
     bit_columns,
     check_positive_length,
@@ -36,15 +31,13 @@ from .sequences import (
     reversal_perm,
     rotate_bits,
     rotate_bits_array,
-    sign_rows,
     units,
     word_dtype,
 )
 
 VERIFY_MAX_N = 16
 # Entries per block of random_identity_trials: 256 trials at n = 32, so
-# a block's uint64 words with every shift are 192 KiB, and past n = 64
-# each float64 trials x n sign matrix of a block is 64 KiB.
+# a block's uint64 words with every shift are 192 KiB.
 _TRIAL_BLOCK = 1 << 13
 
 
@@ -243,32 +236,9 @@ def verify_identities(n: int) -> dict:
             "violation_counts": counts, "ok": not violations}
 
 
-def correlation_rows(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """P_{X,Y}(k) = sum_j X_j Y_{j+k} at every shift k for each row pair of
-    two equal-shape sign matrices; y defaults to x, giving the
-    autocorrelation table.
-
-    Computed as irfft(conj(rfft X) rfft Y) and rounded.  Each exact value
-    is an integer, so the rounding is checked rather than assumed: a
-    residual of 1/4 or more raises FloatingPointError.  numpy.fft is
-    reached here, on first use, so importing the package does not load it.
-    The randomized trials call it only past n = 64, where no uint64 holds
-    a word; up to there they count bits instead.
-    """
-    fx = np.fft.rfft(x)
-    fy = fx if y is None else np.fft.rfft(y)
-    raw = np.fft.irfft(np.conj(fx) * fy, x.shape[-1])
-    table = np.rint(raw)
-    residual = np.abs(raw - table).max(initial=0.0)
-    if residual >= 0.25:
-        raise FloatingPointError(
-            f"correlation residual {residual:.3g} is not near an integer")
-    return table.astype(np.int64)
-
-
 def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
     """Seeded random spot checks of the same identities at lengths too
-    large to sweep, for 2 <= n <= MAX_N and trials >= 0.
+    large to sweep, for 2 <= n <= 64 and trials >= 0.
 
     Each trial draws, from random.Random(seed) and in this order, X =
     getrandbits(n), Y = getrandbits(n), a shift k = randrange(1, n) and a
@@ -283,15 +253,13 @@ def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
     keyed by the shift k or the multiplier r they concern; `trial` counts
     from the first trial of the call, not of the block.
 
-    Up to n = 64, where a uint64 holds a word, a block is checked on the
-    packed words, each correlation a popcount (`_packed_correlations`).
-    Beyond, it is checked on sign matrices through `correlation_rows`
-    (`_sign_correlations`), about ten times faster there than popcounts
-    of object-dtype words.
+    A block is checked on the packed uint64 words, each correlation a
+    popcount (`_packed_correlations`).
     """
-    if not 2 <= n <= MAX_N:
+    if not 2 <= n <= 64:
         raise InvalidLength(
-            f"randomized trials need a nonzero shift, so 2 <= n <= {MAX_N}; got {n}"
+            f"randomized trials need a nonzero shift and a uint64 word, "
+            f"so 2 <= n <= 64; got {n}"
         )
     if trials < 0:
         raise ValueError(f"the number of trials must be at least 0, got {trials}")
@@ -314,7 +282,7 @@ def random_identity_trials(n: int, trials: int = 1000, seed: int = 0) -> dict:
 
 def _packed_correlations(n: int, xs: list[int], ys: list[int], ks: list[int],
                          dec: np.ndarray) -> tuple:
-    """The correlations of one block, n <= 64, on uint64 words.
+    """The correlations of one block on uint64 words.
 
     One (3 trials x n) table of n - 2 popcount(a ^ rotate(b, k)) holds the
     autocorrelations of X and of d_r X and the cross-correlation of X with
@@ -322,12 +290,11 @@ def _packed_correlations(n: int, xs: list[int], ys: list[int], ks: list[int],
     reversal of X are packed from gathered bit columns (`bit_columns`,
     `pack_columns`), and the rotation, reversal and negation of X are
     checked at k alone, each P(k) one popcount.  Returns (table, dtab,
-    cross, sums of X, sums of Y, P(k) of the three images), as
-    `_sign_correlations` does.
+    cross, sums of X, sums of Y, P(k) of the three images).
     """
     trials = len(xs)
     x, y = np.array(xs + ys, dtype=np.uint64).reshape(2, trials)
-    bits = bit_columns(xs, n)
+    bits = bit_columns(x, n)
     dx = pack_columns(bits[np.arange(trials)[:, None], dec])
     a, b = np.concatenate([x, dx, x]), np.concatenate([x, dx, y])
     shifts = np.arange(n, dtype=np.uint64)
@@ -348,44 +315,13 @@ def _packed_correlations(n: int, xs: list[int], ys: list[int], ks: list[int],
     return table, dtab, cross, sums(x), sums(y), moved
 
 
-def _sign_correlations(n: int, xs: list[int], ys: list[int], ks: list[int],
-                       dec: np.ndarray) -> tuple:
-    """The correlations of one block as `_packed_correlations` gives them,
-    for any n, from one trials x n sign matrix per sequence.
-
-    One `correlation_rows` call gives the autocorrelation tables of X and
-    d_r X, and another the cross table of X with Y.  The rotation,
-    reversal and negation of X are checked at k alone, so P(k) of each is
-    summed directly over the columns j and j + k: a sum of at most 256
-    signs, exact in float64.
-    """
-    trials = len(xs)
-    signs = sign_rows(xs + ys, n)
-    x, y = signs[:trials], signs[trials:]
-    t = np.arange(trials)[:, None]
-    table, dtab = np.split(correlation_rows(np.concatenate([x, x[t, dec]])), 2)
-    cross = correlation_rows(x, y)
-    plus_k = (np.arange(n) + np.array(ks)[:, None]) % n  # column j + k of each trial
-
-    def at_k(img):
-        return (img * img[t, plus_k]).sum(axis=1)
-
-    moved = [at_k(np.roll(x, -1, axis=1)), at_k(x[:, ::-1]), at_k(-x)]
-    return table, dtab, cross, x.sum(axis=1), y.sum(axis=1), moved
-
-
 def _trial_block(n: int, xs: list[int], ys: list[int], ks: list[int],
                  rs: list[int], first: int) -> list[dict]:
-    """The violations of one block of trials, numbered from trial `first`.
-
-    The correlations come from the packed words up to n = 64 and from
-    sign matrices beyond; the checks read them alike.
-    """
+    """The violations of one block of trials, numbered from trial `first`."""
     trials = len(xs)
     t = np.arange(trials)
     dec = (np.array(rs, dtype=np.int64)[:, None] * np.arange(n)) % n
-    engine = _packed_correlations if n <= 64 else _sign_correlations
-    table, dtab, cross, sx, sy, moved = engine(n, xs, ys, ks, dec)
+    table, dtab, cross, sx, sy, moved = _packed_correlations(n, xs, ys, ks, dec)
     at_k = table[t, ks]
     off = table[:, 1:]
     checks = [  # (kind, trials x keys failure mask, the keys of one failure)

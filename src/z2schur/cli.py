@@ -29,7 +29,7 @@ from . import reproduce as rp
 from . import ssets as ss
 from . import weight_ring as wr
 from .errors import Z2SchurError
-from .sequences import make_sequence
+from .sequences import check_positive_length, make_sequence
 
 FORMATS = ("json", "csv", "text")
 # Subcommands whose output is a table; the others have no CSV form.
@@ -108,6 +108,7 @@ def cmd_ring_verify(args) -> int:
 
 
 def cmd_ssets_complete(args) -> int:
+    check_positive_length(args.n)  # below 0 the loop has no target to refuse it
     targets = [args.a] if args.a is not None else list(range(args.n + 1))
     found = []
     for a in targets:

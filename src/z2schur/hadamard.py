@@ -234,6 +234,7 @@ def normalize_into_complete(mat: SignMatrix) -> tuple[SignMatrix, ContainmentRep
 def circulant_feasible_weights(n: int) -> tuple[int, ...]:
     """Weights a with (2a - n)^2 = n, the only ones a circulant Hadamard
     first row can have."""
+    check_positive_length(n)
     return tuple(a for a in range(n + 1) if (2 * a - n) ** 2 == n)
 
 

@@ -32,8 +32,8 @@ bits it lands on, so a word costs ceil(n/8) lookups instead of n bit
 moves.  It keeps the dtype of its input (uint32 words for the whole-space
 scans, uint64 up to n = 64), and `rotate_bits_array` likewise, optionally
 in place, by one shift or an array of shifts broadcast against the words.
-`bit_columns` unpacks words into a 0/1 matrix, column i for position i,
-`pack_columns` packs up to 64 columns back, and `sign_rows` reads +1/-1.
+`bit_columns` unpacks words of up to 64 positions into a 0/1 matrix,
+column i for position i, and `pack_columns` packs them back.
 `fixed_words` lists the words a permutation fixes or negates.  The orbit,
 autocorrelation and Hadamard modules build on these rather than on copies.
 """
@@ -210,13 +210,13 @@ def word_dtype(n: int):
     return np.uint64 if n <= 64 else object
 
 
-def bit_columns(words: Iterable[int], n: int) -> np.ndarray:
-    """A uint8 0/1 matrix with one row per packed length-n word; column i
-    holds position i, bit n - 1 - i."""
-    width = (n + 7) // 8
-    raw = b"".join(w.to_bytes(width, "big") for w in words)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1)
-    return bits[:, 8 * width - n:]
+def bit_columns(words: np.ndarray | list[int], n: int) -> np.ndarray:
+    """A uint8 0/1 matrix with one row per packed length-n word, n <= 64;
+    column i holds position i, bit n - 1 - i."""
+    if n > 64:
+        raise ValueError(f"bit columns hold at most 64 positions, got {n}")
+    raw = np.asarray(words, np.uint64).astype(">u8").view(np.uint8)
+    return np.unpackbits(raw.reshape(-1, 8), axis=1)[:, 64 - n:]
 
 
 def pack_columns(bits: np.ndarray) -> np.ndarray:
@@ -226,12 +226,6 @@ def pack_columns(bits: np.ndarray) -> np.ndarray:
     padded = np.zeros((rows, 64), dtype=np.uint8)
     padded[:, 64 - n:] = bits
     return np.packbits(padded, axis=1).view(">u8").ravel().astype(np.uint64)
-
-
-def sign_rows(words: Iterable[int], n: int) -> np.ndarray:
-    """A float +1/-1 matrix with one row per packed length-n word; column i
-    holds position i, so '+' (bit 0) reads +1 and '-' (bit 1) reads -1."""
-    return 1.0 - 2.0 * bit_columns(words, n)
 
 
 @dataclass(frozen=True, order=True)
@@ -307,12 +301,14 @@ def make_sequence(signs: str | Iterable[str]) -> BinarySequence:
 @lru_cache(maxsize=None)
 def units(n: int) -> tuple[int, ...]:
     """Multipliers coprime to n, the valid decimation parameters."""
+    check_positive_length(n)
     if n == 1:
         return (1,)
     return tuple(r for r in range(1, n) if math.gcd(r, n) == 1)
 
 
 def divisors(n: int) -> tuple[int, ...]:
+    check_positive_length(n)
     small, large = [], []
     d = 1
     while d * d <= n:

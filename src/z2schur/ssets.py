@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidWeight
+from .sequences import check_positive_length
 from .weight_ring import class_product
 
 
@@ -71,6 +72,7 @@ def _maximal_cliques(adj: dict[int, set[int]]) -> list[frozenset[int]]:
 
 def find_complete_ssets(n: int, a: int) -> list[CompleteSSet]:
     """All complete S-sets for target weight a, sorted even flavour first."""
+    check_positive_length(n)
     if not 0 <= a <= n:
         raise InvalidWeight(f"target weight {a} outside [0, {n}]")
     vertices = [b for b in range(n + 1) if a in class_product(n, b, b)]
@@ -92,6 +94,7 @@ def predicted_profile(n: int, a: int) -> dict:
     single set {n/2}; otherwise two sets, with orders a/2 and a/2 + 1 for
     even a, and (a+1)/2 twice for odd a.
     """
+    check_positive_length(n)
     if a == n:
         return {"count": n + 1, "orders": [1] * (n + 1)}
     if (n - a) % 2:
@@ -112,6 +115,7 @@ def count_theorem_checks(max_n: int) -> dict:
     The rule fails exactly when a is even with 2a > n or a is odd with
     2a > n + 1, so the first violations appear at n=6.
     """
+    check_positive_length(max_n)
     checked = 0
     violations = []
     for n in range(1, max_n + 1):
@@ -141,6 +145,7 @@ def maximal_target_weights(n: int) -> tuple[int, ...]:
     Even n: a = n/2 when n % 4 == 0, else the two even neighbours
     n/2 - 1 and n/2 + 1.  Odd n: whichever of (n +- 1)/2 is odd.
     """
+    check_positive_length(n)
     if n % 4 == 0:
         return (n // 2,)
     if n % 4 == 2:

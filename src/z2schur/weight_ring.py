@@ -305,6 +305,7 @@ def class_product_oracle(n: int, a: int, b: int) -> WeightClassSet:
 
 
 def even_odd_unions(n: int) -> tuple[WeightClassSet, WeightClassSet]:
+    check_positive_length(n)
     evens = WeightClassSet.of(n, range(0, n + 1, 2))
     odds = WeightClassSet.of(n, range(1, n + 1, 2))
     return evens, odds

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from z2schur import autocorr
 from z2schur.autocorr import (
     AutocorrVector,
-    correlation_rows,
     flat_offpeak,
     flat_offpeak_indices,
     periodic_autocorrelation,
@@ -21,7 +20,7 @@ from z2schur.autocorr import (
 from z2schur.autocorr import VERIFY_MAX_N
 from z2schur.errors import InvalidLength, LengthMismatch, ScaleExceeded
 from z2schur.hadamard import paley_core
-from z2schur.sequences import BinarySequence, make_sequence, sign_rows, units
+from z2schur.sequences import BinarySequence, make_sequence, units
 from helpers import (
     peak_traced_mb,
     str_autocorr,
@@ -271,27 +270,6 @@ def test_verify_identities_refuses_lengths_below_one():
     assert verify_identities(1)["ok"]
 
 
-def test_trials_transform_only_the_tables_checked_at_every_shift(monkeypatch):
-    """Past n = 64, X and d_r X go through one correlation, and X with Y
-    through one more; the rotation, reversal and negation, checked at one
-    shift, are summed directly.  Up to n = 64 no trial transforms."""
-    shapes = []
-    real = autocorr.correlation_rows
-
-    def spy(x, y=None):
-        shapes.append((x.shape, None if y is None else y.shape))
-        return real(x, y)
-
-    monkeypatch.setattr(autocorr, "correlation_rows", spy)
-    for n in (2, 32, 64):
-        assert random_identity_trials(n, 50, 4)["ok"]
-    assert shapes == []
-    for n in (65, 128):
-        assert random_identity_trials(n, 50, 4)["ok"]
-    assert shapes == [((100, 65), None), ((50, 65), (50, 65)),
-                      ((100, 128), None), ((50, 128), (50, 128))]
-
-
 def test_random_trials_seeded():
     rep = random_identity_trials(32, trials=200, seed=1)
     assert rep["ok"] and rep["trials"] == 200
@@ -330,7 +308,7 @@ def scalar_trials(n, trials=1000, seed=0, rng=None):
             "ok": not violations}
 
 
-TRIAL_LENGTHS = (2, 3, 5, 8, 15, 32, 64, 65, 128, 256)
+TRIAL_LENGTHS = (2, 3, 5, 8, 15, 32, 63, 64)
 
 
 @pytest.mark.parametrize("n", TRIAL_LENGTHS)
@@ -362,7 +340,7 @@ class RecordingRandom(random.Random):
         return super().choice(seq)
 
 
-@pytest.mark.parametrize("n", (2, 15, 64, 65, 256))
+@pytest.mark.parametrize("n", (2, 15, 63, 64))
 def test_batched_trials_draw_like_the_loop(monkeypatch, n):
     made = []
 
@@ -395,34 +373,9 @@ def test_a_corrupted_decimation_index_is_reported(monkeypatch):
     assert not rep["ok"]
 
 
-@pytest.mark.parametrize("n", (66, 128, 65, 129))
-def test_a_zeroed_entry_breaks_peak_and_even_mod4_only(monkeypatch, n):
-    """Past n = 64, where the trials read sign rows: a 0 in X keeps every
-    bilinear identity (sums, invariances, decimation) but moves the peak
-    and, at even n, the congruences."""
-    trial, pos = 2, 2  # x_1 = x_3 there at n = 66 and 128, so P(1) moves
-    seen = {}
-
-    def zeroed(words, length):
-        rows = sign_rows(words, length)
-        seen["x"] = rows[trial].tolist()
-        rows[trial, pos] = 0
-        return rows
-
-    monkeypatch.setattr(autocorr, "sign_rows", zeroed)
-    rep = random_identity_trials(n, 5, 2)
-    x = seen["x"]
-    x[pos] = 0
-    shifts = [sum(x[j] * x[(j + k) % n] for j in range(n)) for k in range(n)]
-    mod4 = [k for k in range(1, n) if (n - shifts[k]) % 4] if n % 2 == 0 else []
-    assert n % 2 or 1 in mod4  # P(1) = P(n-1), so both ends of the scan count
-    assert rep["violations"] == [{"kind": "peak", "trial": trial}] + [
-        {"kind": "mod4", "trial": trial, "k": k} for k in mod4]
-
-
 @pytest.mark.parametrize("n", (8, 12, 9, 15, 64))
 def test_a_packed_fault_breaks_peak_and_even_mod4_only(monkeypatch, n):
-    """Up to n = 64 the trials read popcount tables.  Moving one trial's
+    """The trials read popcount tables.  Moving one trial's
     P_X(0) down by 2 and P_X(j), P_X(n - j) up by 1, with k not j or
     n - j and d_r X's table moved to match, keeps the sums, the symmetry,
     the invariances at k and the decimation, but breaks the peak and, at
@@ -449,8 +402,8 @@ def test_a_packed_fault_breaks_peak_and_even_mod4_only(monkeypatch, n):
 
 
 def test_random_trials_need_a_nonzero_shift():
-    for n in (1, 0, 257):
-        with pytest.raises(InvalidLength, match="2 <= n <= 256"):
+    for n in (1, 0, 65, 256):
+        with pytest.raises(InvalidLength, match="2 <= n <= 64"):
             random_identity_trials(n, 10)
 
 
@@ -499,26 +452,8 @@ def test_a_corrupted_decimation_past_the_first_block_keeps_its_trial_index(monke
 
 def test_autocorrelation_sweeps_stay_in_cache_sized_blocks():
     # The trials hold a few blocks of 2^13 entries and the draws, whatever
-    # n: uint64 words at every shift up to n = 64 (192 KiB a table), 64 KiB
-    # sign matrices past it.  verify_identities(16) holds its 1 MiB
-    # table, a gather and a mask buffer of that size, a 512 KiB index
-    # array and 64 KiB rows.
-    for n in (64, 256):
-        assert peak_traced_mb(lambda: random_identity_trials(n, 1000)) < 1.5, n
+    # n: uint64 words at every shift (192 KiB a table).
+    # verify_identities(16) holds its 1 MiB table, a gather and a mask
+    # buffer of that size, a 512 KiB index array and 64 KiB rows.
+    assert peak_traced_mb(lambda: random_identity_trials(64, 1000)) < 1.5
     assert peak_traced_mb(lambda: verify_identities(VERIFY_MAX_N)) < 1 + 3.5
-
-
-def test_correlation_rows_is_exact_or_raises():
-    rng = random.Random(5)
-    for n in (1, 2, 7, 64, 256):
-        xs = [rng.getrandbits(n) for _ in range(4)]
-        ys = [rng.getrandbits(n) for _ in range(4)]
-        cross = correlation_rows(sign_rows(xs, n), sign_rows(ys, n))
-        auto = correlation_rows(sign_rows(xs, n))
-        assert cross.dtype == np.int64
-        for i, (a, b) in enumerate(zip(xs, ys)):
-            x, y = BinarySequence(n, a), BinarySequence(n, b)
-            assert cross[i].tolist() == [periodic_correlation(x, y, k) for k in range(n)]
-            assert auto[i].tolist() == list(theta(x).values)
-    with pytest.raises(FloatingPointError):
-        correlation_rows(np.array([[0.5, 0.0, 0.0, 0.0]]))

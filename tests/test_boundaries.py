@@ -85,7 +85,7 @@ def test_import_starts_no_process_machinery():
 
 
 def test_import_leaves_numpy_fft_unloaded():
-    """autocorr reaches numpy.fft on first use, so set-up does not pay for it."""
+    """No module reads numpy.fft, so set-up never pays for loading it."""
     assert loaded_after_import(("numpy.fft",)) == "[]"
 
 
@@ -232,7 +232,6 @@ CLI = "runs only under a CLI command other than reproduce-paper"
 BENCH_OP = "runs only under classify, a benchmark op"
 SPAN = "a benchmark tracer span"
 ORACLE = "a test oracle, waiting for the S-ring and sampled-invariance criteria"
-PAST_64 = "runs only in the random trials past n = 64"
 VALUE_API = "the public value-type API"
 
 # Never called by `reproduce-paper`, each for a stated reason.
@@ -243,8 +242,6 @@ REACH_ALLOWLIST = {
     "autocorr.sum_identity": CLI,
     "autocorr.AutocorrVector.__post_init__": VALUE_API,
     "autocorr.AutocorrVector.__getitem__": VALUE_API,
-    "autocorr.correlation_rows": PAST_64,
-    "autocorr._sign_correlations": PAST_64,
     "hadamard.SignMatrix.from_text": CLI,
     "hadamard.SignMatrix.render": CLI,
     "hadamard.SignMatrix.__str__": VALUE_API,
@@ -272,7 +269,6 @@ REACH_ALLOWLIST = {
     "orbits.spartition_axiom_check": ORACLE,
     "sequences.permute_bits": VALUE_API,
     "sequences.decimate_bits": VALUE_API,
-    "sequences.sign_rows": PAST_64,
     "sequences.BinarySequence.identity": VALUE_API,
     "sequences.BinarySequence.__len__": VALUE_API,
     "sequences.BinarySequence.__mul__": VALUE_API,
@@ -299,3 +295,5 @@ def test_reproduce_paper_reaches_all_but_the_allowlist():
     never = set(in_fresh_interpreter(REACH_PROBE).split())
     assert sorted(never - REACH_ALLOWLIST.keys()) == []  # unreached, no reason given
     assert sorted(REACH_ALLOWLIST.keys() - never) == []  # reached, so the reason is gone
+    # Every reason still names a function, so none outlives its last entry.
+    assert set(REACH_ALLOWLIST.values()) == {CLI, BENCH_OP, SPAN, ORACLE, VALUE_API}

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from z2schur.errors import InvalidLength, LengthMismatch, NotCoprime, ScaleExceeded
+from z2schur.hadamard import circulant_feasible_weights
 from z2schur.sequences import (
     BinarySequence,
     bit_columns,
@@ -19,7 +20,6 @@ from z2schur.sequences import (
     permute_bits_array,
     reversal_perm,
     rotate_bits_array,
-    sign_rows,
     units,
 )
 from helpers import (
@@ -147,6 +147,14 @@ def test_units_and_divisors():
     assert units(1) == (1,)
 
 
+@pytest.mark.parametrize("fn", [divisors, units, circulant_feasible_weights])
+@pytest.mark.parametrize("n", [0, -1])
+def test_length_helpers_refuse_lengths_below_one(fn, n):
+    # An empty answer would let a loop over it pass without doing anything.
+    with pytest.raises(InvalidLength, match=f"at least 1, got {n}"):
+        fn(n)
+
+
 def _fixed_by_string(n, image_of):
     # Packed words whose string s satisfies image_of(s) == s, and those
     # with image_of(s) == str_negate(s), by brute force over all words.
@@ -255,16 +263,17 @@ def test_rotate_bits_array_keeps_dtype_and_writes_in_place():
             assert arr.tolist() == want, (n, dtype)
 
 
-@given(st.integers(1, 256), st.data())
-def test_sign_rows_reads_positions_left_to_right(n, data):
+@given(st.integers(1, 64), st.data())
+def test_bit_columns_read_positions_left_to_right_and_pack_back(n, data):
     row = st.text(alphabet="+-", min_size=n, max_size=n)
     rows = data.draw(st.lists(row, max_size=4))
     words = [make_sequence(t).bits for t in rows]
-    got = sign_rows(words, n)
-    assert got.shape == (len(rows), n)
-    assert got.tolist() == [[1.0 if c == "+" else -1.0 for c in t] for t in rows]
     bits = bit_columns(words, n)
-    assert bits.dtype == np.uint8
+    assert bits.dtype == np.uint8 and bits.shape == (len(rows), n)
     assert bits.tolist() == [[int(c == "-") for c in t] for t in rows]
-    if n <= 64:
-        assert pack_columns(bits).tolist() == words
+    assert pack_columns(bits).tolist() == words
+
+
+def test_bit_columns_stop_at_sixty_four_positions():
+    with pytest.raises(ValueError, match="at most 64 positions, got 65"):
+        bit_columns([0], 65)

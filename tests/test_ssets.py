@@ -1,3 +1,7 @@
+import pytest
+
+from z2schur import cli
+from z2schur.errors import InvalidLength
 from z2schur.ssets import (
     CompleteSSet,
     complete_maximal,
@@ -6,7 +10,7 @@ from z2schur.ssets import (
     maximal_target_weights,
     predicted_profile,
 )
-from z2schur.weight_ring import class_product
+from z2schur.weight_ring import class_product, even_odd_unions
 
 WORKED_EXAMPLES = {
     (4, 2): [("even", (2,)), ("odd", (1, 3))],
@@ -135,3 +139,30 @@ def test_as_dict_schema():
     s = CompleteSSet(8, 4, (2, 4, 6))
     assert s.as_dict() == {"a": 4, "parity": "even", "members": [2, 4, 6],
                            "order": 3}
+
+
+@pytest.mark.parametrize("fn, args", [
+    pytest.param(find_complete_ssets, (0, 0), id="find_complete_ssets(0, 0)"),
+    pytest.param(find_complete_ssets, (-2, 0), id="find_complete_ssets(-2, 0)"),
+    pytest.param(predicted_profile, (0, 0), id="predicted_profile(0, 0)"),
+    pytest.param(count_theorem_checks, (-1,), id="count_theorem_checks(-1)"),
+    pytest.param(count_theorem_checks, (0,), id="count_theorem_checks(0)"),
+    pytest.param(maximal_target_weights, (-1,), id="maximal_target_weights(-1)"),
+    pytest.param(even_odd_unions, (-1,), id="even_odd_unions(-1)"),
+    pytest.param(even_odd_unions, (0,), id="even_odd_unions(0)"),
+    pytest.param(cli.main, (["ssets", "complete", "--n", "0"],), id="cli --n 0"),
+    pytest.param(cli.main, (["ssets", "complete", "--n", "-2"],), id="cli --n -2"),
+    pytest.param(cli.main, (["ssets", "complete", "--n", "0", "--a", "0"],),
+                 id="cli --n 0 --a 0"),
+])
+def test_ssets_refuse_lengths_below_one(capsys, fn, args):
+    """A length below 1 has no weight classes to pair: it is refused, not
+    answered with one S-set, none, or a pass over nothing."""
+    if fn is cli.main:
+        n = args[0][3]
+        assert fn(*args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: sequence length must be at least 1, got {n}\n"
+    else:
+        with pytest.raises(InvalidLength, match=f"at least 1, got {args[0]}"):
+            fn(*args)
